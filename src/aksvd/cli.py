@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ksvd, downstream, solvers
 from . import io as aio
-from .compat import LearnableConfig, strategy_from_name
+from .compat import strategy_from_name
 from .errors import DataError, NumericalError
 from .kernels import KernelSpec, auto_gamma
 
@@ -48,8 +48,10 @@ def _add_common(p):
     p.add_argument("--degree", type=int, default=2, help="poly kernel degree")
     p.add_argument("--offset", type=float, default=1.0, help="poly kernel offset")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--compat", choices=("a0", "a1", "a2", "a3"), default=None,
-                   help="compatibility strategy for non-square inputs")
+    p.add_argument("--compat", choices=("a0", "a1", "a2"), default=None,
+                   help="compatibility matrix for non-square inputs: a0 pseudo-inverse, "
+                        "a1 PCA projection, a2 random projection (the learned a3 needs "
+                        "downstream targets and is available from the library only)")
     p.add_argument("--solver", choices=_SOLVERS, default="dense")
     p.add_argument("--nsub", type=int, default=None, help="Nystrom row subsamples")
     p.add_argument("--msub", type=int, default=None, help="Nystrom column subsamples")
@@ -87,7 +89,52 @@ def build_parser() -> _Parser:
                    help="comma-separated solver list")
     p.add_argument("--m-schedule", default="", dest="m_schedule",
                    help="comma-separated subsample escalation schedule")
+    parser.commands = sub.choices
     return parser
+
+
+def _accepts(action, value) -> bool:
+    """Whether a config value is one the option could have produced."""
+    if isinstance(action.default, bool):  # a store_true flag
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.dest == "gamma":  # echoed resolved: a number, or null without bandwidth
+        return value is None or isinstance(value, (str, int, float))
+    if value is None:
+        return action.default is None
+    if action.choices is not None:
+        return value in action.choices
+    return isinstance(value, {int: int, float: (int, float)}.get(action.type, str))
+
+
+def _config_from_file(parser, path) -> dict:
+    """Read a JSON configuration and merge it over its subcommand's defaults.
+
+    The file may hold any subset of the keys of an echoed configuration,
+    but must name the subcommand and its required options; an unknown key
+    or a value that the option would not accept is a usage error.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        given = json.load(f)
+    if not isinstance(given, dict) or given.get("subcommand") not in _COMMANDS:
+        raise UsageError(f"config file {path} lacks a valid subcommand")
+    actions = {a.dest: a for a in parser.commands[given["subcommand"]]._actions
+               if a.dest != "help"}
+    unknown = sorted(set(given) - set(actions) - {"subcommand"})
+    if unknown:
+        raise UsageError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
+    cfg = {"subcommand": given["subcommand"]}
+    for key, action in actions.items():
+        if key in given:
+            if not _accepts(action, given[key]):
+                raise UsageError(f"config file {path}: invalid value {given[key]!r} for {key!r}")
+            cfg[key] = given[key]
+        elif action.required:
+            raise UsageError(f"config file {path}: missing required key {key!r}")
+        else:
+            cfg[key] = action.default
+    return cfg
 
 
 def _config_from_args(args) -> dict:
@@ -110,7 +157,7 @@ def _resolve_kernel(cfg, A) -> KernelSpec:
     if fam in ("rbf", "sne"):
         if cfg["gamma"] == "auto":
             cfg["gamma"] = auto_gamma(A)
-        else:
+        elif cfg["gamma"] is not None:  # None: KernelSpec rejects it
             cfg["gamma"] = float(cfg["gamma"])
         return KernelSpec(fam, gamma=cfg["gamma"])
     cfg["gamma"] = None
@@ -142,8 +189,7 @@ def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
     kernel = _resolve_kernel(cfg, A)
     compat = None
     if cfg["compat"] is not None:
-        compat = strategy_from_name(cfg["compat"], seed=cfg["seed"],
-                                    config=LearnableConfig(seed=cfg["seed"]))
+        compat = strategy_from_name(cfg["compat"], seed=cfg["seed"])
     solver = _resolve_solver(cfg, (A.shape[0], A.shape[1]))
     return ksvd.fit_matrix(A, kernel, cfg["rank"], compat=compat,
                           do_center=cfg["center"], solver=solver)
@@ -267,10 +313,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as f:
-                cfg = json.load(f)
-            if "subcommand" not in cfg or cfg["subcommand"] not in _COMMANDS:
-                raise UsageError(f"config file {args.config} lacks a valid subcommand")
+            cfg = _config_from_file(parser, args.config)
         else:
             if args.subcommand is None:
                 raise UsageError("a subcommand or --config is required")

@@ -95,6 +95,52 @@ def test_config_echo_reproduces_bit_identical(tmp_path, capsys):
     assert first == second
 
 
+def test_partial_config_merges_over_defaults(tmp_path, capsys):
+    graph, _ = write_toy_graph(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "partial"
+    cfg_path.write_text(json.dumps({"subcommand": "embed", "input": str(graph),
+                                    "format": "edges", "out": str(out)}))
+    code, cfg = run_cli(capsys, ["--config", str(cfg_path)])
+    assert code == 0
+    assert cfg["rank"] == 2 and cfg["kernel"] == "linear" and cfg["solver"] == "dense"
+    via_flags = tmp_path / "flags"
+    code, _ = run_cli(capsys, ["embed", "--input", str(graph), "--format", "edges",
+                               "--out", str(via_flags)])
+    assert code == 0
+    assert np.array_equal(load_dense_csv(str(out) + ".left.csv"),
+                          load_dense_csv(str(via_flags) + ".left.csv"))
+
+
+@pytest.mark.parametrize("cfg", [
+    {"subcommand": "embed", "input": "g.tsv"},                       # no out
+    {"subcommand": "embed", "out": "run"},                           # no input
+    {"subcommand": "graph", "input": "g.tsv", "out": "run"},         # no labels
+    {"subcommand": "embed", "input": "g.tsv", "out": "run", "rnak": 2},
+    {"subcommand": "embed", "input": "g.tsv", "out": "run", "rank": "2"},
+    {"subcommand": "embed", "input": "g.tsv", "out": "run", "center": 1},
+    {"subcommand": "embed", "input": "g.tsv", "out": "run", "kernel": "cosine"},
+    {"subcommand": "bicluster", "input": "g.tsv", "out": "run", "compat": "a3"},
+    {"subcommand": "fit", "input": "g.tsv", "out": "run"},
+    ["embed"],
+])
+def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_compat_a3_rejected(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.arange(12.0).reshape(4, 3))
+    out = tmp_path / "b"
+    code = main(["bicluster", "--input", str(inp), "--compat", "a3", "--out", str(out)])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "b.left.csv").exists()
+
+
 def test_graph_command(tmp_path, capsys):
     gpath, lpath = write_toy_graph(tmp_path)
     out = tmp_path / "g"

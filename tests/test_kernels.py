@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aksvd import kernels
 from aksvd.errors import NumericalError
 from aksvd.kernels import (
     GramMatrix,
@@ -248,3 +249,120 @@ def test_auto_gamma_heuristic():
     X = rng.standard_normal((20, 6))
     assert auto_gamma(X) == pytest.approx(np.sqrt(6 * X.var()))
     assert auto_gamma(X, k=0.5) == pytest.approx(0.5 * np.sqrt(6 * X.var()))
+
+
+# -- tile engine ----------------------------------------------------------
+
+ALL_FAMILIES = ("linear", "poly", "rbf", "sne")
+
+
+def family_spec(family, d):
+    # bandwidth ~ the typical distance, so sne denominators stay well above 0
+    if family in ("rbf", "sne"):
+        return KernelSpec(family, gamma=float(np.sqrt(2.0 * d)))
+    if family == "poly":
+        return KernelSpec.poly(3, 0.5)
+    return KernelSpec.linear()
+
+
+def assert_lazy_matches_dense(spec, X, Z, rng):
+    dense = gram(spec, X, Z, scaled=True).values
+    op = KernelOperator(X, Z, spec, scaled=True)
+    n, m = dense.shape
+    # contiguous sub-blocks at offsets that are not multiples of the tile
+    for r0, r1, c0, c1 in ((1, 18, 3, 20), (5, n, 0, 7), (17, 33, 15, m)):
+        rows, cols = np.arange(r0, r1), np.arange(c0, c1)
+        assert np.array_equal(op.block(rows, cols), dense[r0:r1, c0:c1])
+    rows = rng.choice(n, 11, replace=False)
+    cols = rng.choice(m, 9, replace=False)
+    assert np.array_equal(op.block(rows, cols), dense[np.ix_(rows, cols)])
+    for i, j in rng.integers(0, [n, m], size=(40, 2)):
+        assert op.entry(int(i), int(j)) == dense[i, j]
+    for i in range(0, n, 6):
+        assert np.array_equal(op.x_row(X[i]), dense[i])
+    for j in range(0, m, 5):
+        assert np.array_equal(op.z_col(Z[j]), dense[:, j])
+
+
+@pytest.mark.parametrize("d", [1, 15, 16, 17, 400])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_lazy_exact_every_family_and_dimension(family, d):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((37, d))
+    Z = rng.standard_normal((29, d))
+    assert_lazy_matches_dense(family_spec(family, d), X, Z, rng)
+
+
+def test_sne_denominators_same_fused_or_partial_first():
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((40, 17))
+    Z = rng.standard_normal((35, 17))
+    spec = family_spec("sne", 17)
+    fused = KernelOperator(X, Z, spec)
+    want = fused.materialize()
+    partial = KernelOperator(X, Z, spec)
+    partial.block([3, 20, 39], [0, 34])    # three rows normalized by the partial path
+    assert np.array_equal(partial.materialize(), want)
+    assert np.array_equal(partial._sne_den, fused._sne_den)
+    by_column = KernelOperator(X, Z, spec)
+    by_column.z_col(Z[4])                  # every row normalized by the partial path
+    assert np.array_equal(by_column._sne_den, fused._sne_den)
+    assert np.array_equal(by_column.block(np.arange(40), np.arange(35)), want)
+
+
+def test_fallback_equals_broadcast_oracle(monkeypatch):
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((37, 6))
+    Z = rng.standard_normal((29, 6))
+    engine = {f: gram(family_spec(f, 6), X, Z).values for f in ALL_FAMILIES}
+    monkeypatch.setattr(kernels, "_tiles_exact", lambda d: False)
+    want = kernels._pair_products(X, Z)
+    assert np.array_equal(kernels._products(X, Z), want)
+    assert np.array_equal(gram(KernelSpec.linear(), X, Z, scaled=False).values, want)
+    for family in ALL_FAMILIES:
+        spec = family_spec(family, 6)
+        assert_lazy_matches_dense(spec, X, Z, rng)
+        # the engine and the oracle differ at most in rounding
+        assert np.allclose(gram(spec, X, Z).values, engine[family], rtol=1e-12, atol=0)
+
+
+def test_self_check_rejects_position_dependent_gemm(monkeypatch):
+    monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+    assert kernels._tiles_exact(5)
+    exact_gemm = kernels._tile_gemm
+
+    def skewed(xt, zt):
+        out = exact_gemm(xt, zt)
+        out[..., -1, :] *= 1.0 + 2.0 ** -50   # last tile row rounds differently
+        return out
+
+    def skewed_one_row(xt, zt):
+        out = exact_gemm(xt, zt)
+        if xt.shape[0] == 1:                  # only the kernel-vector path differs
+            out *= 1.0 + 2.0 ** -50
+        return out
+
+    monkeypatch.setattr(kernels, "_tile_gemm", skewed)
+    assert not kernels._tiles_exact(6)
+    monkeypatch.setattr(kernels, "_tile_gemm", skewed_one_row)
+    assert not kernels._tiles_exact(7)
+    assert kernels._tiles_exact(5)         # cached per dimension
+
+
+def test_budget_chunking_is_exact(monkeypatch):
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((70, 9))
+    Z = rng.standard_normal((53, 9))
+    W = rng.standard_normal((53, 2))
+    V = rng.standard_normal((70, 2))
+    spec = family_spec("sne", 9)
+    dense = gram(spec, X, Z).values
+    # two tile pairs per product: the engine chunks over both x and z tiles,
+    # matmat/rmatmat and the sne denominators over rows
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
+    assert np.array_equal(kernels._products(X, Z), gram(KernelSpec.linear(), X, Z, scaled=False).values)
+    assert np.array_equal(gram(spec, X, Z).values, dense)
+    op = KernelOperator(X, Z, spec)
+    assert np.array_equal(op.z_col(Z[0]), dense[:, 0])
+    assert np.allclose(op.matmat(W), dense @ W, rtol=1e-12, atol=1e-15)
+    assert np.allclose(op.rmatmat(V), dense.T @ V, rtol=1e-12, atol=1e-15)

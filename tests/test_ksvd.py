@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,8 @@ def test_fit_model_invariants_random_instances():
         X = rng.standard_normal((n, d))
         Z = rng.standard_normal((m_, d))
         spec = specs[trial % 3]
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)  # centered linear grams may lose rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # centered linear grams may lose rank
             model = fit(X, Z, spec, rank=r, do_center=bool(trial % 2))
         rr = model.achieved_rank
         assert np.allclose(model.b_phi.T @ model.b_phi, np.eye(rr), atol=1e-8)
