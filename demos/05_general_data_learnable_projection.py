@@ -41,7 +41,7 @@ for name, strat in (("a0 pseudo-inverse", PseudoInverse()),
     print(f"  {name:22s} test rmse = {head.metric:.4f}")
 
 cfg = LearnableConfig(rank_r=4, steps=40, learning_rate=2e-2, seed=0,
-                      task="regression", gradient="analytic_rbf", outer_iters=12)
+                      task="regression", outer_iters=12)
 res = learn_compat(A, y, spec, cfg)
 trace = ", ".join(f"{v:.4f}" for v in res.losses)
 print(f"\na3 learnable projection, end-of-iteration training losses:\n  [{trace}]")

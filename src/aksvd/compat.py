@@ -8,18 +8,21 @@ M x N is built so that A C is N x N; for N > M the construction mirrors.
 
 Strategies: a0 pseudo-inverse, a1 PCA projection, a2 random projection,
 a3 learned against a downstream task by alternating SVD refreshes with
-gradient steps on C and a linear head.
+gradient steps on C and a linear head.  The a3 gradient with respect to C
+is exact and analytic for all four kernel families (linear, poly, rbf,
+sne); central finite differences remain only as the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .errors import NumericalError
 from .kernels import KernelOperator, KernelSpec, as_matrix
+from .solvers import _sign_fix_pairs
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,11 @@ class LearnableConfig:
     learning_rate: float = 1e-2
     seed: int = 0
     task: str = "regression"      # or "classification"
-    gradient: str = "fd"          # or "analytic_rbf"
-    fd_step: float = 1e-5
     outer_iters: int = 10
 
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.gradient not in ("fd", "analytic_rbf"):
-            raise ValueError(f"unknown gradient mode {self.gradient!r}")
         if self.rank_r < 1 or self.steps < 0:
             raise ValueError("rank_r must be >= 1 and steps >= 0")
 
@@ -81,14 +80,6 @@ def strategy_from_name(name: str, seed: int = 0,
     if name == "a3":
         return Learnable(config or LearnableConfig(seed=seed))
     return _NAMES[name]()
-
-
-def _sign_fix_columns(C: np.ndarray) -> np.ndarray:
-    for s in range(C.shape[1]):
-        i = int(np.argmax(np.abs(C[:, s])))
-        if C[i, s] < 0:
-            C[:, s] = -C[:, s]
-    return C
 
 
 def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
@@ -118,7 +109,9 @@ def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
         return ((np.linalg.pinv(AAt) @ A).T).copy()
     if isinstance(strategy, PcaProjection):
         _, _, vt = np.linalg.svd(A, full_matrices=False)
-        return _sign_fix_columns(vt[:N].T.copy())
+        C = vt[:N].T.copy()
+        _sign_fix_pairs(C)
+        return C
     if isinstance(strategy, RandomProjection):
         rng = np.random.default_rng(strategy.seed)
         return rng.standard_normal((M, N))
@@ -158,6 +151,9 @@ class LearnCompatResult:
 
 
 def _encode_targets(targets, task):
+    """Targets as a column for regression, or one-vs-rest +-1 columns and
+    the sorted classes for classification; shared with
+    :func:`aksvd.downstream.linear_head`."""
     targets = np.asarray(targets)
     if task == "regression":
         return targets.astype(np.float64).reshape(-1, 1), None
@@ -195,31 +191,49 @@ def _head_gradients(G, V, Y, W, b):
     return dW, db, dG
 
 
-def _c_gradient_analytic_rbf(A, C, kernel, dG):
-    """Chain dL/dG through the rbf kernel into C.
+def _c_gradient_analytic(A, C, kernel, dG, G):
+    """Chain dL/dG through the kernel into C, reusing the Gram matrix G.
 
-    With the rbf family G_ij = s exp(-||x_i - z_j||^2 / g^2), so
-    dG_ij/dz_j = G_ij (2/g^2)(x_i - z_j) and symmetrically for x_i; the
-    projected side's samples are linear in C.
+    With s the operator scale, k = 2/gamma^2, W = dG o G, r = W 1 and
+    P = G/s (row-stochastic for sne), the gradients with respect to the
+    effective sample sets X and Z are
+
+        linear, poly:  H = s dG o kappa'(X Z'),  dX = H Z,  dZ = H' X
+        rbf:           dX = k (W Z - diag(r) X),
+                       dZ = k (W' X - diag(W' 1) Z)
+        sne:           dX = k (W Z - diag(r) P Z),  and with
+                       W2 = W - diag(r) P,  dZ = k (W2' X - diag(W2' 1) Z)
+
+    where kappa' is 1 for linear and p (t + c)^(p-1) for poly.  The
+    projected side is linear in C: dC = A' dX when M > N, else A dZ.
     """
-    if kernel.family != "rbf":
-        raise ValueError("analytic gradient is implemented for the rbf kernel only")
     N, M = A.shape
-    X_eff, Z_eff = _effective_sets(A, C)
-    G = KernelOperator(X_eff, Z_eff, kernel, scaled=True).materialize()
+    X, Z = _effective_sets(A, C)
+    fam = kernel.family
+    s = 1.0 / np.sqrt(G.size)
+    if fam in ("linear", "poly"):
+        H = s * dG
+        if fam == "poly":
+            p = kernel.degree
+            H *= p * (X @ Z.T + kernel.offset) ** (p - 1)
+        return A.T @ (H @ Z) if M > N else A @ (H.T @ X)
+    k = 2.0 / kernel.gamma ** 2
     W = dG * G
-    g2 = kernel.gamma ** 2
+    r = W.sum(axis=1)
     if M > N:
-        # x side projected: x_i = A[i, :] @ C
-        S = (2.0 / g2) * (W @ Z_eff - W.sum(axis=1)[:, None] * X_eff)
-        return A.T @ S
-    # z side projected: z_j = A[:, j]' @ C
-    T = (2.0 / g2) * (W.T @ X_eff - W.sum(axis=0)[:, None] * Z_eff)
-    return A @ T
+        centre = (G / s) @ Z if fam == "sne" else X
+        return A.T @ (k * (W @ Z - r[:, None] * centre))
+    if fam == "sne":
+        W -= r[:, None] * (G / s)
+    return A @ (k * (W.T @ X - W.sum(axis=0)[:, None] * Z))
 
 
 def _c_gradient_fd(A, C, kernel, V, Y, W, b, h):
-    """Central finite differences of the loss over the entries of C."""
+    """Central finite differences of the loss over the entries of C.
+
+    The test oracle for :func:`_c_gradient_analytic`: it builds the Gram
+    matrix 2 |C| times.
+    """
     grad = np.zeros_like(C)
     for p in range(C.shape[0]):
         for q in range(C.shape[1]):
@@ -242,6 +256,12 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
     loss on features G V.  An outer iteration that fails to improve the
     loss is rolled back and training stops, so the recorded end-of-
     iteration losses are nonincreasing.
+
+    The gradient with respect to C is exact and analytic for every kernel
+    family (:func:`_c_gradient_analytic`) and reuses the Gram matrix the
+    step already holds, so a gradient step builds the Gram matrix once,
+    for the updated C.  Finite differences (:func:`_c_gradient_fd`) remain
+    only as the test oracle.
     """
     A = as_matrix(A, "A")
     N, M = A.shape
@@ -253,6 +273,7 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
         raise ValueError(f"rank_r {r} exceeds min(N, M) = {min(N, M)}")
 
     C = realize_compat(PcaProjection(), A)
+    G = _gram_values(A, C, kernel)        # kept equal to the Gram matrix of C
     k = Y.shape[1]
     W = np.zeros((r, k))
     b = np.zeros(k)
@@ -260,33 +281,28 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
     prev = np.inf
 
     for _ in range(cfg.outer_iters):
-        G = _gram_values(A, C, kernel)
         _, _, vt = np.linalg.svd(G, full_matrices=False)
         V = vt[:r].T                      # refreshed then held fixed
-        snapshot = (C.copy(), W.copy(), b.copy())
+        snapshot = (C.copy(), W.copy(), b.copy(), G)
         for _ in range(cfg.steps):
-            G = _gram_values(A, C, kernel)
             dW, db, dG = _head_gradients(G, V, Y, W, b)
-            if cfg.gradient == "analytic_rbf":
-                dC = _c_gradient_analytic_rbf(A, C, kernel, dG)
-            else:
-                dC = _c_gradient_fd(A, C, kernel, V, Y, W, b, cfg.fd_step)
+            dC = _c_gradient_analytic(A, C, kernel, dG, G)
             W -= cfg.learning_rate * dW
             b -= cfg.learning_rate * db
             C -= cfg.learning_rate * dC
-        loss = _loss(_gram_values(A, C, kernel), V, Y, W, b)
+            G = _gram_values(A, C, kernel)
+        loss = _loss(G, V, Y, W, b)
         if not np.isfinite(loss):
             raise NumericalError("training loss diverged; decrease the learning rate")
         if loss > prev - 1e-12:
-            C, W, b = snapshot            # roll back the failed iteration
+            C, W, b, G = snapshot         # roll back the failed iteration
             break
         losses.append(loss)
         prev = loss
         if cfg.steps == 0:
             break
 
-    if not losses:   # zero-step budget or immediate rollback
-        G = _gram_values(A, C, kernel)
+    if not losses:   # no outer iterations
         _, _, vt = np.linalg.svd(G, full_matrices=False)
         losses.append(_loss(G, vt[:r].T, Y, W, b))
     head = LinearHead(weights=W, bias=b, classes=classes)

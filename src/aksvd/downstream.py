@@ -9,7 +9,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import NumericalError
-from .kernels import _pair_products
+from .compat import _encode_targets
+from .kernels import _products
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
         raise ValueError("out-degrees must lie in [0, N-1]")
     src_sq = (src * src).sum(axis=1)
     tgt_sq = (tgt * tgt).sum(axis=1)
-    d2 = src_sq[:, None] + tgt_sq[None, :] - 2.0 * _pair_products(src, tgt)
+    d2 = src_sq[:, None] + tgt_sq[None, :] - 2.0 * _products(src, tgt)
     np.maximum(d2, 0.0, out=d2)
     A_hat = np.zeros((N, N))
     idx = np.arange(N)
@@ -318,14 +319,9 @@ def linear_head(features, targets, task: str, lr: float = 1e-2,
     n_test = max(1, int(round(0.2 * n))) if n > 1 else 0
     test_idx, train_idx = perm[:n_test], perm[n_test:]
 
-    if task == "classification":
-        classes = np.unique(targets)
-        Y = np.where(targets[:, None] == classes[None, :], 1.0, -1.0)
-    elif task == "regression":
-        classes = None
-        Y = targets.astype(np.float64).reshape(-1, 1)
-    else:
+    if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
+    Y, classes = _encode_targets(targets, task)
 
     Ftr, Ytr = F[train_idx], Y[train_idx]
     W = np.zeros((F.shape[1], Y.shape[1]))

@@ -126,10 +126,10 @@ def load_labels(path) -> np.ndarray:
 
 def save_matrix_csv(path, values: np.ndarray) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    row_fmt = ",".join([_FLOAT_FMT] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        for row in values:
-            f.write(",".join(_FLOAT_FMT % v for v in row))
-            f.write("\n")
+        for row in values.tolist():
+            f.write(row_fmt % tuple(row))
 
 
 def save_embeddings(path, emb) -> None:

@@ -348,14 +348,15 @@ class NystromResult:
     eta: Optional[float] = None
 
 
-def _sign_fix_pairs(U: np.ndarray, V: np.ndarray):
-    """Flip each (u_s, v_s) pair so the largest-|entry| of u_s is positive."""
+def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
+    """Flip each (u_s, v_s) pair, in place, so the largest-|entry| of u_s
+    is positive; with no V, flip the columns of U alone."""
     for s in range(U.shape[1]):
         i = int(np.argmax(np.abs(U[:, s])))
         if U[i, s] < 0:
             U[:, s] = -U[:, s]
-            V[:, s] = -V[:, s]
-    return U, V
+            if V is not None:
+                V[:, s] = -V[:, s]
 
 
 def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,

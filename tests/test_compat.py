@@ -7,7 +7,7 @@ from aksvd.compat import (
     PcaProjection,
     PseudoInverse,
     RandomProjection,
-    _c_gradient_analytic_rbf,
+    _c_gradient_analytic,
     _c_gradient_fd,
     _gram_values,
     _head_gradients,
@@ -16,7 +16,7 @@ from aksvd.compat import (
     strategy_from_name,
 )
 from aksvd.errors import NumericalError
-from aksvd.kernels import KernelSpec
+from aksvd.kernels import KernelOperator, KernelSpec, auto_gamma
 
 
 def test_square_passthrough_all_strategies():
@@ -143,7 +143,7 @@ def test_learn_compat_loss_nonincreasing():
     A = rng.standard_normal((10, 5))
     y = rng.standard_normal(10)
     cfg = LearnableConfig(rank_r=3, steps=10, learning_rate=1e-2,
-                          seed=1, gradient="analytic_rbf", outer_iters=8)
+                          seed=1, outer_iters=8)
     res = learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
     diffs = np.diff(res.losses)
     assert np.all(diffs <= 1e-6)
@@ -155,8 +155,7 @@ def test_learn_compat_classification():
                    rng.standard_normal((8, 3)) - 4.0])
     y = np.array([0] * 8 + [1] * 8)
     cfg = LearnableConfig(rank_r=2, steps=30, learning_rate=0.1, seed=0,
-                          task="classification", gradient="analytic_rbf",
-                          outer_iters=5)
+                          task="classification", outer_iters=5)
     res = learn_compat(A, y, KernelSpec.rbf(8.0), cfg)
     G = _gram_values(A, res.c, KernelSpec.rbf(8.0))
     _, _, vt = np.linalg.svd(G, full_matrices=False)
@@ -164,12 +163,19 @@ def test_learn_compat_classification():
     assert np.mean(pred == y) >= 0.9
 
 
-def test_fd_matches_analytic_rbf_gradient():
+_FAMILIES = [KernelSpec.linear(), KernelSpec.poly(3, 0.5), KernelSpec.rbf(2.5),
+             KernelSpec.sne(2.5)]
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (7, 4), (6, 6)], ids=["wide", "tall", "square"])
+@pytest.mark.parametrize("spec", _FAMILIES, ids=lambda s: s.family)
+def test_fd_matches_analytic_gradient(spec, shape):
+    # wide projects the x side, tall and square the z side
     rng = np.random.default_rng(10)
-    A = rng.standard_normal((5, 7))  # wide: x side projected
-    y = rng.standard_normal(5)
-    spec = KernelSpec.rbf(2.5)
-    C = realize_compat(PcaProjection(), A) + 0.05 * rng.standard_normal((7, 5))
+    A = rng.standard_normal(shape)
+    y = rng.standard_normal(shape[0])
+    C = realize_compat(PcaProjection(), A)
+    C = C + 0.05 * rng.standard_normal(C.shape)
     Y = y.reshape(-1, 1)
     G = _gram_values(A, C, spec)
     _, _, vt = np.linalg.svd(G, full_matrices=False)
@@ -177,29 +183,28 @@ def test_fd_matches_analytic_rbf_gradient():
     W = 0.1 * rng.standard_normal((2, 1))
     b = np.array([0.05])
     _, _, dG = _head_gradients(G, V, Y, W, b)
-    g_ana = _c_gradient_analytic_rbf(A, C, spec, dG)
+    g_ana = _c_gradient_analytic(A, C, spec, dG, G)
     g_fd = _c_gradient_fd(A, C, spec, V, Y, W, b, h=1e-5)
     rel = np.linalg.norm(g_fd - g_ana) / np.linalg.norm(g_ana)
     assert rel <= 1e-4
 
 
-def test_fd_matches_analytic_rbf_gradient_tall():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((7, 4))  # tall: z side projected
-    y = rng.standard_normal(7)
-    spec = KernelSpec.rbf(2.0)
-    C = realize_compat(PcaProjection(), A) + 0.05 * rng.standard_normal((7, 4))
-    Y = y.reshape(-1, 1)
-    G = _gram_values(A, C, spec)
-    _, _, vt = np.linalg.svd(G, full_matrices=False)
-    V = vt[:2].T
-    W = 0.1 * rng.standard_normal((2, 1))
-    b = np.array([-0.02])
-    _, _, dG = _head_gradients(G, V, Y, W, b)
-    g_ana = _c_gradient_analytic_rbf(A, C, spec, dG)
-    g_fd = _c_gradient_fd(A, C, spec, V, Y, W, b, h=1e-5)
-    rel = np.linalg.norm(g_fd - g_ana) / np.linalg.norm(g_ana)
-    assert rel <= 1e-4
+def test_learn_compat_one_gram_build_per_step(monkeypatch):
+    # one build for the initial C and one per gradient step
+    calls = []
+    orig = KernelOperator.materialize
+
+    def counting(self):
+        calls.append(self.shape)
+        return orig(self)
+
+    monkeypatch.setattr(KernelOperator, "materialize", counting)
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((30, 20))
+    y = rng.standard_normal(30)
+    cfg = LearnableConfig(rank_r=4, steps=2, learning_rate=2e-2, seed=0, outer_iters=2)
+    learn_compat(A, y, KernelSpec.sne(auto_gamma(A)), cfg)
+    assert 1 <= len(calls) <= 8, len(calls)
 
 
 def test_learn_compat_deterministic():
@@ -207,7 +212,7 @@ def test_learn_compat_deterministic():
     A = rng.standard_normal((8, 4))
     y = rng.standard_normal(8)
     cfg = LearnableConfig(rank_r=2, steps=5, learning_rate=1e-2, seed=3,
-                          gradient="analytic_rbf", outer_iters=3)
+                          outer_iters=3)
     r1 = learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
     r2 = learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
     assert np.array_equal(r1.c, r2.c)
@@ -217,7 +222,5 @@ def test_learn_compat_deterministic():
 def test_learnable_config_validation():
     with pytest.raises(ValueError):
         LearnableConfig(task="ranking")
-    with pytest.raises(ValueError):
-        LearnableConfig(gradient="autodiff")
     with pytest.raises(ValueError):
         LearnableConfig(rank_r=0)

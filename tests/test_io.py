@@ -51,6 +51,21 @@ def test_csv_round_trip_value_exact(tmp_path):
     assert np.array_equal(back, M)
 
 
+def test_csv_bytes_match_per_value_formatter(tmp_path):
+    # the row-format writer gives the bytes of formatting each value alone
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-300, 300, size=(6, 9))
+    M[0, :8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e300, -1e300, 1e-300]
+    M[1, :3] = [-1e-300, np.finfo(np.float64).max, -np.finfo(np.float64).tiny]
+    p = tmp_path / "bytes.csv"
+    save_matrix_csv(p, M)
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in M)
+    assert p.read_bytes() == expected.encode("utf-8")
+    assert np.array_equal(load_dense_csv(p), M)
+    assert np.array_equal(np.signbit(load_dense_csv(p)), np.signbit(M))
+
+
 def test_edge_list_directionality(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("0\t1\n")
