@@ -22,7 +22,7 @@ from . import ksvd, downstream, solvers
 from . import io as aio
 from .compat import strategy_from_name
 from .errors import DataError, NumericalError
-from .kernels import KernelSpec, auto_gamma
+from .kernels import KernelOperator, KernelSpec, auto_gamma
 
 
 class UsageError(Exception):
@@ -35,7 +35,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _KERNELS = ("linear", "rbf", "poly", "sne")
-_SOLVERS = ("dense", "tsvd", "rsvd", "symnys", "asymnys")
 
 
 def _add_common(p):
@@ -52,7 +51,7 @@ def _add_common(p):
                    help="compatibility matrix for non-square inputs: a0 pseudo-inverse, "
                         "a1 PCA projection, a2 random projection (the learned a3 needs "
                         "downstream targets and is available from the library only)")
-    p.add_argument("--solver", choices=_SOLVERS, default="dense")
+    p.add_argument("--solver", choices=tuple(solvers.SOLVERS), default="dense")
     p.add_argument("--nsub", type=int, default=None, help="Nystrom row subsamples")
     p.add_argument("--msub", type=int, default=None, help="Nystrom column subsamples")
     p.add_argument("--oversample", type=int, default=10, help="rsvd oversampling")
@@ -85,7 +84,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="solver escalation benchmark")
     _add_common(p)
     p.add_argument("--eps", type=float, default=1e-1, help="target eta tolerance")
-    p.add_argument("--solvers", default="tsvd,rsvd,symnys,asymnys",
+    p.add_argument("--solvers", default=",".join(solvers.DEFAULT_BENCH_SOLVERS),
                    help="comma-separated solver list")
     p.add_argument("--m-schedule", default="", dest="m_schedule",
                    help="comma-separated subsample escalation schedule")
@@ -168,21 +167,16 @@ def _resolve_kernel(cfg, A) -> KernelSpec:
 
 def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
     name = cfg["solver"]
+    knobs = solvers.SOLVERS[name].knobs
     n, m = shape
-    if name == "dense":
-        return solvers.Dense()
-    if name == "tsvd":
-        return solvers.Truncated(tol=cfg["tol"])
-    if name == "rsvd":
-        return solvers.Randomized(oversample=cfg["oversample"], power=cfg["power"],
-                                  seed=cfg["seed"])
-    if cfg["nsub"] is None:
+    # unset subsample counts default to a quarter of each side, echoed
+    if "n_sub" in knobs and cfg["nsub"] is None:
         cfg["nsub"] = max(cfg["rank"], n // 4)
-    if name == "symnys":
-        return solvers.SymNystrom(n_sub=cfg["nsub"], seed=cfg["seed"])
-    if cfg["msub"] is None:
+    if "m_sub" in knobs and cfg["msub"] is None:
         cfg["msub"] = max(cfg["rank"], m // 4)
-    return solvers.AsymNystrom(n_sub=cfg["nsub"], m_sub=cfg["msub"], seed=cfg["seed"])
+    return solvers.make_choice(name, tol=cfg["tol"], oversample=cfg["oversample"],
+                               power=cfg["power"], seed=cfg["seed"],
+                               n_sub=cfg["nsub"], m_sub=cfg["msub"])
 
 
 def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
@@ -275,25 +269,36 @@ def cmd_bicluster(cfg) -> int:
     return 0
 
 
-def cmd_bench(cfg) -> int:
-    A = _load_matrix(cfg)
-    kernel_needed = cfg["kernel"] != "linear" or cfg["format"] == "edges"
-    # bench operates on the (scaled) Gram matrix of the data with itself
-    from .kernels import KernelOperator
-    if kernel_needed or A.shape[0] != A.shape[1]:
-        kernel = _resolve_kernel(cfg, A)
-        if A.shape[0] != A.shape[1]:
-            raise DataError("bench requires a square matrix (or adjacency) input")
-        G = KernelOperator(A, np.ascontiguousarray(A.T), kernel, scaled=True).materialize()
-    else:
-        _resolve_kernel(cfg, A)
-        G = A
-    print(json.dumps(cfg, sort_keys=True))
-    schedule = [int(t) for t in cfg["m_schedule"].split(",") if t] or ()
+def _bench_plan(cfg):
+    """The --solvers names and --m-schedule sizes; bad ones are usage errors."""
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
-    for name in names:
-        if name not in _SOLVERS:
-            raise UsageError(f"unknown bench solver {name!r}")
+    unknown = [name for name in names if name not in solvers.SOLVERS]
+    if unknown:
+        raise UsageError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}; "
+                         f"expected names from {', '.join(solvers.SOLVERS)}")
+    try:
+        schedule = [int(t) for t in cfg["m_schedule"].split(",") if t]
+        if min(schedule, default=1) < 1:
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"--m-schedule must be comma-separated positive integers, "
+                         f"got {cfg['m_schedule']!r}") from None
+    return names, schedule
+
+
+def cmd_bench(cfg) -> int:
+    names, schedule = _bench_plan(cfg)
+    A = _load_matrix(cfg)
+    kernel = _resolve_kernel(cfg, A)
+    if A.shape[0] != A.shape[1]:
+        raise DataError("bench requires a square matrix (or adjacency) input")
+    # bench operates on the (scaled) Gram matrix of the data with itself;
+    # a dense CSV under the linear kernel is taken as that matrix
+    if kernel.family == "linear" and cfg["format"] == "csv":
+        G = A
+    else:
+        G = KernelOperator(A, np.ascontiguousarray(A.T), kernel, scaled=True).materialize()
+    print(json.dumps(cfg, sort_keys=True))
     report = solvers.bench(G, cfg["rank"], cfg["eps"], solvers=names,
                            m_schedule=schedule, seed=cfg["seed"], power=cfg["power"])
     report.write_ldjson(cfg["out"] + ".bench.ldjson")

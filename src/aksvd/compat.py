@@ -127,14 +127,18 @@ def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
 @dataclass
 class LinearHead:
     """Linear model on the projected features; least-squares loss, with
-    one-vs-rest +-1 encoding for classification."""
+    one-vs-rest +-1 encoding for classification.  ``metric`` is the
+    held-out score that :func:`aksvd.downstream.linear_head` reports
+    ("accuracy" or "rmse")."""
 
     weights: np.ndarray   # d x k
     bias: np.ndarray      # k
     classes: Optional[np.ndarray] = None
+    metric_name: str = ""
+    metric: float = 0.0
 
-    def decision(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights + self.bias[None, :]
+    def decision(self, features) -> np.ndarray:
+        return np.asarray(features, dtype=np.float64) @ self.weights + self.bias[None, :]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         d = self.decision(features)

@@ -4,12 +4,12 @@ k-means biclustering metrics, and simple linear heads for general data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .compat import _encode_targets
+from .compat import LinearHead, _encode_targets
 from .kernels import _products
 
 
@@ -287,23 +287,8 @@ def coherence(term_labels, doc_term) -> float:
 # gradient-descent linear heads for general data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HeadResult:
-    weights: np.ndarray
-    bias: np.ndarray
-    metric_name: str
-    metric: float
-    classes: Optional[np.ndarray] = None
-
-    def predict(self, F):
-        d = np.asarray(F, dtype=np.float64) @ self.weights + self.bias[None, :]
-        if self.classes is None:
-            return d[:, 0]
-        return self.classes[np.argmax(d, axis=1)]
-
-
 def linear_head(features, targets, task: str, lr: float = 1e-2,
-                steps: int = 2000, seed: int = 0) -> HeadResult:
+                steps: int = 2000, seed: int = 0) -> LinearHead:
     """Train a linear model by gradient descent on a seeded 80/20 split.
 
     Least-squares loss; classification uses one-vs-rest +-1 encoding and
@@ -337,7 +322,7 @@ def linear_head(features, targets, task: str, lr: float = 1e-2,
         b -= lr * scale * resid.sum(axis=0)
 
     Fte, Yte = F[test_idx], targets[test_idx]
-    head = HeadResult(W, b, "", 0.0, classes)
+    head = LinearHead(W, b, classes)
     if task == "classification":
         acc = float(np.mean(head.predict(Fte) == Yte)) if n_test else 1.0
         head.metric_name, head.metric = "accuracy", acc

@@ -9,7 +9,6 @@ JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -17,21 +16,6 @@ import numpy as np
 from .errors import DataError
 
 _FLOAT_FMT = "%.17g"
-
-
-@dataclass
-class Dataset:
-    matrix: np.ndarray
-    labels: Optional[np.ndarray] = None
-    kind: str = "general"   # "general" | "directed_graph" | "doc_term"
-
-    def __post_init__(self):
-        if self.kind == "directed_graph" and self.matrix.shape[0] != self.matrix.shape[1]:
-            raise DataError("directed graph adjacency must be square")
-        if self.labels is not None and len(self.labels) != self.matrix.shape[0]:
-            raise DataError(
-                f"labels length {len(self.labels)} does not match {self.matrix.shape[0]} rows"
-            )
 
 
 def load_dense_csv(path) -> np.ndarray:

@@ -479,7 +479,8 @@ def center(g: GramMatrix) -> GramMatrix:
 
 
 def center_vector(k: np.ndarray, row_means: np.ndarray, grand_mean: float) -> np.ndarray:
-    """Center a new x-side kernel vector with training statistics."""
+    """Center a new kernel vector with training statistics: pass
+    ``row_means`` for an x-side vector, ``col_means`` for a z-side one."""
     return k - k.mean() - row_means + grand_mean
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import solvers
 from .compat import CompatStrategy, realize_compat
-from .kernels import GramMatrix, KernelOperator, KernelSpec, as_matrix, center
+from .kernels import GramMatrix, KernelOperator, KernelSpec, as_matrix, center, center_vector
 
 SIDES = ("left", "right", "concat")
 
@@ -101,7 +101,8 @@ def fit(X, Z, kernel: KernelSpec, rank: int,
     """Fit the rank-r kernel SVD of the scaled Gram matrix of (X, Z).
 
     When fewer than ``rank`` positive singular values exist the model is
-    truncated to the achievable rank and a warning is issued.  With an
+    truncated to the achievable rank and a RuntimeWarning is issued; so is
+    one when the solver reports that it did not converge.  With an
     AsymNystrom solver and no centering the Gram matrix is never
     materialized.
     """
@@ -130,6 +131,10 @@ def fit(X, Z, kernel: KernelSpec, rank: int,
         warnings.warn(
             f"requested rank {rank} but only {res.achieved_rank} positive singular "
             "values exist; model truncated", RuntimeWarning)
+    if not res.converged:
+        warnings.warn(
+            f"solver did not converge in {res.iterations} iterations; the factors "
+            "are its best iterate", RuntimeWarning)
     b_phi = res.u.copy()
     b_psi = res.v.copy()
     solvers._sign_fix_pairs(b_phi, b_psi)
@@ -160,16 +165,6 @@ def residuals(model: KsvdModel):
     return float(r1), float(r2)
 
 
-def _center_x_vector(model, k):
-    g = model.gram
-    return k - k.mean() - g.row_means + g.grand_mean
-
-
-def _center_z_vector(model, k):
-    g = model.gram
-    return k - k.mean() - g.col_means + g.grand_mean
-
-
 def _maybe_transform(v, model, side):
     """Route a new point through the stored compat projection if its
     dimension matches the pre-projection space."""
@@ -190,7 +185,7 @@ def project_x(model: KsvdModel, x_new) -> np.ndarray:
     x = _maybe_transform(x_new, model, "x")
     k = model.operator.x_row(x)
     if model.centered:
-        k = _center_x_vector(model, k)
+        k = center_vector(k, model.gram.row_means, model.gram.grand_mean)
     return np.sqrt(model.x_train.shape[0]) * (model.b_psi.T @ k)
 
 
@@ -200,7 +195,7 @@ def project_z(model: KsvdModel, z_new) -> np.ndarray:
     z = _maybe_transform(z_new, model, "z")
     k = model.operator.z_col(z)
     if model.centered:
-        k = _center_z_vector(model, k)
+        k = center_vector(k, model.gram.col_means, model.gram.grand_mean)
     return np.sqrt(model.z_train.shape[0]) * (model.b_phi.T @ k)
 
 

@@ -13,14 +13,15 @@ column and row blocks, touching only O(N*m + n*M) entries of the matrix.
 
 from __future__ import annotations
 
-import json
+import math
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NumericalError
+from .io import save_report
 
 # relative cutoff below which singular values count as numerically zero
 _RANK_RTOL = 1e-12
@@ -28,7 +29,7 @@ _RANK_RTOL = 1e-12
 
 class MatrixOperator:
     """Wrap a dense matrix behind the lazy-operator interface, counting
-    how many entries are read through block/entry access."""
+    how many entries are read through block access."""
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
@@ -49,9 +50,6 @@ class MatrixOperator:
         cols = np.atleast_1d(np.asarray(cols, dtype=np.intp))
         self._eval_count += rows.size * cols.size
         return self.values[np.ix_(rows, cols)]
-
-    def entry(self, i, j) -> float:
-        return float(self.block([i], [j])[0, 0])
 
     def materialize(self) -> np.ndarray:
         return self.values
@@ -130,6 +128,39 @@ class AsymNystrom:
 
 
 SolverChoice = Union[Dense, Truncated, Randomized, SymNystrom, AsymNystrom]
+
+
+class SolverEntry(NamedTuple):
+    """A registered solver: its choice dataclass and the field(s) that
+    :func:`bench` escalates until the target accuracy is reached."""
+
+    choice: type
+    knobs: Tuple[str, ...]
+
+
+# The one solver registry: the names accepted by ``bench`` and the CLI.
+# It holds classes and field names only; :func:`solve` turns a choice into
+# a call of the solver function.
+SOLVERS = {
+    "dense": SolverEntry(Dense, ()),
+    "tsvd": SolverEntry(Truncated, ()),
+    "rsvd": SolverEntry(Randomized, ("oversample",)),
+    "symnys": SolverEntry(SymNystrom, ("n_sub",)),
+    "asymnys": SolverEntry(AsymNystrom, ("n_sub", "m_sub")),
+}
+
+# bench's default: every solver but the dense reference eta is measured against
+DEFAULT_BENCH_SOLVERS = tuple(name for name in SOLVERS if name != "dense")
+
+
+def make_choice(name: str, **settings) -> SolverChoice:
+    """The choice of registered solver ``name``, built from those of
+    ``settings`` that are fields of its dataclass (the rest are ignored;
+    fields not given keep their defaults)."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {', '.join(SOLVERS)}")
+    cls = SOLVERS[name].choice
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
 
 
 def _positive_rank(s: np.ndarray) -> int:
@@ -442,7 +473,12 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
 
 
 def solve(G, r: int, choice: SolverChoice) -> SvdResult:
-    """Dispatch a solver choice on a matrix or lazy operator."""
+    """Run a solver choice on a matrix or lazy operator.
+
+    The only place a choice becomes a solver call.  The solvers are looked
+    up as module globals at call time, so a wrapper installed on the module
+    sees every call, from ``fit`` and ``bench`` alike.
+    """
     if isinstance(choice, Dense):
         return dense_svd(G, r)
     if isinstance(choice, Truncated):
@@ -504,13 +540,6 @@ class BenchTrial:
     seed: int
     success: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "solver": self.solver, "n_sub": self.n_sub, "m_sub": self.m_sub,
-            "oversample": self.oversample, "eta": self.eta,
-            "seconds": self.seconds, "seed": self.seed, "success": self.success,
-        })
-
 
 @dataclass
 class BenchReport:
@@ -518,27 +547,32 @@ class BenchReport:
     summary: dict = field(default_factory=dict)
 
     def write_ldjson(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for t in self.trials:
-                f.write(t.to_json() + "\n")
+        save_report(path, [asdict(t) for t in self.trials])
 
 
-_DEFAULT_SOLVERS = ("tsvd", "rsvd", "symnys", "asymnys")
+# truncated SVD runs once, at machine-precision tolerance
+_BENCH_TSVD_TOL = 1e-12
 
 
-def bench(G, r: int, epsilon: float, solvers: Sequence[str] = _DEFAULT_SOLVERS,
+def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLVERS,
           m_schedule: Sequence[int] = (), seed: int = 0,
           reference=None, oversample_schedule: Optional[Sequence[int]] = None,
-          power: int = 2, tsvd_tol: float = 1e-12) -> BenchReport:
+          power: int = 2) -> BenchReport:
     """Escalate each solver's fidelity knob until eta <= epsilon.
 
-    The knob is the subsample count (through ``m_schedule``) for the
-    Nystrom methods and the oversampling count for randomized SVD;
-    truncated SVD runs once at machine-precision tolerance.  Each trial
-    records wall-clock seconds and the literal eta against the rank-r
-    reference SVD (computed densely unless ``reference`` is supplied).
-    A schedule exhausted without reaching epsilon is recorded as failure.
+    The knobs are the registry's (:data:`SOLVERS`): the oversampling count
+    of randomized SVD steps through ``oversample_schedule`` in its order;
+    the Nystrom subsample counts step through ``m_schedule``, each capped
+    by the side it samples, deduplicated and ordered by the number of
+    sampled entries; a solver without a knob runs once.  Trial t of a
+    solver uses seed ``seed + 1000 * t``.  Each trial records wall-clock
+    seconds and the literal eta against the rank-r reference SVD (computed
+    densely unless ``reference`` is supplied).  A schedule exhausted
+    without reaching epsilon is recorded as failure.
     """
+    unknown = [name for name in solvers if name not in SOLVERS]
+    if unknown:
+        raise ValueError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}")
     op = as_operator(G)
     N, M = op.shape
     if reference is None:
@@ -562,13 +596,22 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = _DEFAULT_SOLVERS,
 
     report = BenchReport()
     for name in solvers:
-        knobs = _knob_schedule(name, m_schedule, oversample_schedule, N, M)
+        knobs = SOLVERS[name].knobs
+        if knobs == ("oversample",):
+            settings = [(p,) for p in oversample_schedule]
+        else:
+            # a one-sided count samples both sides of a symmetric problem
+            cap = {"n_sub": N if "m_sub" in knobs else min(N, M), "m_sub": M}
+            settings = sorted({tuple(min(k, cap[f]) for f in knobs) for k in m_schedule},
+                              key=math.prod)
         solved = None
-        for trial_no, knob in enumerate(knobs):
+        for trial_no, setting in enumerate(settings):
             trial_seed = seed + 1000 * trial_no
+            choice = make_choice(name, tol=_BENCH_TSVD_TOL, power=power, seed=trial_seed,
+                                 **dict(zip(knobs, setting)))
             t0 = time.perf_counter()
             try:
-                res = _run_bench_solver(name, op, r, knob, trial_seed, power, tsvd_tol)
+                res = solve(op, r, choice)
                 seconds = time.perf_counter() - t0
                 if res.achieved_rank < r:
                     eta = float("inf")
@@ -578,15 +621,10 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = _DEFAULT_SOLVERS,
                 seconds = time.perf_counter() - t0
                 eta = float("inf")
             success = eta <= epsilon
-            if name == "asymnys":
-                n_sub, m_sub = knob
-            elif name == "symnys":
-                n_sub, m_sub = knob, None
-            else:
-                n_sub = m_sub = None
             report.trials.append(BenchTrial(
-                solver=name, n_sub=n_sub, m_sub=m_sub,
-                oversample=knob if name == "rsvd" else None,
+                solver=name, n_sub=getattr(choice, "n_sub", None),
+                m_sub=getattr(choice, "m_sub", None),
+                oversample=getattr(choice, "oversample", None),
                 eta=eta, seconds=seconds, seed=trial_seed, success=success,
             ))
             if success:
@@ -604,33 +642,3 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = _DEFAULT_SOLVERS,
             if s["success"] and s["seconds"]:
                 s["speedup_vs_rsvd"] = rsvd["seconds"] / s["seconds"]
     return report
-
-
-def _knob_schedule(name, m_schedule, oversample_schedule, N, M):
-    if name in ("dense", "tsvd"):
-        return [None]
-    if name == "rsvd":
-        return list(oversample_schedule)
-    if name == "symnys":
-        return sorted({min(k, N, M) for k in m_schedule})
-    if name == "asymnys":
-        return sorted({(min(k, N), min(k, M)) for k in m_schedule},
-                      key=lambda t: t[0] * t[1])
-    raise ValueError(f"unknown bench solver {name!r}")
-
-
-def _run_bench_solver(name, op, r, knob, seed, power, tsvd_tol) -> SvdResult:
-    if name == "dense":
-        return dense_svd(op, r)
-    if name == "tsvd":
-        return truncated_svd(op, r, tol=tsvd_tol)
-    if name == "rsvd":
-        return randomized_svd(op, r, oversample=knob, power=power, seed=seed)
-    if name == "symnys":
-        return sym_nystrom_svd(op, knob, r, seed=seed)
-    if name == "asymnys":
-        n_sub, m_sub = knob
-        res = asym_nystrom(op, n_sub, m_sub, r, seed=seed)
-        return SvdResult(res.u_tilde, res.lambdas_tilde, res.v_tilde,
-                         achieved_rank=res.lambdas_tilde.shape[0])
-    raise ValueError(f"unknown bench solver {name!r}")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from aksvd.ksvd import fit_matrix
-from aksvd.cli import main
+from aksvd.cli import build_parser, main
 from aksvd.io import load_dense_csv, load_report, save_matrix_csv
 from aksvd.kernels import KernelSpec
+from aksvd.solvers import DEFAULT_BENCH_SOLVERS, SOLVERS
 
 
 def run_cli(capsys, argv):
@@ -236,6 +237,30 @@ def test_bench_rerun_reproduces_nontiming_fields(tmp_path, capsys):
         trials = load_report(str(out) + ".bench.ldjson")
         results.append([{k: v for k, v in t.items() if k != "seconds"} for t in trials])
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--m-schedule", "5,x"],
+    ["--m-schedule", "0,10"],
+    ["--m-schedule", "-3"],
+    ["--solvers", "tsvd,lanczos"],
+])
+def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
+    inp = tmp_path / "g.csv"
+    save_matrix_csv(inp, np.eye(6))
+    out = tmp_path / "bench"
+    assert main(["bench", "--input", str(inp), "--rank", "2", "--out", str(out)] + flags) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""  # rejected before the configuration is echoed
+    assert not (tmp_path / "bench.bench.ldjson").exists()
+
+
+def test_solver_names_come_from_the_registry():
+    bench_parser = build_parser().commands["bench"]
+    actions = {a.dest: a for a in bench_parser._actions}
+    assert tuple(actions["solver"].choices) == tuple(SOLVERS)
+    assert actions["solvers"].default.split(",") == list(DEFAULT_BENCH_SOLVERS)
 
 
 def test_usage_error_exit_code(capsys):

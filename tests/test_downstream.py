@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aksvd.compat import LinearHead
 from aksvd.downstream import (
     coherence,
     f1_scores,
@@ -336,6 +337,7 @@ def test_linear_head_exact_linear_regression():
     coef, res_, *_ = np.linalg.lstsq(np.column_stack([F, np.ones(50)]), y, rcond=None)
     assert np.linalg.norm(np.column_stack([F, np.ones(50)]) @ coef - y) <= 1e-10
     head = linear_head(F, y, "regression", lr=0.1, steps=4000, seed=0)
+    assert isinstance(head, LinearHead)  # the one head class, shared with compat
     assert head.metric_name == "rmse"
     assert head.metric <= 1e-3
 

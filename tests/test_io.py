@@ -4,7 +4,6 @@ import pytest
 from aksvd.ksvd import Embeddings
 from aksvd.errors import DataError
 from aksvd.io import (
-    Dataset,
     load_dense_csv,
     load_edge_list,
     load_labels,
@@ -142,10 +141,3 @@ def test_report_round_trip_bit_exact(tmp_path):
     p = tmp_path / "r.ldjson"
     save_report(p, rows)
     assert load_report(p) == rows
-
-
-def test_dataset_validation():
-    with pytest.raises(DataError):
-        Dataset(np.zeros((3, 4)), kind="directed_graph")
-    with pytest.raises(DataError):
-        Dataset(np.zeros((3, 3)), labels=np.zeros(2))

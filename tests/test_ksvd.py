@@ -78,6 +78,13 @@ def test_fit_rank_deficient_truncates_with_warning():
     assert m.rank_deficient
 
 
+def test_fit_warns_when_solver_did_not_converge():
+    A = np.random.default_rng(12).standard_normal((60, 60)) * 0.99 ** np.arange(60)
+    with pytest.warns(RuntimeWarning, match="did not converge in 5 iterations"):
+        m = fit_matrix(A, KernelSpec.linear(), 4, solver=Truncated(tol=1e-14, max_iter=5))
+    assert m.lambdas.shape == (4,)
+
+
 def test_fit_rejects_bad_rank():
     with pytest.raises(ValueError):
         fit(np.eye(3), np.eye(3), KernelSpec.linear(), rank=4)

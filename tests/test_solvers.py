@@ -1,16 +1,23 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aksvd.solvers as solvers_module
 from aksvd.errors import NumericalError
 from aksvd.kernels import KernelOperator, KernelSpec
 from aksvd.solvers import (
+    DEFAULT_BENCH_SOLVERS,
+    SOLVERS,
     MatrixOperator,
     asym_nystrom,
     bench,
     dense_svd,
     eta_metric,
+    make_choice,
     randomized_svd,
     sym_nystrom_eig,
     sym_nystrom_svd,
@@ -368,3 +375,55 @@ def test_bench_ldjson_schema(tmp_path):
     assert lines
     for row in lines:
         assert set(row) == keys
+
+
+# ---------------------------------------------------------------------------
+# the solver registry
+# ---------------------------------------------------------------------------
+
+def test_registry_knobs_are_fields_of_their_choice():
+    assert set(SOLVERS) == {"dense", "tsvd", "rsvd", "symnys", "asymnys"}
+    for entry in SOLVERS.values():
+        assert set(entry.knobs) <= {f.name for f in fields(entry.choice)}
+    assert "dense" not in DEFAULT_BENCH_SOLVERS
+    with pytest.raises(ValueError, match="unknown solver"):
+        make_choice("svd")
+    with pytest.raises(ValueError, match="unknown bench solver"):
+        bench(np.eye(4), r=1, epsilon=1.0, solvers=("tsvd", "lanczos"))
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_bench_trial_equals_solve_on_its_choice(name, monkeypatch):
+    # every trial is one solve() call on the choice its row describes
+    rng = np.random.default_rng(25)
+    G = random_matrix(rng, 24, 24, decay=0.8)
+    calls = []
+    real_solve = solvers_module.solve
+
+    def recording_solve(op, r, choice):
+        res = real_solve(op, r, choice)
+        calls.append((choice, res))
+        return res
+
+    monkeypatch.setattr(solvers_module, "solve", recording_solve)
+    rep = bench(G, r=3, epsilon=0.0, solvers=(name,), m_schedule=(6, 12), seed=2,
+                oversample_schedule=(4, 8), power=1)
+    monkeypatch.undo()
+    assert len(calls) == len(rep.trials) >= 1
+    ref = dense_svd(G, 3)
+    for trial, (choice, recorded) in zip(rep.trials, calls):
+        rebuilt = make_choice(name, n_sub=trial.n_sub, m_sub=trial.m_sub,
+                              oversample=trial.oversample, seed=trial.seed,
+                              tol=1e-12, power=1)
+        assert rebuilt == choice
+        res = real_solve(G, 3, rebuilt)
+        for a, b in ((res.u, recorded.u), (res.lambdas, recorded.lambdas), (res.v, recorded.v)):
+            assert np.array_equal(a, b)
+        assert trial.eta == eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v)
+
+
+def test_readme_solver_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.*) \|$", readme, flags=re.M)
+    table = {name: (cls, tuple(re.findall(r"`(\w+)`", knobs))) for name, cls, knobs in rows}
+    assert table == {name: (e.choice.__name__, e.knobs) for name, e in SOLVERS.items()}
