@@ -136,11 +136,6 @@ def _config_from_file(parser, path) -> dict:
     return cfg
 
 
-def _config_from_args(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "config"}
-    return cfg
-
-
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -322,7 +317,7 @@ def main(argv=None) -> int:
         else:
             if args.subcommand is None:
                 raise UsageError("a subcommand or --config is required")
-            cfg = _config_from_args(args)
+            cfg = {k: v for k, v in vars(args).items() if k != "config"}
         return _COMMANDS[cfg["subcommand"]](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

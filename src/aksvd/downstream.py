@@ -3,6 +3,7 @@ k-means biclustering metrics, and simple linear heads for general data."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .compat import LinearHead, _encode_targets
-from .kernels import _products
+from .kernels import _products, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def coherence(term_labels, doc_term) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradient-descent linear heads for general data
+# linear heads for general data: gradient descent, in closed form
 # ---------------------------------------------------------------------------
 
 def linear_head(features, targets, task: str, lr: float = 1e-2,
@@ -292,42 +293,48 @@ def linear_head(features, targets, task: str, lr: float = 1e-2,
     """Train a linear model by gradient descent on a seeded 80/20 split.
 
     Least-squares loss; classification uses one-vs-rest +-1 encoding and
-    reports test accuracy, regression reports test RMSE.
+    reports test accuracy, regression reports test RMSE.  The head is the
+    exact ``steps``-th iterate from zero with step ``lr``, in closed form:
+    with X = [F, 1], X'X = Q diag(lam) Q' and c = 2 lr / Y.size, [W; b] =
+    Q diag(f(lam)) Q' X'Y, f(lam) = c sum_{j<steps} (1 - c lam)^j.  It
+    raises ``NumericalError`` when that iterate or its training loss is not
+    finite: a diverging mode (c lam > 2) grows every step, so these are the
+    runs whose step-by-step losses would overflow.
     """
-    F = np.asarray(features, dtype=np.float64)
+    F = as_matrix(features, "features")
     targets = np.asarray(targets)
-    if not np.all(np.isfinite(F)):
-        raise ValueError("features contain non-finite values")
-    n = F.shape[0]
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(0.2 * n))) if n > 1 else 0
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-
+    T = operator.index(steps)
+    if T < 0 or not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"need steps >= 0 and a finite lr > 0, got steps={steps}, lr={lr}")
     if task not in ("regression", "classification"):
         raise ValueError(f"unknown task {task!r}")
     Y, classes = _encode_targets(targets, task)
+    n = F.shape[0]
+    if Y.shape[0] != n or not np.all(np.isfinite(Y)):
+        raise ValueError(f"need {n} finite targets, one per row of features, got {Y.shape[0]}")
+    perm = np.random.default_rng(seed).permutation(n)
+    n_test = max(1, int(round(0.2 * n))) if n > 1 else 0
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
 
-    Ftr, Ytr = F[train_idx], Y[train_idx]
-    W = np.zeros((F.shape[1], Y.shape[1]))
-    b = np.zeros(Y.shape[1])
-    for _ in range(steps):
-        resid = Ftr @ W + b[None, :] - Ytr
-        with np.errstate(over="ignore"):
-            loss = float(np.mean(resid ** 2))
-        if not np.isfinite(loss):
-            raise NumericalError("linear head diverged; decrease the learning rate")
-        scale = 2.0 / resid.size
-        W -= lr * scale * (Ftr.T @ resid)
-        b -= lr * scale * resid.sum(axis=0)
+    X = np.column_stack([F[train_idx], np.ones(train_idx.size)])
+    Ytr = Y[train_idx]
+    lam, Q = np.linalg.eigh(X.T @ X)
+    c = 2.0 * lr / Ytr.size
+    x = c * lam                           # a mode shrinks by 1 - x per step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # f = (1 - (1 - x)^T) / lam, through expm1/log1p where it would cancel
+        f = np.where(np.abs(x) < 1.0, -np.expm1(T * np.log1p(-x)), 1.0 - (1.0 - x) ** T)
+        f = np.where(x == 0.0, c * T, f / lam)
+        theta = Q @ (f[:, None] * (Q.T @ (X.T @ Ytr)))
+        loss = float(np.mean((X @ theta - Ytr) ** 2))
+    if not (np.all(np.isfinite(theta)) and np.isfinite(loss)):
+        raise NumericalError("linear head diverged; decrease the learning rate")
 
-    Fte, Yte = F[test_idx], targets[test_idx]
-    head = LinearHead(W, b, classes)
+    head = LinearHead(theta[:-1], theta[-1], classes)
+    pred, Yte = head.predict(F[test_idx]), targets[test_idx]
     if task == "classification":
-        acc = float(np.mean(head.predict(Fte) == Yte)) if n_test else 1.0
-        head.metric_name, head.metric = "accuracy", acc
+        head.metric_name, head.metric = "accuracy", float(np.mean(pred == Yte)) if n_test else 1.0
     else:
-        pred = head.predict(Fte) if n_test else np.array([])
-        rmse = float(np.sqrt(np.mean((pred - Yte.astype(np.float64)) ** 2))) if n_test else 0.0
-        head.metric_name, head.metric = "rmse", rmse
+        head.metric_name = "rmse"
+        head.metric = float(np.sqrt(np.mean((pred - Yte.astype(np.float64)) ** 2))) if n_test else 0.0
     return head

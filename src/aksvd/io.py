@@ -34,15 +34,15 @@ def load_dense_csv(path) -> np.ndarray:
                 raise DataError(
                     f"{path}: line {lineno} has {len(tokens)} fields, expected {width}"
                 )
-            parsed = []
-            for col, tok in enumerate(tokens, start=1):
-                try:
-                    parsed.append(float(tok))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}, column {col}: cannot parse {tok!r} as a real number"
-                    ) from None
-            rows.append(parsed)
+            try:
+                rows.append(list(map(float, tokens)))
+            except ValueError:
+                for col, tok in enumerate(tokens, start=1):   # find the bad token
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise DataError(f"{path}: line {lineno}, column {col}: "
+                                        f"cannot parse {tok!r} as a real number") from None
     if not rows:
         raise DataError(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=np.float64)

@@ -272,9 +272,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
         k += 1
 
         if k >= r or exhausted:
-            B = np.diag(alphas)
-            for j in range(k - 1):
-                B[j, j + 1] = betas[j]
+            B = np.diag(alphas) + np.diag(betas[: k - 1], 1)
             P, s, Qt = np.linalg.svd(B)
             rr = min(r, _positive_rank(s))
             tail = betas[k - 1] if k <= len(betas) else 0.0
@@ -288,9 +286,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     # budget exhausted: return the best iterate
     if not alphas:
         raise NumericalError("bidiagonalization produced no iterates")
-    B = np.diag(alphas)
-    for j in range(len(alphas) - 1):
-        B[j, j + 1] = betas[j]
+    B = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
     P, s, Qt = np.linalg.svd(B)
     rr = min(r, _positive_rank(s))
     U = np.column_stack(us) @ P[:, :rr]
@@ -604,7 +600,7 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
             cap = {"n_sub": N if "m_sub" in knobs else min(N, M), "m_sub": M}
             settings = sorted({tuple(min(k, cap[f]) for f in knobs) for k in m_schedule},
                               key=math.prod)
-        solved = None
+        last = None
         for trial_no, setting in enumerate(settings):
             trial_seed = seed + 1000 * trial_no
             choice = make_choice(name, tol=_BENCH_TSVD_TOL, power=power, seed=trial_seed,
@@ -620,19 +616,19 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
             except NumericalError:
                 seconds = time.perf_counter() - t0
                 eta = float("inf")
-            success = eta <= epsilon
-            report.trials.append(BenchTrial(
+            last = BenchTrial(
                 solver=name, n_sub=getattr(choice, "n_sub", None),
                 m_sub=getattr(choice, "m_sub", None),
                 oversample=getattr(choice, "oversample", None),
-                eta=eta, seconds=seconds, seed=trial_seed, success=success,
-            ))
-            if success:
-                solved = report.trials[-1]
+                eta=eta, seconds=seconds, seed=trial_seed, success=eta <= epsilon,
+            )
+            report.trials.append(last)
+            if last.success:
                 break
+        solved = last if last is not None and last.success else None
         report.summary[name] = {
             "success": solved is not None,
-            "eta": solved.eta if solved else report.trials[-1].eta,
+            "eta": last.eta if last is not None else None,   # None: empty schedule
             "seconds": solved.seconds if solved else None,
             "knob": (solved.n_sub or solved.oversample) if solved else None,
         }

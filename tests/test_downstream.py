@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aksvd.compat import LinearHead
+from aksvd.compat import LinearHead, _encode_targets
+from aksvd.errors import NumericalError
 from aksvd.downstream import (
     coherence,
     f1_scores,
@@ -368,3 +370,144 @@ def test_linear_head_divergence_raises():
     y = rng.standard_normal(10)
     with pytest.raises(Exception, match="learning rate"):
         linear_head(F, y, "regression", lr=10.0, steps=500, seed=0)
+
+
+def _gd_linear_head(features, targets, task, lr=1e-2, steps=2000, seed=0):
+    """The step-by-step gradient-descent head that ``linear_head`` replaced
+    by its closed form; kept verbatim as the oracle for the iterate."""
+    F = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("features contain non-finite values")
+    n = F.shape[0]
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    n_test = max(1, int(round(0.2 * n))) if n > 1 else 0
+    test_idx, train_idx = perm[:n_test], perm[n_test:]
+
+    if task not in ("regression", "classification"):
+        raise ValueError(f"unknown task {task!r}")
+    Y, classes = _encode_targets(targets, task)
+
+    Ftr, Ytr = F[train_idx], Y[train_idx]
+    W = np.zeros((F.shape[1], Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    for _ in range(steps):
+        resid = Ftr @ W + b[None, :] - Ytr
+        with np.errstate(over="ignore"):
+            loss = float(np.mean(resid ** 2))
+        if not np.isfinite(loss):
+            raise NumericalError("linear head diverged; decrease the learning rate")
+        scale = 2.0 / resid.size
+        W -= lr * scale * (Ftr.T @ resid)
+        b -= lr * scale * resid.sum(axis=0)
+
+    Fte, Yte = F[test_idx], targets[test_idx]
+    head = LinearHead(W, b, classes)
+    if task == "classification":
+        acc = float(np.mean(head.predict(Fte) == Yte)) if n_test else 1.0
+        head.metric_name, head.metric = "accuracy", acc
+    else:
+        pred = head.predict(Fte) if n_test else np.array([])
+        rmse = float(np.sqrt(np.mean((pred - Yte.astype(np.float64)) ** 2))) if n_test else 0.0
+        head.metric_name, head.metric = "rmse", rmse
+    return head
+
+
+def _stable_lr(F, targets, task, seed, rho):
+    """The step size with c * lambda_max = rho on the head's training split,
+    c = 2 lr / Y.size and lambda_max the top eigenvalue of [F, 1]'[F, 1]."""
+    n = F.shape[0]
+    n_test = max(1, int(round(0.2 * n))) if n > 1 else 0
+    train = np.random.default_rng(seed).permutation(n)[n_test:]
+    X = np.column_stack([F[train], np.ones(train.size)])
+    k = _encode_targets(targets, task)[0].shape[1]
+    return rho * train.size * k / (2.0 * np.linalg.eigvalsh(X.T @ X)[-1])
+
+
+def _assert_head_matches_loop(F, y, task, lr, steps, seed=0):
+    got = linear_head(F, y, task, lr=lr, steps=steps, seed=seed)
+    want = _gd_linear_head(F, y, task, lr=lr, steps=steps, seed=seed)
+    theta = np.vstack([want.weights, want.bias])
+    err = np.max(np.abs(np.vstack([got.weights, got.bias]) - theta))
+    assert err <= 1e-9 * np.max(np.abs(theta))
+    assert got.metric_name == want.metric_name
+    assert got.metric == pytest.approx(want.metric, rel=1e-9, abs=1e-12)
+
+
+def _regression_problem(seed, n=40, d=3):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, d))
+    return F, F @ rng.standard_normal(d) + 0.3 + 0.1 * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_well_conditioned(steps):
+    F, y = _regression_problem(20)
+    _assert_head_matches_loop(F, y, "regression", lr=0.05, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_duplicated_column(steps):
+    F, y = _regression_problem(21)
+    F = np.column_stack([F, F[:, 1]])          # rank-deficient X'X
+    _assert_head_matches_loop(F, y, "regression", lr=0.05, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_constant_column(steps):
+    F, y = _regression_problem(22)
+    F[:, 1] = 2.5                               # collinear with the bias
+    _assert_head_matches_loop(F, y, "regression", lr=0.05, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_zero_features(steps):
+    # all-zero features give exactly zero eigenvalues; only the bias learns
+    _, y = _regression_problem(27)
+    _assert_head_matches_loop(np.zeros((40, 2)), y, "regression", lr=0.05, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_three_classes(steps):
+    rng = np.random.default_rng(23)
+    centers = np.array([[3.0, 0.0], [-3.0, 1.0], [0.0, -3.0]])
+    y = np.repeat([4, 7, 9], 15)
+    F = centers[np.searchsorted([4, 7, 9], y)] + rng.standard_normal((45, 2))
+    _assert_head_matches_loop(F, y, "classification", lr=0.02, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 2000])
+def test_linear_head_closed_form_matches_loop_oscillating(steps):
+    # 1 < c * lambda_max < 2: the top mode flips sign every step but decays
+    F, y = _regression_problem(24)
+    lr = _stable_lr(F, y, "regression", 0, 1.8)
+    _assert_head_matches_loop(F, y, "regression", lr=lr, steps=steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 16), d=st.integers(1, 4),
+       n_classes=st.sampled_from([0, 2, 3]), rho=st.floats(0.01, 1.9),
+       steps=st.integers(0, 300), rank_deficient=st.booleans())
+def test_linear_head_closed_form_matches_loop_property(seed, n, d, n_classes, rho, steps,
+                                                       rank_deficient):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-1, 1, size=d)
+    if rank_deficient and d > 1:
+        F[:, -1] = F[:, 0]
+    if n_classes:
+        task, y = "classification", rng.integers(0, n_classes, size=n)
+    else:
+        task, y = "regression", rng.standard_normal(n)
+    lr = _stable_lr(F, y, task, 3, rho)
+    _assert_head_matches_loop(F, y, task, lr=lr, steps=steps, seed=3)
+
+
+@pytest.mark.parametrize("kwargs", [{"steps": -1}, {"lr": 0.0}, {"lr": float("nan")},
+                                    {"lr": -0.1}, {"lr": float("inf")},
+                                    {"targets": np.zeros(39)},
+                                    {"targets": np.r_[np.zeros(39), np.nan]}])
+def test_linear_head_rejects_bad_input(kwargs):
+    F, y = _regression_problem(25)
+    with pytest.raises(ValueError):
+        linear_head(**{"features": F, "targets": y, "task": "regression", **kwargs})

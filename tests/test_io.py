@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aksvd.ksvd import Embeddings
 from aksvd.errors import DataError
@@ -63,6 +65,25 @@ def test_csv_bytes_match_per_value_formatter(tmp_path):
     assert p.read_bytes() == expected.encode("utf-8")
     assert np.array_equal(load_dense_csv(p), M)
     assert np.array_equal(np.signbit(load_dense_csv(p)), np.signbit(M))
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                -2.2250738585072014e-308, 1.7976931348623157e308,
+                                -1.7976931348623157e308, np.inf, -np.inf])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                    elements=st.floats(allow_nan=False) | _EDGE_FLOATS))
+def test_csv_round_trip_preserves_every_bit_property(tmp_path, M):
+    # every finite or infinite float64, including +-0, subnormals and +-max,
+    # comes back with the same bits (so the same sign) through the CSV files
+    p = tmp_path / "prop.csv"
+    save_matrix_csv(p, M)
+    back = load_dense_csv(p)
+    assert back.shape == M.shape
+    assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
 
 def test_edge_list_directionality(tmp_path):

@@ -363,6 +363,20 @@ def test_bench_failure_recorded_not_thrown():
     assert all(not t.success for t in rep.trials)
 
 
+@pytest.mark.parametrize("order", [("tsvd", "rsvd"), ("rsvd", "tsvd")])
+def test_bench_empty_schedule_reports_no_trial(order):
+    # an empty oversample schedule runs no rsvd trial: its summary must not
+    # borrow another solver's eta, whichever solver ran before it
+    G = np.random.default_rng(24).standard_normal((20, 20))
+    rep = bench(G, 2, 0.1, solvers=order, oversample_schedule=())
+    assert [t.solver for t in rep.trials] == ["tsvd"]
+    assert rep.summary["rsvd"] == {"success": False, "eta": None, "seconds": None,
+                                   "knob": None}
+    assert rep.summary["tsvd"]["success"]
+    assert rep.summary["tsvd"]["eta"] == rep.trials[0].eta
+    assert not any("speedup_vs_rsvd" in s for s in rep.summary.values())
+
+
 def test_bench_ldjson_schema(tmp_path):
     rng = np.random.default_rng(24)
     G = random_matrix(rng, 20, 20, decay=0.5)
