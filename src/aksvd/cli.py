@@ -38,6 +38,7 @@ _KERNELS = ("linear", "rbf", "poly", "sne")
 
 
 def _add_common(p):
+    """The options of every subcommand."""
     p.add_argument("--input", required=True, help="input data file")
     p.add_argument("--format", choices=("csv", "edges"), default="csv",
                    help="input format: dense CSV or tab-separated edge list")
@@ -47,6 +48,14 @@ def _add_common(p):
     p.add_argument("--degree", type=int, default=2, help="poly kernel degree")
     p.add_argument("--offset", type=float, default=1.0, help="poly kernel offset")
     p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--power", type=int, default=2, help="rsvd power iterations")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, help="output path prefix")
+
+
+def _add_fit(p):
+    """The options of the subcommands that fit one model."""
+    _add_common(p)
     p.add_argument("--compat", choices=("a0", "a1", "a2"), default=None,
                    help="compatibility matrix for non-square inputs: a0 pseudo-inverse, "
                         "a1 PCA projection, a2 random projection (the learned a3 needs "
@@ -55,11 +64,8 @@ def _add_common(p):
     p.add_argument("--nsub", type=int, default=None, help="Nystrom row subsamples")
     p.add_argument("--msub", type=int, default=None, help="Nystrom column subsamples")
     p.add_argument("--oversample", type=int, default=10, help="rsvd oversampling")
-    p.add_argument("--power", type=int, default=2, help="rsvd power iterations")
     p.add_argument("--tol", type=float, default=1e-10, help="tsvd residual tolerance")
     p.add_argument("--center", action="store_true", help="double-center the Gram matrix")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output path prefix")
 
 
 def build_parser() -> _Parser:
@@ -69,19 +75,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("embed", help="fit and write embeddings")
-    _add_common(p)
+    _add_fit(p)
 
     p = sub.add_parser("graph", help="node classification + graph reconstruction")
-    _add_common(p)
+    _add_fit(p)
     p.add_argument("--labels", required=True, help="one integer node label per line")
 
     p = sub.add_parser("bicluster", help="bicluster rows and columns")
-    _add_common(p)
+    _add_fit(p)
     p.add_argument("--labels", default=None, help="optional row labels for NMI")
     p.add_argument("--k-rows", type=int, default=2, dest="k_rows")
     p.add_argument("--k-cols", type=int, default=2, dest="k_cols")
 
-    p = sub.add_parser("bench", help="solver escalation benchmark")
+    # no abbreviations: "--solver" must not be taken for "--solvers"
+    p = sub.add_parser("bench", help="solver escalation benchmark", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--eps", type=float, default=1e-1, help="target eta tolerance")
     p.add_argument("--solvers", default=",".join(solvers.DEFAULT_BENCH_SOLVERS),

@@ -373,6 +373,8 @@ class KernelOperator:
         v = np.asarray(v, dtype=np.float64).reshape(1, -1)
         if v.shape[1] != self.x_data.shape[1]:
             raise ValueError(f"{name} has dimension {v.shape[1]}, expected {self.x_data.shape[1]}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite values")
         return v, (v * v).sum(axis=1) if self._x_sq is not None else None
 
     def x_row(self, x_new) -> np.ndarray:
@@ -402,12 +404,6 @@ class KernelOperator:
         return self._apply_scale(vals)
 
     # -- operator algebra (used by iterative solvers) -------------------
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self.matmat(np.asarray(w).reshape(-1, 1))[:, 0]
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        return self.rmatmat(np.asarray(w).reshape(-1, 1))[:, 0]
 
     def _row_chunks(self):
         """Row ranges of at most _BLOCK_BUDGET Gram entries, in whole tiles."""

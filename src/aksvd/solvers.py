@@ -1,9 +1,11 @@
 """Low-rank SVD solvers and the subsample-escalation benchmark.
 
-All solvers accept either a dense ndarray or an operator exposing
-``shape``/``block``/``matvec``/``rmatvec`` (see :class:`MatrixOperator`
-and :class:`aksvd.kernels.KernelOperator`) and return a :class:`SvdResult`
-with columns sorted by nonincreasing positive singular value.
+All solvers accept either a dense ndarray or an operator (see
+:class:`MatrixOperator` and :class:`aksvd.kernels.KernelOperator`) and
+return a :class:`SvdResult` with columns sorted by nonincreasing positive
+singular value.  An operator exposes ``shape``, ``block(rows, cols)``,
+``materialize()`` and the block products ``matmat(W)`` = G W and
+``rmatmat(W)`` = G' W; the solvers use nothing else.
 
 The asymmetric Nystrom method approximates the top singular triplets of an
 N x M matrix from an n x m submatrix: it takes the SVD of the submatrix
@@ -54,12 +56,6 @@ class MatrixOperator:
     def materialize(self) -> np.ndarray:
         return self.values
 
-    def matvec(self, w):
-        return self.values @ w
-
-    def rmatvec(self, w):
-        return self.values.T @ w
-
     def matmat(self, W):
         return self.values @ W
 
@@ -71,7 +67,7 @@ def as_operator(G):
     """ndarray -> MatrixOperator; operators pass through."""
     if isinstance(G, np.ndarray):
         return MatrixOperator(G)
-    if hasattr(G, "shape") and (hasattr(G, "block") or hasattr(G, "matvec")):
+    if hasattr(G, "block"):
         return G
     return MatrixOperator(np.asarray(G, dtype=np.float64))
 
@@ -182,118 +178,91 @@ def dense_svd(G, r: int) -> SvdResult:
 # truncated SVD (Golub-Kahan bidiagonalization, full reorthogonalization)
 # ---------------------------------------------------------------------------
 
-class _TransposedOperator:
-    def __init__(self, op):
-        self._op = op
-        self.shape = (op.shape[1], op.shape[0])
+def _append_orthonormal(Q: np.ndarray, j: int, w: np.ndarray, cutoff: float, rng):
+    """Orthogonalize ``w`` against Q[:, :j] and store it, normalized, in Q[:, j].
 
-    def matvec(self, w):
-        return self._op.rmatvec(w)
-
-    def rmatvec(self, w):
-        return self._op.matvec(w)
+    Classical Gram-Schmidt applied twice keeps the basis orthonormal to
+    working precision.  Returns the norm of the orthogonalized ``w``; a norm
+    at or below ``cutoff`` is a breakdown, where a random direction,
+    orthogonalized the same way, takes its place and 0.0 is returned.
+    Returns None when Q[:, :j] already spans the whole space.
+    """
+    basis = Q[:, :j]
+    for restart in (False, True):
+        if restart:
+            w = rng.standard_normal(Q.shape[0])
+        for _ in range(2):
+            w -= basis @ (basis.T @ w)
+        norm = float(np.linalg.norm(w))
+        if norm > (1e-12 if restart else cutoff):
+            Q[:, j] = w / norm
+            return 0.0 if restart else norm
+    return None
 
 
 def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None) -> SvdResult:
     """Iterative top-r SVD via Lanczos bidiagonalization.
 
     Grows the Krylov subspace (with full reorthogonalization) until the
-    top-r Ritz residuals satisfy ||G' u_s - lambda_s v_s|| <= tol*lambda_1
-    or max_iter steps were taken; on non-convergence the best iterate is
-    returned with ``converged=False``.
+    top-r Ritz residuals satisfy ||G' u_s - lambda_s v_s|| <= tol*lambda_1,
+    the subspace is exhausted (the factors are then exact) or max_iter steps
+    were taken; on non-convergence the best iterate is returned with
+    ``converged=False``.
     """
     op = as_operator(G)
     N, M = op.shape
     if r < 1 or r > min(N, M):
         raise ValueError(f"rank {r} out of range for a {N}x{M} matrix")
-    if M > N:
-        # start the recursion on the smaller side so the right Krylov
-        # space can span it entirely (exact at exhaustion)
-        res = truncated_svd(_TransposedOperator(op), r, tol=tol, max_iter=max_iter)
-        return SvdResult(res.v, res.lambdas, res.u, converged=res.converged,
-                         achieved_rank=res.achieved_rank, iterations=res.iterations)
-    kmax = min(N, M) if max_iter is None else max(min(max_iter, min(N, M)), 1)
+    # iterate on G' when G is wide, so that the right Krylov space lies on
+    # the smaller side and can span it entirely (exact at exhaustion)
+    fwd, back, wide = op.matmat, op.rmatmat, M > N
+    if wide:
+        fwd, back, N, M = back, fwd, M, N
+    kmax = M if max_iter is None else max(min(max_iter, M), 1)
 
     rng = np.random.default_rng(0x5EED)  # fixed start; contract carries no seed
+    U = np.empty((N, kmax), order="F")
+    V = np.empty((M, kmax + 1), order="F")
+    alphas = np.zeros(kmax)
+    betas = np.zeros(kmax)
     v = rng.standard_normal(M)
-    v /= np.linalg.norm(v)
-    us: List[np.ndarray] = []
-    vs: List[np.ndarray] = [v]
-    alphas: List[float] = []
-    betas: List[float] = []
-    norm_est = 0.0
+    V[:, 0] = v / np.linalg.norm(v)
 
-    def reorth(w, basis):
-        for _ in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        return w
+    def ritz(k):
+        P, s, Qt = np.linalg.svd(np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1))
+        return P, s, Qt, min(r, _positive_rank(s))
 
-    k = 0
-    exhausted = False
-    while k < kmax and not exhausted:
-        u = op.matvec(vs[k])
+    k, converged, norm_est = 0, False, 0.0
+    while k < kmax and not converged:
+        w = fwd(V[:, k : k + 1])[:, 0]
         if k > 0:
-            u -= betas[k - 1] * us[k - 1]
-        u = reorth(u, us)
-        alpha = float(np.linalg.norm(u))
+            w -= betas[k - 1] * U[:, k - 1]
+        alpha = _append_orthonormal(U, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
+        if alpha is None:
+            converged = True
+            break
+        alphas[k] = alpha
         norm_est = max(norm_est, alpha)
-        if alpha <= _RANK_RTOL * max(norm_est, 1.0):
-            # x-side breakdown: restart with a fresh direction
-            u = reorth(rng.standard_normal(N), us)
-            un = float(np.linalg.norm(u))
-            if un <= 1e-12:
-                exhausted = True
-                break
-            u /= un
-            alpha = 0.0
-        else:
-            u /= alpha
-        us.append(u)
-        alphas.append(alpha)
-
-        w = op.rmatvec(u) - alpha * vs[k]
-        w = reorth(w, vs)
-        beta = float(np.linalg.norm(w))
-        if beta <= _RANK_RTOL * max(norm_est, 1.0):
-            # invariant subspace reached; try to continue in a new direction
-            w = reorth(rng.standard_normal(M), vs)
-            wn = float(np.linalg.norm(w))
-            if wn <= 1e-12:
-                betas.append(0.0)
-                k += 1
-                exhausted = True
-                break
-            vs.append(w / wn)
-            betas.append(0.0)
-        else:
-            vs.append(w / beta)
-            betas.append(beta)
+        w = back(U[:, k : k + 1])[:, 0] - alpha * V[:, k]
+        beta = _append_orthonormal(V, k + 1, w, _RANK_RTOL * max(norm_est, 1.0), rng)
         k += 1
+        if beta is None:
+            converged = True
+            break
+        betas[k - 1] = beta
+        if k >= r:
+            P, s, _, rr = ritz(k)
+            resid = beta * np.abs(P[k - 1, :rr])
+            converged = rr > 0 and (k == M or bool(np.all(resid <= tol * s[0])))
 
-        if k >= r or exhausted:
-            B = np.diag(alphas) + np.diag(betas[: k - 1], 1)
-            P, s, Qt = np.linalg.svd(B)
-            rr = min(r, _positive_rank(s))
-            tail = betas[k - 1] if k <= len(betas) else 0.0
-            resid = tail * np.abs(P[k - 1, :rr])
-            if rr > 0 and (np.all(resid <= tol * s[0]) or k == min(N, M)):
-                U = np.column_stack(us) @ P[:, :rr]
-                V = np.column_stack(vs[:k]) @ Qt[:rr].T
-                return SvdResult(U, s[:rr].copy(), V, converged=True,
-                                 achieved_rank=rr, iterations=k)
-
-    # budget exhausted: return the best iterate
-    if not alphas:
+    if k == 0:
         raise NumericalError("bidiagonalization produced no iterates")
-    B = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
-    P, s, Qt = np.linalg.svd(B)
-    rr = min(r, _positive_rank(s))
-    U = np.column_stack(us) @ P[:, :rr]
-    V = np.column_stack(vs[: len(alphas)]) @ Qt[:rr].T
-    converged = exhausted  # space exhausted means the factors are exact
-    return SvdResult(U, s[:rr].copy(), V, converged=converged,
-                     achieved_rank=rr, iterations=len(alphas))
+    P, s, Qt, rr = ritz(k)
+    left, right = U[:, :k] @ P[:, :rr], V[:, :k] @ Qt[:rr].T
+    if wide:
+        left, right = right, left
+    return SvdResult(left, s[:rr].copy(), right, converged=converged,
+                     achieved_rank=rr, iterations=k)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +299,23 @@ def _sample_indices(rng, total: int, count: int) -> np.ndarray:
     return np.sort(rng.choice(total, size=count, replace=False))
 
 
+def _nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int):
+    """Top-r Nystrom eigenpairs from the sampled columns C = K[:, idx] of a
+    symmetric PSD N x N matrix K (see :func:`sym_nystrom_eig`)."""
+    N, n = C.shape
+    evals, evecs = np.linalg.eigh(C[idx])
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    rank = int(np.sum(evals > _RANK_RTOL * max(evals[0], 0.0))) if evals.size else 0
+    if rank < r:
+        raise NumericalError(
+            f"submatrix has rank {rank} < requested {r}: resample or increase n_sub"
+        )
+    lam_sub = evals[:r]
+    u_tilde = np.sqrt(n / N) * C @ (evecs[:, :r] / lam_sub[None, :])
+    u_tilde /= np.linalg.norm(u_tilde, axis=0, keepdims=True)
+    return u_tilde, (N / n) * lam_sub
+
+
 def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
     """Nystrom eigendecomposition of a symmetric PSD N x N operator.
 
@@ -343,21 +329,7 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
         raise ValueError("sym_nystrom_eig requires a square operator")
     idx = (np.sort(np.asarray(indices, dtype=np.intp)) if indices is not None
            else _sample_indices(np.random.default_rng(seed), N, n_sub))
-    n = idx.size
-    K_sub = op.block(idx, idx)
-    evals, evecs = np.linalg.eigh(K_sub)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    rank = int(np.sum(evals > _RANK_RTOL * max(evals[0], 0.0))) if evals.size else 0
-    if rank < r:
-        raise NumericalError(
-            f"submatrix has rank {rank} < requested {r}: resample or increase n_sub"
-        )
-    lam_sub = evals[:r]
-    u_sub = evecs[:, :r]
-    lam_tilde = (N / n) * lam_sub
-    u_tilde = np.sqrt(n / N) * op.block(np.arange(N), idx) @ (u_sub / lam_sub[None, :])
-    u_tilde /= np.linalg.norm(u_tilde, axis=0, keepdims=True)
-    return u_tilde, lam_tilde
+    return _nystrom_extend(op.block(np.arange(N), idx), idx, r)
 
 
 @dataclass
@@ -451,16 +423,18 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
 def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     """SVD baseline from two symmetric Nystrom eigenproblems.
 
-    Applies sym_nystrom_eig to G G' and G' G separately, pairs factors by
-    eigenvalue order, and sign-aligns each pair by u_s' G v_s > 0 (the two
-    eigenproblems carry no joint sign information).
+    Applies the extension of sym_nystrom_eig to G G' and G' G separately
+    (rows sampled with ``seed``, columns with ``seed + 1``; only the sampled
+    columns of each product are formed), pairs factors by eigenvalue order,
+    and sign-aligns each pair by u_s' G v_s > 0 (the two eigenproblems carry
+    no joint sign information).
     """
     A = as_operator(G).materialize()
     N, M = A.shape
-    left_k = A @ A.T
-    right_k = A.T @ A
-    u_tilde, lam_left = sym_nystrom_eig(left_k, min(n_sub, N), r, seed=seed)
-    v_tilde, _ = sym_nystrom_eig(right_k, min(n_sub, M), r, seed=seed + 1)
+    rows = _sample_indices(np.random.default_rng(seed), N, min(n_sub, N))
+    cols = _sample_indices(np.random.default_rng(seed + 1), M, min(n_sub, M))
+    u_tilde, lam_left = _nystrom_extend(A @ A[rows].T, rows, r)
+    v_tilde, _ = _nystrom_extend(A.T @ A[:, cols], cols, r)
     lam = np.sqrt(np.maximum(lam_left, 0.0))
     for s in range(r):
         if u_tilde[:, s] @ A @ v_tilde[:, s] < 0:

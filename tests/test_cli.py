@@ -123,6 +123,7 @@ def test_partial_config_merges_over_defaults(tmp_path, capsys):
     {"subcommand": "embed", "input": "g.tsv", "out": "run", "kernel": "cosine"},
     {"subcommand": "bicluster", "input": "g.tsv", "out": "run", "compat": "a3"},
     {"subcommand": "fit", "input": "g.tsv", "out": "run"},
+    {"subcommand": "bench", "input": "g.csv", "out": "run", "center": False},  # not a bench key
     ["embed"],
 ])
 def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
@@ -256,11 +257,32 @@ def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
     assert not (tmp_path / "bench.bench.ldjson").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--center"],
+    ["--solver", "rsvd"],
+    ["--nsub", "999"],
+    ["--msub", "5"],
+    ["--oversample", "3"],
+    ["--tol", "5"],
+    ["--compat", "a0"],
+])
+def test_bench_rejects_options_it_does_not_read(tmp_path, capsys, flags):
+    inp = tmp_path / "g.csv"
+    save_matrix_csv(inp, np.eye(6))
+    out = tmp_path / "bench"
+    assert main(["bench", "--input", str(inp), "--rank", "2", "--out", str(out)] + flags) == 1
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "bench.bench.ldjson").exists()
+
+
 def test_solver_names_come_from_the_registry():
-    bench_parser = build_parser().commands["bench"]
-    actions = {a.dest: a for a in bench_parser._actions}
-    assert tuple(actions["solver"].choices) == tuple(SOLVERS)
-    assert actions["solvers"].default.split(",") == list(DEFAULT_BENCH_SOLVERS)
+    parsers = build_parser().commands
+    embed = {a.dest: a for a in parsers["embed"]._actions}
+    assert tuple(embed["solver"].choices) == tuple(SOLVERS)
+    bench = {a.dest: a for a in parsers["bench"]._actions}
+    assert bench["solvers"].default.split(",") == list(DEFAULT_BENCH_SOLVERS)
 
 
 def test_usage_error_exit_code(capsys):

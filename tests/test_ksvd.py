@@ -185,6 +185,23 @@ def test_project_dimension_mismatch():
         project_x(m, np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.poly(), KernelSpec.rbf(2.0),
+                                  KernelSpec.sne(2.0)], ids=lambda s: s.family)
+@pytest.mark.parametrize("project, name", [(project_x, "x_new"), (project_z, "z_new")])
+def test_project_rejects_non_finite_point(spec, bad, project, name, monkeypatch):
+    rng = np.random.default_rng(10)
+    m = fit(rng.standard_normal((6, 3)), rng.standard_normal((5, 3)), spec, rank=2)
+    point = np.array([0.5, bad, -0.5])
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel evaluated for a non-finite point")
+
+    monkeypatch.setattr(type(m.operator), "_kernel", no_kernel)
+    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+        project(m, point)
+
+
 def test_embeddings_sides():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((6, 6))

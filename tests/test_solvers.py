@@ -101,6 +101,75 @@ def test_tsvd_on_lazy_operator():
     assert eta_vs_dense(op.materialize(), res, 4) <= 1e-8
 
 
+def _edge_matrices():
+    rng = np.random.default_rng(7)
+    return {
+        "zeros5x4": np.zeros((5, 4)),
+        "rank1_6x9": np.outer(rng.standard_normal(6), rng.standard_normal(9)),
+        "row1x7": rng.standard_normal((1, 7)),
+        "col7x1": rng.standard_normal((7, 1)),
+        "rank2_8x20": rng.standard_normal((8, 2)) @ rng.standard_normal((2, 20)),
+        "rank2_20x8": rng.standard_normal((20, 2)) @ rng.standard_normal((2, 8)),
+    }
+
+
+# (matrix, r, max_iter) -> (achieved_rank, converged, iterations).  The
+# expected values were recorded from the implementation that preceded the
+# single-loop rewrite (per-vector reorthogonalization, transposed recursion
+# for wide inputs); the rewrite must reproduce them.  The cases reach the
+# zero matrix, breakdown restarts, exhaustion on either side, one-row and
+# one-column inputs, and wide inputs under a step budget.
+_TSVD_EDGE_TABLE = {
+    ("zeros5x4", 1, None): (0, True, 4),
+    ("zeros5x4", 1, 1): (0, False, 1),
+    ("zeros5x4", 1, 2): (0, False, 2),
+    ("zeros5x4", 3, None): (0, True, 4),
+    ("zeros5x4", 3, 1): (0, False, 1),
+    ("zeros5x4", 3, 2): (0, False, 2),
+    ("rank1_6x9", 1, None): (1, True, 2),
+    ("rank1_6x9", 1, 1): (1, False, 1),
+    ("rank1_6x9", 1, 2): (1, True, 2),
+    ("rank1_6x9", 3, None): (1, True, 3),
+    ("rank1_6x9", 3, 1): (1, False, 1),
+    ("rank1_6x9", 3, 2): (1, False, 2),
+    ("row1x7", 1, None): (1, True, 1),
+    ("row1x7", 1, 1): (1, True, 1),
+    ("row1x7", 1, 2): (1, True, 1),
+    ("col7x1", 1, None): (1, True, 1),
+    ("col7x1", 1, 1): (1, True, 1),
+    ("col7x1", 1, 2): (1, True, 1),
+    ("rank2_8x20", 1, None): (1, True, 3),
+    ("rank2_8x20", 1, 1): (1, False, 1),
+    ("rank2_8x20", 1, 2): (1, False, 2),
+    ("rank2_8x20", 3, None): (2, True, 3),
+    ("rank2_8x20", 3, 1): (1, False, 1),
+    ("rank2_8x20", 3, 2): (2, False, 2),
+    ("rank2_20x8", 1, None): (1, True, 3),
+    ("rank2_20x8", 1, 1): (1, False, 1),
+    ("rank2_20x8", 1, 2): (1, False, 2),
+    ("rank2_20x8", 3, None): (2, True, 3),
+    ("rank2_20x8", 3, 1): (1, False, 1),
+    ("rank2_20x8", 3, 2): (2, False, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TSVD_EDGE_TABLE, key=str), ids=str)
+def test_tsvd_edge_table(case):
+    name, r, max_iter = case
+    A = _edge_matrices()[name]
+    res = truncated_svd(A, r, max_iter=max_iter)
+    assert (res.achieved_rank, res.converged, res.iterations) == _TSVD_EDGE_TABLE[case]
+    rr = res.achieved_rank
+    assert res.u.shape == (A.shape[0], rr) and res.v.shape == (A.shape[1], rr)
+    assert res.lambdas.shape == (rr,)
+    if res.converged and rr:
+        # converged factors are the exact top triplets of these small inputs
+        ref = dense_svd(A, r)
+        assert np.allclose(res.lambdas, ref.lambdas, rtol=1e-10, atol=1e-12)
+        assert np.allclose(res.u.T @ res.u, np.eye(rr), atol=1e-12)
+        assert np.allclose(res.v.T @ res.v, np.eye(rr), atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # randomized SVD
 # ---------------------------------------------------------------------------
@@ -434,6 +503,49 @@ def test_bench_trial_equals_solve_on_its_choice(name, monkeypatch):
         for a, b in ((res.u, recorded.u), (res.lambdas, recorded.lambdas), (res.v, recorded.v)):
             assert np.array_equal(a, b)
         assert trial.eta == eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v)
+
+
+class _ProtocolOnlyOperator:
+    """A dense matrix behind the five members the solvers may use, and no
+    other attribute (``__slots__`` leaves no instance dictionary)."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values):
+        self._values = values
+
+    @property
+    def shape(self):
+        return self._values.shape
+
+    def block(self, rows, cols):
+        return self._values[np.ix_(np.atleast_1d(rows), np.atleast_1d(cols))]
+
+    def materialize(self):
+        return self._values
+
+    def matmat(self, W):
+        return self._values @ W
+
+    def rmatmat(self, W):
+        return self._values.T @ W
+
+
+@pytest.mark.parametrize("shape", [(30, 24), (24, 30)], ids=str)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solvers_need_only_the_operator_protocol(name, shape):
+    rng = np.random.default_rng(26)
+    G = random_matrix(rng, *shape, decay=0.7)
+    choice = make_choice(name, n_sub=12, m_sub=12, seed=3)
+    want = solvers_module.solve(G, 3, choice)
+    got = solvers_module.solve(_ProtocolOnlyOperator(G), 3, choice)
+    assert got.achieved_rank == want.achieved_rank == 3
+    if name in ("tsvd", "rsvd"):
+        assert eta_metric(want.u, want.lambdas, want.v, got.u, got.v) <= 1e-8
+        assert np.allclose(got.lambdas, want.lambdas, rtol=1e-10)
+    else:
+        for a, b in ((got.u, want.u), (got.lambdas, want.lambdas), (got.v, want.v)):
+            assert np.array_equal(a, b)
 
 
 def test_readme_solver_table_matches_registry():
