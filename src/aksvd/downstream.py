@@ -38,7 +38,8 @@ def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LssvmModel:
     """Fit one-vs-rest LSSVM classifiers on linear-kernel features.
 
     Each class solves [[0, 1'], [1, Omega + I/gamma]] [b; alpha] = [0; y]
-    with Omega = F F' and y in {-1, +1}^n.
+    with Omega = F F' and y in {-1, +1}^n; the system is the same for
+    every class, so one solve takes all of them as right-hand sides.
     """
     F = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -51,21 +52,17 @@ def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LssvmModel:
     A[0, 1:] = 1.0
     A[1:, 0] = 1.0
     A[1:, 1:] = omega + np.eye(n) / gamma_reg
-    alphas = np.empty((classes.size, n))
-    biases = np.empty(classes.size)
-    for c, cls in enumerate(classes):
-        y = np.where(labels == cls, 1.0, -1.0)
-        rhs = np.concatenate([[0.0], y])
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "LSSVM system is singular (duplicate feature rows with conflicting "
-                "labels can cause this)"
-            ) from exc
-        biases[c] = sol[0]
-        alphas[c] = sol[1:]
-    return LssvmModel(alphas, biases, classes, F.copy(), gamma_reg)
+    rhs = np.zeros((n + 1, classes.size))
+    rhs[1:] = np.where(labels[:, None] == classes[None, :], 1.0, -1.0)
+    try:
+        sol = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "LSSVM system is singular (duplicate feature rows with conflicting "
+            "labels can cause this)"
+        ) from exc
+    return LssvmModel(np.ascontiguousarray(sol[1:].T), sol[0].copy(), classes, F.copy(),
+                      gamma_reg)
 
 
 def lssvm_kkt_residual(model: LssvmModel, labels) -> float:
@@ -125,13 +122,12 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     tgt_sq = (tgt * tgt).sum(axis=1)
     d2 = src_sq[:, None] + tgt_sq[None, :] - 2.0 * _products(src, tgt)
     np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    # a stable sort keeps equal distances in index order
+    order = np.argsort(d2, axis=1, kind="stable")
+    keep = np.arange(N)[None, :] < deg[:, None]
     A_hat = np.zeros((N, N))
-    idx = np.arange(N)
-    for v in range(N):
-        dist = d2[v].copy()
-        dist[v] = np.inf
-        order = np.lexsort((idx, dist))
-        A_hat[v, order[: deg[v]]] = 1.0
+    A_hat[np.nonzero(keep)[0], order[keep]] = 1.0
     return A_hat
 
 

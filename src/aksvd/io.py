@@ -9,6 +9,7 @@ JSON.
 from __future__ import annotations
 
 import json
+import warnings
 from typing import List, Optional
 
 import numpy as np
@@ -19,7 +20,26 @@ _FLOAT_FMT = "%.17g"
 
 
 def load_dense_csv(path) -> np.ndarray:
-    """Load a headerless comma-separated real matrix, preserving row order."""
+    """Load a headerless comma-separated real matrix, preserving row order.
+
+    numpy's loadtxt parses the file; where it fails or finds no data, the
+    reference scanner :func:`_scan_dense_csv` reads it again, so inputs
+    only the scanner accepts (whitespace-only lines, ``1_0``) still load
+    and every rejected file gets the scanner's :class:`DataError`.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                dtype=np.float64, encoding="utf-8")
+    except ValueError:
+        return _scan_dense_csv(path)
+    return values if values.size else _scan_dense_csv(path)
+
+
+def _scan_dense_csv(path) -> np.ndarray:
+    """Line-by-line reference parser of :func:`load_dense_csv`: blank and
+    whitespace-only lines are skipped and each field goes through ``float``."""
     rows: List[List[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as f:
@@ -92,7 +112,8 @@ def load_edge_list(path, n_nodes: Optional[int] = None) -> np.ndarray:
 
 
 def load_labels(path) -> np.ndarray:
-    """Load one integer label per line."""
+    """Load one integer label per line; an integral real such as ``2.0``
+    counts as an integer, a fraction, infinity or NaN does not."""
     labels = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -100,9 +121,12 @@ def load_labels(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                labels.append(int(float(line)))
+                value = float(line)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: cannot parse label {line!r}") from None
+            if not (value.is_integer() and -2.0 ** 63 <= value < 2.0 ** 63):
+                raise DataError(f"{path}: line {lineno}: label {line!r} is not a 64-bit integer")
+            labels.append(int(value))
     if not labels:
         raise DataError(f"{path}: empty labels file")
     return np.asarray(labels, dtype=int)

@@ -21,11 +21,18 @@ shape of the call (its blocking, micro-kernel and edge handling), not
 only on the two vectors: ``x @ z.T`` on a sub-block can differ in the last
 bit from the same entry of the full product.  With one call shape every
 entry is computed by the same sequence of operations wherever it sits.
-That still assumes the BLAS treats every position of a tile alike, so a
-self-check places a few pairs at different tile positions once per
-process and feature dimension; if any result differs, evaluation falls
-back to a broadcast multiply-and-sum, which is exact at any shape but
-much slower.
+A kernel vector (one new point, a one-row or a one-column block) needs
+only one row of each tile product, so it takes a narrower call: the point
+fills row 0 of a zero-padded 2 x d tile that multiplies the other side's
+d x _TILE transposed tiles.  The gemm micro-kernel computes each entry
+by the same sequence of operations at either height, and products
+commute, so the same layout serves an x-side and a z-side vector.  One
+row is not used because BLAS libraries hand a one-row product to gemv,
+which rounds differently.  That still assumes the BLAS treats every
+position of a tile, and both call heights, alike, so a self-check places
+a few pairs at different tile positions once per process and feature
+dimension; if any result differs, evaluation falls back to a broadcast
+multiply-and-sum, which is exact at any shape but much slower.
 """
 
 from __future__ import annotations
@@ -39,8 +46,12 @@ from .errors import NumericalError
 
 FAMILIES = ("linear", "rbf", "poly", "sne")
 
-# rows per gemm tile: small, so that a one-point kernel vector pads little
+# rows per gemm tile
 _TILE = 16
+
+# rows of the tile that holds one point of a kernel vector: a one-row
+# product goes to gemv in BLAS, which rounds unlike gemm
+_VEC_ROWS = 2
 
 # cap on float64 elements of one product temporary (~32 MB): the tile-product
 # output of the engine, or the broadcast buffer of the fallback
@@ -156,39 +167,44 @@ def _tile_gemm(xt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return np.matmul(xt[:, None], zt[None])
 
 
-def _tile_products(x: np.ndarray, z: np.ndarray, xt=None, zt=None) -> np.ndarray:
+def _vector_products(v: np.ndarray, tiles: np.ndarray, count: int) -> np.ndarray:
+    """Inner products <v, a_j> of one point with the ``count`` rows a_j
+    held in ``tiles``, the :func:`_z_tiles` layout of either side.
+
+    ``v`` fills row 0 of a zero-padded _VEC_ROWS x d tile, and one
+    :func:`_tile_gemm` multiplies it by every tile; row 0 of each product
+    holds the same bits as the entries of a full tile product.  The
+    product has only _VEC_ROWS entries per row of ``tiles``, so it is not
+    chunked.
+    """
+    vt = np.zeros((1, _VEC_ROWS, v.size))
+    vt[0, 0] = v
+    return _tile_gemm(vt, tiles)[0, :, 0, :].reshape(-1)[:count]
+
+
+def _tile_products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Inner products <x_i, z_j> for all pairs, from tile gemms alone.
 
-    Pads both sides to whole tiles (or takes the padded tiles ``xt``/``zt``
-    the caller kept) and evaluates every tile pair with :func:`_tile_gemm`.
-    A one-row or one-column result keeps only that row or column of each
-    tile product.  Chunked over tiles so that one product stays within
-    ``_BLOCK_BUDGET`` elements.
+    Pads both sides to whole tiles and evaluates every tile pair with
+    :func:`_tile_gemm`, chunked over tiles so that one product stays
+    within ``_BLOCK_BUDGET`` elements.  A one-row or one-column result is
+    a kernel vector and goes through :func:`_vector_products`.
     """
     n, m = x.shape[0], z.shape[0]
-    xt = _x_tiles(x) if xt is None else xt
-    zt = _z_tiles(z) if zt is None else zt
+    if n == 1:
+        return _vector_products(x[0], _z_tiles(z), m)[None, :]
+    if m == 1:
+        return _vector_products(z[0], _z_tiles(x), n)[:, None]
+    xt, zt = _x_tiles(x), _z_tiles(z)
     p, q = xt.shape[0], zt.shape[0]
     qstep = max(1, min(q, _BLOCK_BUDGET // _TILE ** 2))
     pstep = max(1, _BLOCK_BUDGET // (qstep * _TILE ** 2))
-    if n == 1:
-        out = np.empty((1, q * _TILE))
-        dest = out.reshape(q, _TILE)
-    elif m == 1:
-        out = np.empty((p * _TILE, 1))
-        dest = out.reshape(p, _TILE)
-    else:
-        out = np.empty((p * _TILE, q * _TILE))
-        dest = out.reshape(p, _TILE, q, _TILE)
+    out = np.empty((p * _TILE, q * _TILE))
+    dest = out.reshape(p, _TILE, q, _TILE)
     for s in range(0, p, pstep):
         for t in range(0, q, qstep):
             g = _tile_gemm(xt[s : s + pstep], zt[t : t + qstep])
-            if n == 1:
-                dest[t : t + qstep] = g[0, :, 0, :]
-            elif m == 1:
-                dest[s : s + pstep] = g[:, 0, :, 0]
-            else:
-                dest[s : s + pstep, :, t : t + qstep] = g.transpose(0, 2, 1, 3)
+            dest[s : s + pstep, :, t : t + qstep] = g.transpose(0, 2, 1, 3)
     return out[:n, :m]
 
 
@@ -199,7 +215,8 @@ def _tiles_exact(d: int) -> bool:
     Three pairs of random vectors each fill three rows of X and of Z, in
     different tiles and at different positions within a tile, among
     random filler rows.  Every copy of a pair's product must agree across
-    the full product, the one-row path and the one-column path.  The
+    the full product and the kernel-vector path in both roles: x in the
+    narrow tile against Z's tiles, and z in it against X's.  The
     result is cached per feature dimension for the life of the process.
     """
     ok = _TILE_EXACT.get(d)
@@ -224,7 +241,7 @@ def _tiles_exact(d: int) -> bool:
     return _TILE_EXACT[d]
 
 
-def _products(x: np.ndarray, z: np.ndarray, xt=None, zt=None) -> np.ndarray:
+def _products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Inner products <x_i, z_j> for all pairs, exact at any block shape.
 
     Uses :func:`_tile_products`, so an entry has the same bits in a full
@@ -235,7 +252,7 @@ def _products(x: np.ndarray, z: np.ndarray, xt=None, zt=None) -> np.ndarray:
     """
     if not _tiles_exact(x.shape[1]):
         return _pair_products(x, z)
-    return _tile_products(x, z, xt, zt)
+    return _tile_products(x, z)
 
 
 def _check_denominators(den) -> None:
@@ -274,7 +291,7 @@ class KernelOperator:
             self._z_sq = (self.z_data * self.z_data).sum(axis=1)
         if spec.family == "sne":
             self._sne_den = np.full(n, np.nan)
-        # padded tiles of the training sets, built by the first x_row / z_col
+        # _z_tiles of the training X and Z, built by the first z_col / x_row
         self._train_tiles = {}
 
     @property
@@ -287,14 +304,13 @@ class KernelOperator:
 
     # -- evaluation ---------------------------------------------------
 
-    def _kernel(self, x, z, x_sq, z_sq, xt=None, zt=None) -> np.ndarray:
+    def _kernel(self, pp, x_sq, z_sq) -> np.ndarray:
         """kappa(x_i, z_j) for all pairs, before sne normalization and scaling.
 
-        The one place the family formulas live; ``x_sq``/``z_sq`` are the
-        squared row norms (rbf and sne only), ``xt``/``zt`` optional padded
-        tiles of x or z for :func:`_products`.
+        The one place the family formulas live; ``pp`` holds the inner
+        products <x_i, z_j> (overwritten for rbf and sne), ``x_sq``/``z_sq``
+        the squared row norms (rbf and sne only).
         """
-        pp = _products(x, z, xt, zt)
         fam = self.spec.family
         if fam == "linear":
             return pp
@@ -320,7 +336,7 @@ class KernelOperator:
         cols = np.atleast_1d(np.asarray(cols, dtype=np.intp))
         self._eval_count += rows.size * cols.size
         norms = (None, None) if self._x_sq is None else (self._x_sq[rows], self._z_sq[cols])
-        vals = self._kernel(self.x_data[rows], self.z_data[cols], *norms)
+        vals = self._kernel(_products(self.x_data[rows], self.z_data[cols]), *norms)
         if self.spec.family == "sne":
             m = self.z_data.shape[0]
             every_col = cols.size == m and np.array_equal(cols, np.arange(m))
@@ -351,23 +367,23 @@ class KernelOperator:
                 step = max(1, _BLOCK_BUDGET // self.z_data.shape[0])
                 for s in range(0, todo.size, step):
                     r = todo[s : s + step]
-                    den[s : s + step] = self._kernel(self.x_data[r], self.z_data,
-                                                     self._x_sq[r], self._z_sq).sum(axis=1)
+                    pp = _products(self.x_data[r], self.z_data)
+                    den[s : s + step] = self._kernel(pp, self._x_sq[r], self._z_sq).sum(axis=1)
             _check_denominators(den)
             self._sne_den[rows[missing]] = den
         return self._sne_den[rows]
 
     # -- new-point kernel vectors --------------------------------------
 
-    def _tiles_of(self, side: str):
-        """Padded tiles of the training X or Z, kept for later kernel
-        vectors; None when the engine has fallen back."""
+    def _train_products(self, v, side: str) -> np.ndarray:
+        """<v, a_j> over the rows a_j of the training X or Z, from tiles of
+        that side kept for later kernel vectors."""
         data = self.x_data if side == "x" else self.z_data
         if not _tiles_exact(data.shape[1]):
-            return None
+            return _pair_products(v, data)[0]
         if side not in self._train_tiles:
-            self._train_tiles[side] = _x_tiles(data) if side == "x" else _z_tiles(data)
-        return self._train_tiles[side]
+            self._train_tiles[side] = _z_tiles(data)
+        return _vector_products(v[0], self._train_tiles[side], data.shape[0])
 
     def _new_point(self, v, name: str):
         v = np.asarray(v, dtype=np.float64).reshape(1, -1)
@@ -384,7 +400,7 @@ class KernelOperator:
         training Z, matching how training rows are normalized.
         """
         x, x_sq = self._new_point(x_new, "x_new")
-        vals = self._kernel(x, self.z_data, x_sq, self._z_sq, zt=self._tiles_of("z"))[0]
+        vals = self._kernel(self._train_products(x, "z")[None, :], x_sq, self._z_sq)[0]
         if self.spec.family == "sne":
             den = vals.sum()
             _check_denominators(den)
@@ -398,7 +414,7 @@ class KernelOperator:
         z does not alter how existing rows are normalized.
         """
         z, z_sq = self._new_point(z_new, "z_new")
-        vals = self._kernel(self.x_data, z, self._x_sq, z_sq, xt=self._tiles_of("x"))[:, 0]
+        vals = self._kernel(self._train_products(z, "x")[:, None], self._x_sq, z_sq)[:, 0]
         if self.spec.family == "sne":
             vals /= self._sne_denominators(np.arange(self.x_data.shape[0]))
         return self._apply_scale(vals)

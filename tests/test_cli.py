@@ -160,6 +160,18 @@ def test_graph_command(tmp_path, capsys):
         assert set(r) == {"task", "metric_name", "value", "seed", "config_hash"}
 
 
+@pytest.mark.parametrize("bad", ["inf", "1.5"])
+def test_graph_bad_label_is_a_data_error(tmp_path, capsys, bad):
+    gpath, lpath = write_toy_graph(tmp_path)
+    lpath.write_text(f"0\n0\n{bad}\n1\n1\n1\n")
+    code = main(["graph", "--input", str(gpath), "--format", "edges", "--labels", str(lpath),
+                 "--kernel", "rbf", "--gamma", "1.0", "--rank", "2",
+                 "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (tmp_path / "g.metrics.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # constant gram loses rank
 def test_graph_zero_edge_reconstruction(tmp_path, capsys):
     # zero out-degrees reconstruct the empty graph exactly

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aksvd import downstream
 from aksvd.compat import LinearHead, _encode_targets
 from aksvd.errors import NumericalError
 from aksvd.downstream import (
@@ -69,6 +70,31 @@ def test_lssvm_kkt_residual():
     assert lssvm_kkt_residual(model, y) <= 1e-8
 
 
+def test_lssvm_one_solve_for_every_class(monkeypatch):
+    rng = np.random.default_rng(4)
+    F = rng.standard_normal((15, 3))
+    y = rng.integers(0, 4, size=15)
+    y[:4] = [0, 1, 2, 3]
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    model = lssvm_fit(F, y)
+    assert calls == [(16, 4)]
+    assert model.alphas.shape == (4, 15) and model.biases.shape == (4,)
+    assert lssvm_kkt_residual(model, y) <= 1e-8
+
+
+def test_lssvm_singular_system_is_numerical_error():
+    # no ridge and two equal feature rows: two equal rows of the system
+    with pytest.raises(NumericalError, match="singular"):
+        lssvm_fit(np.zeros((2, 1)), np.array([0, 1]), gamma_reg=np.inf)
+
+
 def test_lssvm_permutation_equivariance():
     rng = np.random.default_rng(2)
     F = rng.standard_normal((9, 3))
@@ -130,6 +156,37 @@ def brute_force_reconstruct(src, tgt, deg):
         for _, u in cand[: deg[v]]:
             A[v, u] = 1.0
     return A
+
+
+def loop_reconstruct(src, tgt, deg):
+    """The per-node reconstruction loop: same distances, one lexsort per node."""
+    src, tgt, deg = np.asarray(src, float), np.asarray(tgt, float), np.asarray(deg, int)
+    N = src.shape[0]
+    d2 = (src * src).sum(axis=1)[:, None] + (tgt * tgt).sum(axis=1)[None, :] \
+        - 2.0 * downstream._products(src, tgt)
+    np.maximum(d2, 0.0, out=d2)
+    A_hat = np.zeros((N, N))
+    idx = np.arange(N)
+    for v in range(N):
+        dist = d2[v].copy()
+        dist[v] = np.inf
+        order = np.lexsort((idx, dist))
+        A_hat[v, order[: deg[v]]] = 1.0
+    return A_hat
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), d=st.integers(1, 5),
+       levels=st.sampled_from([0, 2, 3, 1000]))
+def test_reconstruct_matches_loop_property(seed, n, d, levels):
+    rng = np.random.default_rng(seed)
+    if levels:   # few distinct coordinates: many exact distance ties
+        src = rng.integers(0, levels, size=(n, d)).astype(float)
+        tgt = rng.integers(0, levels, size=(n, d)).astype(float)
+    else:
+        src, tgt = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    deg = rng.integers(0, n, size=n)
+    assert np.array_equal(graph_reconstruct(src, tgt, deg), loop_reconstruct(src, tgt, deg))
 
 
 def test_reconstruct_zero_degrees():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from aksvd import io
 from aksvd.ksvd import Embeddings
 from aksvd.errors import DataError
 from aksvd.io import (
@@ -41,6 +42,84 @@ def test_csv_bad_token_reports_position(tmp_path):
     p.write_text("1,2\n3,oops\n")
     with pytest.raises(DataError, match="line 2, column 2"):
         load_dense_csv(p)
+
+
+# inputs at the edges of what a CSV parser accepts; the line scanner's
+# result (or its exact error) is the reference for each
+CSV_EDGE_CASES = {
+    "basic": b"1,2\n3,4\n",
+    "no_final_newline": b"1,2\n3,4",
+    "crlf": b"1,2\r\n3,4\r\n",
+    "cr_only": b"1,2\r3,4\r",
+    "one_value": b"5\n",
+    "one_column": b"1\n2\n3\n",
+    "one_row": b"1,2,3\n",
+    "blank_lines": b"\n1,2\n\n3,4\n\n",
+    "space_only_line": b"1,2\n   \n3,4\n",
+    "tab_only_line": b"1,2\n\t\n3,4\n",
+    "form_feed_line": b"1,2\n\x0c\n3,4\n",
+    "vertical_tab_line": b"1,2\n\x0b\n3,4\n",
+    "nbsp_only_line": "1,2\n\u00a0\n3,4\n".encode(),
+    "padded_fields": b" 1 , 2 \n\t3\t,\t4\t\n",
+    "underscore": b"1_0,2\n",
+    "fullwidth_digit": "\uff11,2\n".encode(),
+    "inf_nan": b"inf,-inf\nnan,+inf\n",
+    "infinity_words": b"Infinity,-INF\nNaN,nan\n",
+    "exponents": b"1e5,1E-5\n-2.5e+3,.5\n",
+    "overflow": b"1e400,-1e400\n",
+    "underflow": b"1e-400,5e-324\n",
+    "signed_zero": b"-0,+0\n-0.0,0.0\n",
+    "trailing_dot": b"1.,+.5\n",
+    "long_mantissa": ("0." + "1" * 400 + ",2\n").encode(),
+    "empty": b"",
+    "blank_only": b"\n\n\n",
+    "whitespace_only": b"  \n\t\n",
+    "ragged": b"1,2\n3,4,5\n",
+    "trailing_comma": b"1,2,\n3,4,\n",
+    "empty_field": b"1,,2\n",
+    "bad_token": b"1,2\n3,oops\n",
+    "hash_comment": b"# c\n1,2\n",
+    "quoted": b"\"1\",2\n",
+    "hex": b"0x10,2\n",
+    "space_in_number": b"1 2,3\n",
+    "fortran_exponent": b"1d3,2\n",
+    "semicolon": b"1;2\n",
+    "unicode_minus": "\u22121,2\n".encode(),
+    "byte_order_mark": b"\xef\xbb\xbf1,2\n",
+    "nul": b"1\x00,2\n",
+    "bad_utf8": b"1,\xff\n",
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except (DataError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_EDGE_CASES))
+def test_csv_edge_cases_match_line_scanner(tmp_path, name):
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(CSV_EDGE_CASES[name])
+    got, want = _outcome(load_dense_csv, p), _outcome(io._scan_dense_csv, p)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_csv_clean_input_skips_line_scanner(tmp_path, monkeypatch):
+    def fail(path):
+        raise AssertionError("line scanner ran on a clean file")
+
+    monkeypatch.setattr(io, "_scan_dense_csv", fail)
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n\n3,4\n")
+    assert np.array_equal(load_dense_csv(p), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_csv_round_trip_value_exact(tmp_path):
@@ -135,6 +214,20 @@ def test_labels(tmp_path):
     p = tmp_path / "y.txt"
     p.write_text("0\n1\n2\n1\n")
     assert np.array_equal(load_labels(p), [0, 1, 2, 1])
+
+
+def test_labels_integral_reals_accepted(tmp_path):
+    p = tmp_path / "y.txt"
+    p.write_text("2.0\n-1\n1e2\n")
+    assert np.array_equal(load_labels(p), [2, -1, 100])
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1.5", "1e300"])
+def test_labels_non_integer_rejected_with_line(tmp_path, bad):
+    p = tmp_path / "y.txt"
+    p.write_text(f"0\n\n{bad}\n1\n")
+    with pytest.raises(DataError, match=f"line 3: .*{bad!r}"):
+        load_labels(p)
 
 
 def test_save_embeddings_round_trip(tmp_path):

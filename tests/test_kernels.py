@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aksvd import kernels
 from aksvd.errors import NumericalError
@@ -366,3 +367,43 @@ def test_budget_chunking_is_exact(monkeypatch):
     assert np.array_equal(op.z_col(Z[0]), dense[:, 0])
     assert np.allclose(op.matmat(W), dense @ W, rtol=1e-12, atol=1e-15)
     assert np.allclose(op.rmatmat(V), dense.T @ V, rtol=1e-12, atol=1e-15)
+
+
+def test_kernel_vectors_multiply_a_two_row_tile(monkeypatch):
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((37, 6))
+    Z = rng.standard_normal((29, 6))
+    op = KernelOperator(X, Z, family_spec("rbf", 6))
+    dense = op.materialize()
+    assert kernels._tiles_exact(6)
+    heights = []
+    exact_gemm = kernels._tile_gemm
+
+    def spy(xt, zt):
+        heights.append(xt.shape[1])
+        return exact_gemm(xt, zt)
+
+    monkeypatch.setattr(kernels, "_tile_gemm", spy)
+    for call, want in ((lambda: op.x_row(X[3]), dense[3]),
+                       (lambda: op.z_col(Z[5]), dense[:, 5]),
+                       (lambda: op.entry(3, 5), dense[3, 5])):
+        heights.clear()
+        assert np.array_equal(call(), want)
+        # one narrow call: the point and one zero row, never a 16-row tile
+        assert heights == [2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+       d=st.integers(1, 40), family=st.sampled_from(ALL_FAMILIES))
+def test_kernel_vectors_equal_materialized_property(seed, n, m, d, family):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    Z = rng.standard_normal((m, d))
+    op = KernelOperator(X, Z, family_spec(family, d))
+    dense = op.materialize()
+    assert kernels._tiles_exact(d)
+    for i in range(n):
+        assert np.array_equal(op.x_row(X[i]), dense[i])
+    for j in range(m):
+        assert np.array_equal(op.z_col(Z[j]), dense[:, j])
