@@ -4,7 +4,6 @@ Nystrom solver and downstream evaluation tools."""
 from .ksvd import Embeddings, KsvdModel, embeddings, fit, fit_matrix, project_x, project_z, residuals
 from .compat import (
     CompatStrategy,
-    Learnable,
     LearnableConfig,
     PcaProjection,
     PseudoInverse,
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymNystrom", "BenchReport", "CompatStrategy", "DataError", "Dense",
     "Embeddings", "GramMatrix", "KernelOperator", "KernelSpec", "KsvdModel",
-    "Learnable", "LearnableConfig", "NumericalError", "NystromResult",
+    "LearnableConfig", "NumericalError", "NystromResult",
     "PcaProjection", "PseudoInverse", "RandomProjection", "Randomized",
     "SvdResult", "SymNystrom", "Truncated", "asym_nystrom", "auto_gamma",
     "bench", "center", "dense_svd", "embeddings", "eta_metric", "fit",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ksvd, downstream, solvers
 from . import io as aio
-from .compat import strategy_from_name
+from .compat import STRATEGIES, strategy_from_name
 from .errors import DataError, NumericalError
 from .kernels import KernelOperator, KernelSpec, auto_gamma
 
@@ -56,7 +56,7 @@ def _add_common(p):
 def _add_fit(p):
     """The options of the subcommands that fit one model."""
     _add_common(p)
-    p.add_argument("--compat", choices=("a0", "a1", "a2"), default=None,
+    p.add_argument("--compat", choices=tuple(STRATEGIES), default=None,
                    help="compatibility matrix for non-square inputs: a0 pseudo-inverse, "
                         "a1 PCA projection, a2 random projection (the learned a3 needs "
                         "downstream targets and is available from the library only)")
@@ -181,6 +181,14 @@ def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
                                n_sub=cfg["nsub"], m_sub=cfg["msub"])
 
 
+def _load_labels(cfg, n, unit) -> np.ndarray:
+    """The --labels file, checked against the n nodes or rows before a fit."""
+    labels = aio.load_labels(cfg["labels"])
+    if labels.shape[0] != n:
+        raise DataError(f"labels length {labels.shape[0]} != {n} {unit}")
+    return labels
+
+
 def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
     kernel = _resolve_kernel(cfg, A)
     compat = None
@@ -232,9 +240,7 @@ def cmd_graph(cfg) -> int:
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1]:
         raise DataError("graph command requires a square adjacency matrix")
-    labels = aio.load_labels(cfg["labels"])
-    if labels.shape[0] != A.shape[0]:
-        raise DataError(f"labels length {labels.shape[0]} != {A.shape[0]} nodes")
+    labels = _load_labels(cfg, A.shape[0], "nodes")
     model = _fit_from_config(cfg, A)
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
@@ -255,6 +261,7 @@ def cmd_graph(cfg) -> int:
 
 def cmd_bicluster(cfg) -> int:
     A = _load_matrix(cfg)
+    truth = None if cfg["labels"] is None else _load_labels(cfg, A.shape[0], "rows")
     model = _fit_from_config(cfg, A)
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
@@ -262,10 +269,7 @@ def cmd_bicluster(cfg) -> int:
     rows_cl = downstream.kmeans(model.b_phi, cfg["k_rows"], seed=cfg["seed"])
     cols_cl = downstream.kmeans(model.b_psi, cfg["k_cols"], seed=cfg["seed"] + 1)
     metrics = [("coherence", downstream.coherence(cols_cl.labels, A))]
-    if cfg["labels"] is not None:
-        truth = aio.load_labels(cfg["labels"])
-        if truth.shape[0] != A.shape[0]:
-            raise DataError(f"labels length {truth.shape[0]} != {A.shape[0]} rows")
+    if truth is not None:
         metrics.insert(0, ("row_nmi", downstream.nmi(rows_cl.labels, truth)))
     aio.save_report(cfg["out"] + ".metrics.json", _metric_rows(cfg, "bicluster", metrics))
     return 0

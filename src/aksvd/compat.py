@@ -6,11 +6,12 @@ compatibility matrix C projects the higher-dimensional set down so that a
 kernel expecting equal input dimensions applies.  For M > N a C of shape
 M x N is built so that A C is N x N; for N > M the construction mirrors.
 
-Strategies: a0 pseudo-inverse, a1 PCA projection, a2 random projection,
-a3 learned against a downstream task by alternating SVD refreshes with
-gradient steps on C and a linear head.  The a3 gradient with respect to C
-is exact and analytic for all four kernel families (linear, poly, rbf,
-sne); central finite differences remain only as the test oracle.
+Strategies: a0 pseudo-inverse, a1 PCA projection and a2 random
+projection, applied by :func:`compat_sets`; and a3, learned against
+downstream targets by :func:`learn_compat`, which alternates SVD refreshes
+with gradient steps on C and a linear head.  The a3 gradient with respect
+to C is exact and analytic for all four kernel families (linear, poly,
+rbf, sne); central finite differences remain only as the test oracle.
 """
 
 from __future__ import annotations
@@ -59,27 +60,19 @@ class LearnableConfig:
             raise ValueError("rank_r must be >= 1 and steps >= 0")
 
 
-@dataclass(frozen=True)
-class Learnable:
-    """a3: learn C against the downstream objective."""
+CompatStrategy = Union[PseudoInverse, PcaProjection, RandomProjection]
 
-    config: LearnableConfig = LearnableConfig()
-
-
-CompatStrategy = Union[PseudoInverse, PcaProjection, RandomProjection, Learnable]
-
-_NAMES = {"a0": PseudoInverse, "a1": PcaProjection, "a2": RandomProjection, "a3": Learnable}
+# the strategies by name; a3 needs targets, so it is learn_compat alone
+STRATEGIES = {"a0": PseudoInverse, "a1": PcaProjection, "a2": RandomProjection}
 
 
-def strategy_from_name(name: str, seed: int = 0,
-                       config: Optional[LearnableConfig] = None) -> CompatStrategy:
-    if name not in _NAMES:
-        raise ValueError(f"unknown compat strategy {name!r}; expected one of {sorted(_NAMES)}")
+def strategy_from_name(name: str, seed: int = 0) -> CompatStrategy:
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown compat strategy {name!r}; expected one of {sorted(STRATEGIES)} "
+                         "(the learned a3 needs targets: use learn_compat)")
     if name == "a2":
         return RandomProjection(seed=seed)
-    if name == "a3":
-        return Learnable(config or LearnableConfig(seed=seed))
-    return _NAMES[name]()
+    return STRATEGIES[name]()
 
 
 def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
@@ -87,8 +80,8 @@ def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
 
     Square A returns the identity for every strategy.  For M > N the
     result C is M x N with A C square; for N > M the construction is
-    mirrored through A'.  Learnable strategies need targets: use
-    :func:`learn_compat` (here a3 falls back to its a1 initialization).
+    mirrored through A'.  :func:`compat_sets` applies C to the side it was
+    built for; the learned a3 needs targets and is :func:`learn_compat`.
     """
     A = as_matrix(A, "A")
     N, M = A.shape
@@ -115,8 +108,6 @@ def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
     if isinstance(strategy, RandomProjection):
         rng = np.random.default_rng(strategy.seed)
         return rng.standard_normal((M, N))
-    if isinstance(strategy, Learnable):
-        return realize_compat(PcaProjection(), A)
     raise ValueError(f"unknown compat strategy {strategy!r}")
 
 
@@ -167,16 +158,29 @@ def _encode_targets(targets, task):
 
 
 def _effective_sets(A, C):
-    """Transformed sample sets for the current C (projects the
-    higher-dimensional side, mirroring realize_compat)."""
+    """The sample sets X = rows and Z = columns of A with C applied to
+    the higher-dimensional one, the side realize_compat builds C for, and
+    that side: "x" when A is wide, else "z"."""
     N, M = A.shape
     if M > N:
-        return A @ C, np.ascontiguousarray(A.T)
-    return A, np.ascontiguousarray(A.T) @ C
+        return A @ C, np.ascontiguousarray(A.T), "x"
+    return A, np.ascontiguousarray(A.T) @ C, "z"
+
+
+def compat_sets(strategy: Optional[CompatStrategy], A):
+    """X, Z, C and the projected side for a fit on one data matrix A:
+    C = realize_compat(strategy, A) on the side :func:`_effective_sets`
+    picks, or no C (and side None) for square A or no strategy."""
+    A = as_matrix(A, "A")
+    if strategy is None or A.shape[0] == A.shape[1]:
+        return A, np.ascontiguousarray(A.T), None, None
+    C = realize_compat(strategy, A)
+    X, Z, side = _effective_sets(A, C)
+    return X, Z, C, side
 
 
 def _gram_values(A, C, kernel):
-    X_eff, Z_eff = _effective_sets(A, C)
+    X_eff, Z_eff, _ = _effective_sets(A, C)
     return KernelOperator(X_eff, Z_eff, kernel, scaled=True).materialize()
 
 
@@ -209,10 +213,9 @@ def _c_gradient_analytic(A, C, kernel, dG, G):
                        W2 = W - diag(r) P,  dZ = k (W2' X - diag(W2' 1) Z)
 
     where kappa' is 1 for linear and p (t + c)^(p-1) for poly.  The
-    projected side is linear in C: dC = A' dX when M > N, else A dZ.
+    projected side is linear in C: dC = A' dX for side "x", else A dZ.
     """
-    N, M = A.shape
-    X, Z = _effective_sets(A, C)
+    X, Z, side = _effective_sets(A, C)
     fam = kernel.family
     s = 1.0 / np.sqrt(G.size)
     if fam in ("linear", "poly"):
@@ -220,11 +223,11 @@ def _c_gradient_analytic(A, C, kernel, dG, G):
         if fam == "poly":
             p = kernel.degree
             H *= p * (X @ Z.T + kernel.offset) ** (p - 1)
-        return A.T @ (H @ Z) if M > N else A @ (H.T @ X)
+        return A.T @ (H @ Z) if side == "x" else A @ (H.T @ X)
     k = 2.0 / kernel.gamma ** 2
     W = dG * G
     r = W.sum(axis=1)
-    if M > N:
+    if side == "x":
         centre = (G / s) @ Z if fam == "sne" else X
         return A.T @ (k * (W @ Z - r[:, None] * centre))
     if fam == "sne":

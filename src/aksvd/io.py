@@ -121,12 +121,16 @@ def load_labels(path) -> np.ndarray:
             if not line:
                 continue
             try:
-                value = float(line)
+                value = int(line)   # exact at any size, unlike float
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse label {line!r}") from None
-            if not (value.is_integer() and -2.0 ** 63 <= value < 2.0 ** 63):
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno}: cannot parse label {line!r}") from None
+                value = int(value) if value.is_integer() else None
+            if value is None or not -2 ** 63 <= value < 2 ** 63:
                 raise DataError(f"{path}: line {lineno}: label {line!r} is not a 64-bit integer")
-            labels.append(int(value))
+            labels.append(value)
     if not labels:
         raise DataError(f"{path}: empty labels file")
     return np.asarray(labels, dtype=int)

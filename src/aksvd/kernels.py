@@ -37,6 +37,7 @@ multiply-and-sum, which is exact at any shape but much slower.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,10 +80,12 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
         if self.family in ("rbf", "sne"):
-            if self.gamma is None or not self.gamma > 0:
-                raise ValueError(f"{self.family} kernel requires gamma > 0, got {self.gamma}")
-        if self.family == "poly" and self.degree < 1:
-            raise ValueError(f"poly kernel requires degree >= 1, got {self.degree}")
+            if self.gamma is None or not 0 < self.gamma < np.inf:
+                raise ValueError(f"{self.family} kernel requires a finite gamma > 0, "
+                                 f"got {self.gamma}")
+        if self.family == "poly" and (not isinstance(self.degree, numbers.Integral)
+                                      or isinstance(self.degree, bool) or self.degree < 1):
+            raise ValueError(f"poly kernel requires an integer degree >= 1, got {self.degree!r}")
 
     @staticmethod
     def linear() -> "KernelSpec":
@@ -278,7 +281,8 @@ class KernelOperator:
         if self.x_data.shape[1] != self.z_data.shape[1]:
             raise ValueError(
                 f"feature dimensions differ: X has {self.x_data.shape[1]}, "
-                f"Z has {self.z_data.shape[1]} (use a compatibility matrix)"
+                f"Z has {self.z_data.shape[1]} (rows and columns of one matrix: "
+                "use fit_matrix(..., compat=...))"
             )
         self.spec = spec
         self.scaled = scaled

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import solvers
-from .compat import CompatStrategy, realize_compat
+from .compat import CompatStrategy, compat_sets
 from .kernels import GramMatrix, KernelOperator, KernelSpec, as_matrix, center, center_vector
 
 SIDES = ("left", "right", "concat")
@@ -67,48 +67,19 @@ class KsvdModel:
         return self.operator.materialize()
 
 
-def _apply_compat(X, Z, strategy):
-    """Reconcile unequal sample dimensions via a compatibility matrix.
-
-    Only the canonical pairing is supported, where X and Z are the rows
-    and columns of one data matrix A (so dim(x) == #Z and dim(z) == #X);
-    the higher-dimensional side is projected down per the realization
-    algorithm.
-    """
-    n, dx = X.shape
-    m, dz = Z.shape
-    if dx == dz:
-        return X, Z, None, None
-    if strategy is None:
-        raise ValueError(
-            f"X and Z have different dimensions ({dx} vs {dz}); a compat strategy is required"
-        )
-    if dx != m or dz != n:
-        raise ValueError(
-            "compat requires adjoint-paired inputs: X must be the rows and Z the "
-            f"columns of one matrix (got X {n}x{dx}, Z {m}x{dz})"
-        )
-    if dx > dz:
-        C = realize_compat(strategy, X)       # dx x dz
-        return X @ C, Z, C, "x"
-    C = realize_compat(strategy, Z)           # dz x dx
-    return X, Z @ C, C, "z"
-
-
-def fit(X, Z, kernel: KernelSpec, rank: int,
-        compat: Optional[CompatStrategy] = None, do_center: bool = False,
+def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
         solver: Optional[solvers.SolverChoice] = None) -> KsvdModel:
     """Fit the rank-r kernel SVD of the scaled Gram matrix of (X, Z).
 
-    When fewer than ``rank`` positive singular values exist the model is
-    truncated to the achievable rank and a RuntimeWarning is issued; so is
-    one when the solver reports that it did not converge.  With an
-    AsymNystrom solver and no centering the Gram matrix is never
-    materialized.
+    X and Z need one feature dimension (:func:`fit_matrix` fits the rows
+    and columns of a rectangular matrix).  When fewer than ``rank``
+    positive singular values exist the model is truncated to the
+    achievable rank and a RuntimeWarning is issued; so is one when the
+    solver reports that it did not converge.  With an AsymNystrom solver
+    and no centering the Gram matrix is never materialized.
     """
     X = as_matrix(X, "X")
     Z = as_matrix(Z, "Z")
-    X, Z, C, c_side = _apply_compat(X, Z, compat)
     n, m = X.shape[0], Z.shape[0]
     if not 1 <= rank <= min(n, m):
         raise ValueError(f"rank {rank} out of range for {n} x-samples and {m} z-samples")
@@ -141,7 +112,6 @@ def fit(X, Z, kernel: KernelSpec, rank: int,
     return KsvdModel(
         b_phi=b_phi, b_psi=b_psi, lambdas=res.lambdas.copy(), kernel=kernel,
         x_train=X, z_train=Z, operator=op, gram=g,
-        compat=C, compat_side=c_side,
         requested_rank=rank, achieved_rank=res.achieved_rank,
     )
 
@@ -149,10 +119,17 @@ def fit(X, Z, kernel: KernelSpec, rank: int,
 def fit_matrix(A, kernel: KernelSpec, rank: int,
                compat: Optional[CompatStrategy] = None, do_center: bool = False,
                solver: Optional[solvers.SolverChoice] = None) -> KsvdModel:
-    """Fit on a single data matrix: X = rows of A, Z = columns of A."""
-    A = as_matrix(A, "A")
-    return fit(A, np.ascontiguousarray(A.T), kernel, rank,
-               compat=compat, do_center=do_center, solver=solver)
+    """Fit on a single data matrix: X = rows of A, Z = columns of A.
+
+    A rectangular A needs ``compat``, an a0-a2 strategy whose matrix C
+    projects the higher-dimensional side (Z of a tall A, X of a wide one);
+    the model keeps C and that side for new points.  Square A takes no C.
+    The a3 strategy needs targets: :func:`aksvd.compat.learn_compat`.
+    """
+    X, Z, C, side = compat_sets(compat, A)
+    model = fit(X, Z, kernel, rank, do_center=do_center, solver=solver)
+    model.compat, model.compat_side = C, side
+    return model
 
 
 def residuals(model: KsvdModel):
@@ -166,13 +143,15 @@ def residuals(model: KsvdModel):
 
 
 def _maybe_transform(v, model, side):
-    """Route a new point through the stored compat projection if its
-    dimension matches the pre-projection space."""
+    """A new point on the projected side, as a point of A's row or column
+    space, multiplied by the stored C; any other point as it is."""
+    if model.compat is None or model.compat_side != side:
+        return v
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if model.compat is not None and model.compat_side == side:
-        if v.shape[0] == model.compat.shape[0]:
-            return v @ model.compat
-    return v
+    if v.shape[0] != model.compat.shape[0]:
+        raise ValueError(f"{side}_new has dimension {v.shape[0]}, "
+                         f"expected {model.compat.shape[0]}")
+    return v @ model.compat
 
 
 def project_x(model: KsvdModel, x_new) -> np.ndarray:

@@ -293,10 +293,17 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
 # Nystrom methods
 # ---------------------------------------------------------------------------
 
-def _sample_indices(rng, total: int, count: int) -> np.ndarray:
-    if not 1 <= count <= total:
-        raise ValueError(f"subsample size {count} out of range [1, {total}]")
-    return np.sort(rng.choice(total, size=count, replace=False))
+def _sample_indices(rng, total: int, count: int, given=None) -> np.ndarray:
+    """Sorted sample indices into range(total): ``count`` drawn without
+    replacement, or the ``given`` ones, which must be distinct and in range."""
+    if given is None:
+        if not 1 <= count <= total:
+            raise ValueError(f"subsample size {count} out of range [1, {total}]")
+        return np.sort(rng.choice(total, size=count, replace=False))
+    idx = np.sort(np.asarray(given, dtype=np.intp))
+    if idx.size == 0 or idx[0] < 0 or idx[-1] >= total or np.any(idx[1:] == idx[:-1]):
+        raise ValueError(f"sample indices must be nonempty, distinct and in [0, {total})")
+    return idx
 
 
 def _nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int):
@@ -327,8 +334,7 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
     N, M = op.shape
     if N != M:
         raise ValueError("sym_nystrom_eig requires a square operator")
-    idx = (np.sort(np.asarray(indices, dtype=np.intp)) if indices is not None
-           else _sample_indices(np.random.default_rng(seed), N, n_sub))
+    idx = _sample_indices(np.random.default_rng(seed), N, n_sub, indices)
     return _nystrom_extend(op.block(np.arange(N), idx), idx, r)
 
 
@@ -376,15 +382,14 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     op = as_operator(op)
     N, M = op.shape
     rng = np.random.default_rng(seed)
-    rows = (np.sort(np.asarray(row_indices, dtype=np.intp)) if row_indices is not None
-            else _sample_indices(rng, N, n_sub))
-    cols = (np.sort(np.asarray(col_indices, dtype=np.intp)) if col_indices is not None
-            else _sample_indices(rng, M, m_sub))
+    rows = _sample_indices(rng, N, n_sub, row_indices)
+    cols = _sample_indices(rng, M, m_sub, col_indices)
     n, m = rows.size, cols.size
     if r > min(n, m):
         raise ValueError(f"rank {r} exceeds subsample sizes ({n}, {m})")
 
-    G_sub = op.block(rows, cols)
+    G_nM = op.block(rows, np.arange(M))   # G[rows, :], holding G_sub
+    G_sub = G_nM[:, cols]
     u_sub, s_sub, vt_sub = np.linalg.svd(G_sub, full_matrices=False)
     rank = _positive_rank(s_sub)
     if rank < r:
@@ -395,17 +400,12 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     u_sub = u_sub[:, :r]
     v_sub = vt_sub[:r].T
 
-    # assemble G[:, cols] and G[rows, :] reusing the submatrix entries
+    # assemble G[:, cols] reusing the submatrix entries
     G_Nm = np.empty((N, m))
     G_Nm[rows] = G_sub
     comp_rows = np.setdiff1d(np.arange(N), rows, assume_unique=True)
     if comp_rows.size:
         G_Nm[comp_rows] = op.block(comp_rows, cols)
-    G_nM = np.empty((n, M))
-    G_nM[:, cols] = G_sub
-    comp_cols = np.setdiff1d(np.arange(M), cols, assume_unique=True)
-    if comp_cols.size:
-        G_nM[:, comp_cols] = op.block(rows, comp_cols)
 
     u_tilde = G_Nm @ (v_sub / lam[None, :])
     v_tilde = G_nM.T @ (u_sub / lam[None, :])

@@ -5,6 +5,7 @@ import pytest
 
 from aksvd.ksvd import fit_matrix
 from aksvd.cli import build_parser, main
+from aksvd.compat import STRATEGIES
 from aksvd.io import load_dense_csv, load_report, save_matrix_csv
 from aksvd.kernels import KernelSpec
 from aksvd.solvers import DEFAULT_BENCH_SOLVERS, SOLVERS
@@ -214,6 +215,35 @@ def test_bicluster_command(tmp_path, capsys):
     assert "coherence" in by_name
 
 
+def test_bicluster_checks_labels_before_fitting(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(5).standard_normal((6, 4)))
+    labels = tmp_path / "y.txt"
+    labels.write_text("0\n1\n0\n")
+    out = tmp_path / "b"
+    code = main(["bicluster", "--input", str(inp), "--labels", str(labels),
+                 "--compat", "a1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "labels length 3 != 6 rows" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "b.left.csv").exists()
+    assert not (tmp_path / "b.fit.json").exists()
+
+
+def test_infinite_gamma_is_a_data_error(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(4))
+    out = tmp_path / "e"
+    code = main(["embed", "--input", str(inp), "--kernel", "rbf", "--gamma", "inf",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finite gamma" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "e.left.csv").exists()
+
+
 def test_bench_command(tmp_path, capsys):
     rng = np.random.default_rng(4)
     u, _ = np.linalg.qr(rng.standard_normal((30, 30)))
@@ -295,6 +325,11 @@ def test_solver_names_come_from_the_registry():
     assert tuple(embed["solver"].choices) == tuple(SOLVERS)
     bench = {a.dest: a for a in parsers["bench"]._actions}
     assert bench["solvers"].default.split(",") == list(DEFAULT_BENCH_SOLVERS)
+
+
+def test_compat_names_come_from_compat():
+    embed = {a.dest: a for a in build_parser().commands["embed"]._actions}
+    assert tuple(embed["compat"].choices) == tuple(STRATEGIES)
 
 
 def test_usage_error_exit_code(capsys):

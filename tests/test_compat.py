@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from aksvd.compat import (
-    Learnable,
     LearnableConfig,
     PcaProjection,
     PseudoInverse,
@@ -21,8 +20,7 @@ from aksvd.kernels import KernelOperator, KernelSpec, auto_gamma
 
 def test_square_passthrough_all_strategies():
     A = np.eye(3)
-    for strat in (PseudoInverse(), PcaProjection(), RandomProjection(seed=1),
-                  Learnable()):
+    for strat in (PseudoInverse(), PcaProjection(), RandomProjection(seed=1)):
         C = realize_compat(strat, A)
         assert np.array_equal(C, np.eye(3))
     rng = np.random.default_rng(0)
@@ -98,9 +96,11 @@ def test_strategy_from_name():
     assert isinstance(strategy_from_name("a0"), PseudoInverse)
     assert isinstance(strategy_from_name("a1"), PcaProjection)
     assert strategy_from_name("a2", seed=7) == RandomProjection(seed=7)
-    assert isinstance(strategy_from_name("a3"), Learnable)
-    with pytest.raises(ValueError):
-        strategy_from_name("a4")
+    for bad in ("a3", "a4"):  # a3 needs targets: learn_compat
+        with pytest.raises(ValueError):
+            strategy_from_name(bad)
+    with pytest.raises(TypeError):
+        strategy_from_name("a1", config=LearnableConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,22 @@ def test_labels_integral_reals_accepted(tmp_path):
     assert np.array_equal(load_labels(p), [2, -1, 100])
 
 
+def test_labels_large_integers_exact(tmp_path):
+    p = tmp_path / "y.txt"
+    big = [2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63]
+    p.write_text("".join(f"{v}\n" for v in big))
+    labels = load_labels(p)
+    assert labels.dtype == np.int64 and labels.tolist() == big
+
+
+@pytest.mark.parametrize("bad", [str(2 ** 63), str(-2 ** 63 - 1)])
+def test_labels_beyond_int64_rejected(tmp_path, bad):
+    p = tmp_path / "y.txt"
+    p.write_text(f"0\n{bad}\n")
+    with pytest.raises(DataError, match=f"line 2: .*{bad!r} is not a 64-bit integer"):
+        load_labels(p)
+
+
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "1.5", "1e300"])
 def test_labels_non_integer_rejected_with_line(tmp_path, bad):
     p = tmp_path / "y.txt"

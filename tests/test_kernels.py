@@ -39,6 +39,24 @@ def test_spec_validation():
         KernelSpec("cosine")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: KernelSpec.rbf(np.inf),
+    lambda: KernelSpec.sne(float("inf")),
+    lambda: KernelSpec.rbf(np.nan),
+    lambda: KernelSpec.poly(2.5),
+    lambda: KernelSpec.poly(2.0),
+    lambda: KernelSpec.poly(True),
+    lambda: KernelSpec.poly(np.bool_(True)),
+])
+def test_spec_rejects_what_it_cannot_evaluate(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_spec_accepts_numpy_integer_degree():
+    assert KernelSpec.poly(np.int64(3)).degree == 3
+
+
 def test_gram_linear_identity_scaled():
     G = gram(KernelSpec.linear(), np.eye(2), np.eye(2), scaled=True)
     assert np.allclose(G.values, 0.5 * np.eye(2))

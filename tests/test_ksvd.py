@@ -296,6 +296,26 @@ def test_fit_matrix_wide_with_compat():
     assert m.z_train.shape == (7, 4)
 
 
+def test_compat_side_points_must_be_pre_projection():
+    rng = np.random.default_rng(18)
+    A = rng.standard_normal((9, 5))  # tall: z side projected by a 9 x 5 C
+    m = fit_matrix(A, KernelSpec.rbf(2.0), rank=2, compat=PcaProjection())
+    z = rng.standard_normal(9)
+    assert np.array_equal(project_z(m, z), project_z(m, z.reshape(1, -1)))
+    with pytest.raises(ValueError, match="z_new has dimension 5, expected 9"):
+        project_z(m, z @ m.compat)   # already projected
+    with pytest.raises(ValueError, match="x_new has dimension 9, expected 5"):
+        project_x(m, z)              # x side is not projected
+
+
+def test_compat_is_fit_matrix_only():
+    A = np.random.default_rng(19).standard_normal((6, 4))
+    with pytest.raises(TypeError):
+        fit(A, A, KernelSpec.linear(), rank=2, compat=PcaProjection())
+    square = fit_matrix(A[:4], KernelSpec.linear(), rank=2, compat=PcaProjection())
+    assert square.compat is None and square.compat_side is None
+
+
 def test_sign_convention_deterministic():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((8, 3))

@@ -296,6 +296,31 @@ def test_asym_never_evaluates_full_matrix():
     assert op.eval_count < 40 * 30
 
 
+def test_asym_sne_lazy_equals_materialized_with_exact_entry_count():
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((40, 4))
+    Z = rng.standard_normal((30, 4))
+    op = KernelOperator(X, Z, KernelSpec.sne(2.0))
+    G = MatrixOperator(KernelOperator(X, Z, KernelSpec.sne(2.0)).materialize())
+    lazy = asym_nystrom(op, 10, 8, 3, seed=5)
+    dense = asym_nystrom(G, 10, 8, 3, seed=5)
+    for f in ("u_tilde", "v_tilde", "lambdas_tilde", "row_indices", "col_indices"):
+        assert np.array_equal(getattr(lazy, f), getattr(dense, f))
+    assert op.eval_count == 10 * 30 + 40 * 8 - 10 * 8
+
+
+@pytest.mark.parametrize("given", [[1, 1, 2], [-1, 2, 3], [1, 2, 30], []])
+def test_nystrom_rejects_bad_sample_indices(given):
+    A = np.random.default_rng(15).standard_normal((10, 10))
+    K = A @ A.T
+    with pytest.raises(ValueError, match="sample indices"):
+        asym_nystrom(MatrixOperator(A), 3, 3, 1, row_indices=given)
+    with pytest.raises(ValueError, match="sample indices"):
+        asym_nystrom(MatrixOperator(A), 3, 3, 1, col_indices=given)
+    with pytest.raises(ValueError, match="sample indices"):
+        sym_nystrom_eig(K, 3, 1, indices=given)
+
+
 def test_asym_monotone_fidelity_median():
     rng = np.random.default_rng(13)
     G = random_matrix(rng, 60, 50, decay=0.8)
