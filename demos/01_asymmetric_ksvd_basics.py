@@ -31,9 +31,9 @@ print(np.round(model.lambdas, 4))
 r1, r2 = residuals(model)
 print(f"coupled-system residuals: {r1:.2e}, {r2:.2e} (should be ~0)")
 
-left = embeddings(model, "left").values        # source-role embedding per node
-right = embeddings(model, "right").values      # target-role embedding per node
-both = embeddings(model, "concat").values
+left = embeddings(model, "left")        # source-role embedding per node
+right = embeddings(model, "right")      # target-role embedding per node
+both = embeddings(model, "concat")
 print(f"\nleft {left.shape}, right {right.shape}, concatenated {both.shape}")
 
 # out-of-sample: projecting a training row reproduces its left factor

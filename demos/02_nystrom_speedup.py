@@ -20,12 +20,12 @@ G = (u * s) @ v.T
 
 # single Nystrom run: 100 of 1500 rows and columns
 op = MatrixOperator(G)
-res = asym_nystrom(op, n_sub=100, m_sub=100, r=r, seed=0)
-eta = eta_metric(u[:, :r], s[:r], v[:, :r], res.u_tilde, res.v_tilde)
+res = asym_nystrom(op, n_sub=100, m_sub=100, r=r, seed=0)   # an SvdResult, like every solver's
+eta = eta_metric(u[:, :r], s[:r], v[:, :r], res.u, res.v)
 touched = op.eval_count / G.size
 print(f"subsampled 100/1500 rows+cols: eta = {eta:.2e}, "
       f"touched {touched:.1%} of the matrix entries")
-print("top-5 approx singular values:", np.round(res.lambdas_tilde[:5], 4))
+print("top-5 approx singular values:", np.round(res.lambdas[:5], 4))
 print("top-5 exact singular values :", np.round(s[:5], 4))
 
 # full escalation benchmark against the other solvers

@@ -27,7 +27,7 @@ for i in range(N):
 
 spec = KernelSpec.sne(auto_gamma(A))
 model = fit_matrix(A, spec, rank=4)
-feats = embeddings(model, "concat").values
+feats = embeddings(model, "concat")
 
 clf = lssvm_fit(feats, labels, gamma_reg=1.0)
 micro, macro = f1_scores(clf.predict(feats), labels)

@@ -1,7 +1,7 @@
 """Asymmetric kernel SVD via coupled covariances, with an asymmetric
 Nystrom solver and downstream evaluation tools."""
 
-from .ksvd import Embeddings, KsvdModel, embeddings, fit, fit_matrix, project_x, project_z, residuals
+from .ksvd import KsvdModel, embeddings, fit, fit_matrix, project_x, project_z, residuals
 from .compat import (
     CompatStrategy,
     LearnableConfig,
@@ -26,7 +26,6 @@ from .solvers import (
     AsymNystrom,
     BenchReport,
     Dense,
-    NystromResult,
     Randomized,
     SvdResult,
     SymNystrom,
@@ -44,12 +43,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymNystrom", "BenchReport", "CompatStrategy", "DataError", "Dense",
-    "Embeddings", "GramMatrix", "KernelOperator", "KernelSpec", "KsvdModel",
-    "LearnableConfig", "NumericalError", "NystromResult",
-    "PcaProjection", "PseudoInverse", "RandomProjection", "Randomized",
-    "SvdResult", "SymNystrom", "Truncated", "asym_nystrom", "auto_gamma",
-    "bench", "center", "dense_svd", "embeddings", "eta_metric", "fit",
-    "fit_matrix", "gram", "kernel_vector", "learn_compat", "project_x",
-    "project_z", "randomized_svd", "realize_compat", "residuals",
+    "GramMatrix", "KernelOperator", "KernelSpec", "KsvdModel",
+    "LearnableConfig", "NumericalError", "PcaProjection", "PseudoInverse",
+    "RandomProjection", "Randomized", "SvdResult", "SymNystrom", "Truncated",
+    "asym_nystrom", "auto_gamma", "bench", "center", "dense_svd", "embeddings",
+    "eta_metric", "fit", "fit_matrix", "gram", "kernel_vector", "learn_compat",
+    "project_x", "project_z", "randomized_svd", "realize_compat", "residuals",
     "strategy_from_name", "sym_nystrom_eig", "truncated_svd",
 ]

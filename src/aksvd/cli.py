@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import ksvd, downstream, solvers
 from . import io as aio
 from .compat import STRATEGIES, strategy_from_name
 from .errors import DataError, NumericalError
-from .kernels import KernelOperator, KernelSpec, auto_gamma
+from .kernels import FAMILIES, KernelOperator, KernelSpec, auto_gamma
 
 
 class UsageError(Exception):
@@ -34,15 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_KERNELS = ("linear", "rbf", "poly", "sne")
-
-
 def _add_common(p):
     """The options of every subcommand."""
     p.add_argument("--input", required=True, help="input data file")
     p.add_argument("--format", choices=("csv", "edges"), default="csv",
                    help="input format: dense CSV or tab-separated edge list")
-    p.add_argument("--kernel", choices=_KERNELS, default="linear")
+    p.add_argument("--kernel", choices=FAMILIES, default="linear")
     p.add_argument("--gamma", default="auto",
                    help="kernel bandwidth, a real or 'auto' (k*sqrt(M*var) heuristic)")
     p.add_argument("--degree", type=int, default=2, help="poly kernel degree")
@@ -245,7 +243,7 @@ def cmd_graph(cfg) -> int:
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 
-    features = ksvd.embeddings(model, "concat").values
+    features = ksvd.embeddings(model, "concat")
     clf = downstream.lssvm_fit(features, labels, gamma_reg=1.0)
     micro, macro = downstream.f1_scores(clf.predict(features), labels)
     out_degrees = A.sum(axis=1).astype(int)
@@ -307,7 +305,7 @@ def cmd_bench(cfg) -> int:
     print(json.dumps(cfg, sort_keys=True))
     report = solvers.bench(G, cfg["rank"], cfg["eps"], solvers=names,
                            m_schedule=schedule, seed=cfg["seed"], power=cfg["power"])
-    report.write_ldjson(cfg["out"] + ".bench.ldjson")
+    aio.save_report(cfg["out"] + ".bench.ldjson", [asdict(t) for t in report.trials])
     with open(cfg["out"] + ".bench_summary.json", "w", encoding="utf-8") as f:
         json.dump({"summary": report.summary, "config_hash": _config_hash(cfg)},
                   f, sort_keys=True)

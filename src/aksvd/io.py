@@ -145,8 +145,8 @@ def save_matrix_csv(path, values: np.ndarray) -> None:
 
 
 def save_embeddings(path, emb) -> None:
-    """Write embeddings as headerless CSV, one row per sample."""
-    values = emb.values if hasattr(emb, "values") else np.asarray(emb)
+    """Write an embedding array as headerless CSV, one row per sample."""
+    values = np.asarray(emb)
     if values.size == 0:
         open(path, "w", encoding="utf-8").close()
         return

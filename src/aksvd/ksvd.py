@@ -26,32 +26,24 @@ from .kernels import GramMatrix, KernelOperator, KernelSpec, as_matrix, center, 
 SIDES = ("left", "right", "concat")
 
 
-@dataclass(frozen=True)
-class Embeddings:
-    """Sample embeddings: left coefficients (rows of X), right (rows of Z),
-    or both concatenated row-aligned (square case only)."""
-
-    side: str
-    values: np.ndarray
-
-
 @dataclass
 class KsvdModel:
-    """Fitted kernel-SVD factors plus the training references needed to
-    evaluate projections of new points."""
+    """Fitted kernel-SVD factors plus the training operator that projections
+    of new points evaluate kernel vectors with: its ``spec`` is the kernel,
+    its ``x_data`` and ``z_data`` the post-compat sample sets."""
 
     b_phi: np.ndarray            # n x r left coefficients, orthonormal columns
     b_psi: np.ndarray            # m x r right coefficients
     lambdas: np.ndarray          # positive, nonincreasing
-    kernel: KernelSpec
-    x_train: np.ndarray          # post-compat sample sets
-    z_train: np.ndarray
     operator: KernelOperator
     gram: Optional[GramMatrix]   # None when fitted through a lazy solver
     compat: Optional[np.ndarray] = None
     compat_side: Optional[str] = None   # which side was projected: "x" or "z"
     requested_rank: int = 0
-    achieved_rank: int = 0
+
+    @property
+    def achieved_rank(self) -> int:
+        return self.lambdas.shape[0]
 
     @property
     def centered(self) -> bool:
@@ -80,9 +72,7 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
     """
     X = as_matrix(X, "X")
     Z = as_matrix(Z, "Z")
-    n, m = X.shape[0], Z.shape[0]
-    if not 1 <= rank <= min(n, m):
-        raise ValueError(f"rank {rank} out of range for {n} x-samples and {m} z-samples")
+    solvers._check_rank(rank, (X.shape[0], Z.shape[0]))   # before the Gram is built
     if solver is None:
         solver = solvers.Dense()
 
@@ -109,11 +99,8 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
     b_phi = res.u.copy()
     b_psi = res.v.copy()
     solvers._sign_fix_pairs(b_phi, b_psi)
-    return KsvdModel(
-        b_phi=b_phi, b_psi=b_psi, lambdas=res.lambdas.copy(), kernel=kernel,
-        x_train=X, z_train=Z, operator=op, gram=g,
-        requested_rank=rank, achieved_rank=res.achieved_rank,
-    )
+    return KsvdModel(b_phi=b_phi, b_psi=b_psi, lambdas=res.lambdas.copy(), operator=op,
+                     gram=g, requested_rank=rank)
 
 
 def fit_matrix(A, kernel: KernelSpec, rank: int,
@@ -165,7 +152,7 @@ def project_x(model: KsvdModel, x_new) -> np.ndarray:
     k = model.operator.x_row(x)
     if model.centered:
         k = center_vector(k, model.gram.row_means, model.gram.grand_mean)
-    return np.sqrt(model.x_train.shape[0]) * (model.b_psi.T @ k)
+    return np.sqrt(model.operator.shape[0]) * (model.b_psi.T @ k)
 
 
 def project_z(model: KsvdModel, z_new) -> np.ndarray:
@@ -175,20 +162,22 @@ def project_z(model: KsvdModel, z_new) -> np.ndarray:
     k = model.operator.z_col(z)
     if model.centered:
         k = center_vector(k, model.gram.col_means, model.gram.grand_mean)
-    return np.sqrt(model.z_train.shape[0]) * (model.b_phi.T @ k)
+    return np.sqrt(model.operator.shape[1]) * (model.b_phi.T @ k)
 
 
-def embeddings(model: KsvdModel, side: str = "left") -> Embeddings:
-    """Training embeddings: B_phi, B_psi, or their row-aligned concatenation."""
+def embeddings(model: KsvdModel, side: str = "left") -> np.ndarray:
+    """Training embeddings as a new array, one row per sample: B_phi (rows
+    of X), B_psi (rows of Z), or their row-aligned concatenation (equally
+    many x- and z-samples only)."""
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if side == "left":
-        return Embeddings("left", model.b_phi.copy())
+        return model.b_phi.copy()
     if side == "right":
-        return Embeddings("right", model.b_psi.copy())
+        return model.b_psi.copy()
     if model.b_phi.shape[0] != model.b_psi.shape[0]:
         raise ValueError(
             "concatenated embeddings require equally many x- and z-samples "
             f"(got {model.b_phi.shape[0]} and {model.b_psi.shape[0]})"
         )
-    return Embeddings("concat", np.hstack([model.b_phi, model.b_psi]))
+    return np.hstack([model.b_phi, model.b_psi])

@@ -16,14 +16,14 @@ column and row blocks, touching only O(N*m + n*M) entries of the matrix.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NumericalError
-from .io import save_report
 
 # relative cutoff below which singular values count as numerically zero
 _RANK_RTOL = 1e-12
@@ -74,18 +74,19 @@ def as_operator(G):
 
 @dataclass
 class SvdResult:
-    """Rank-r factors U (N x r), lambdas (r,), V (M x r)."""
+    """Rank-r factors U (N x r), lambdas (r,), V (M x r): what every solver
+    returns, the Nystrom ones included.  ``iterations`` is the Krylov
+    dimension of truncated SVD and the power count of randomized SVD."""
 
     u: np.ndarray
     lambdas: np.ndarray
     v: np.ndarray
     converged: bool = True
-    achieved_rank: int = 0
     iterations: int = 0
 
-    def __post_init__(self):
-        if self.achieved_rank == 0:
-            self.achieved_rank = self.lambdas.shape[0]
+    @property
+    def achieved_rank(self) -> int:
+        return self.lambdas.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,13 @@ def make_choice(name: str, **settings) -> SolverChoice:
     return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name in settings})
 
 
+def _check_rank(r: int, shape) -> None:
+    """The rank rule of every solver: 1 <= r <= min(N, M)."""
+    N, M = shape
+    if not 1 <= r <= min(N, M):
+        raise ValueError(f"rank {r} out of range for a {N}x{M} matrix")
+
+
 def _positive_rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
@@ -167,11 +175,11 @@ def _positive_rank(s: np.ndarray) -> int:
 
 def dense_svd(G, r: int) -> SvdResult:
     """Reference solver: full LAPACK SVD, truncated to rank r."""
-    A = as_operator(G).materialize()
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    op = as_operator(G)
+    _check_rank(r, op.shape)
+    u, s, vt = np.linalg.svd(op.materialize(), full_matrices=False)
     rr = min(r, _positive_rank(s))
-    return SvdResult(u[:, :rr].copy(), s[:rr].copy(), vt[:rr].T.copy(),
-                     converged=True, achieved_rank=rr)
+    return SvdResult(u[:, :rr].copy(), s[:rr].copy(), vt[:rr].T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +219,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     """
     op = as_operator(G)
     N, M = op.shape
-    if r < 1 or r > min(N, M):
-        raise ValueError(f"rank {r} out of range for a {N}x{M} matrix")
+    _check_rank(r, op.shape)
     # iterate on G' when G is wide, so that the right Krylov space lies on
     # the smaller side and can span it entirely (exact at exhaustion)
     fwd, back, wide = op.matmat, op.rmatmat, M > N
@@ -261,8 +268,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     left, right = U[:, :k] @ P[:, :rr], V[:, :k] @ Qt[:rr].T
     if wide:
         left, right = right, left
-    return SvdResult(left, s[:rr].copy(), right, converged=converged,
-                     achieved_rank=rr, iterations=k)
+    return SvdResult(left, s[:rr].copy(), right, converged=converged, iterations=k)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +279,9 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
     """Halko-style randomized SVD; deterministic given the seed."""
     op = as_operator(G)
     N, M = op.shape
+    _check_rank(r, op.shape)
+    if oversample < 0 or power < 0:
+        raise ValueError(f"oversample {oversample} and power {power} must be nonnegative")
     l = r + oversample
     if l > min(N, M):
         raise ValueError(f"rank {r} + oversample {oversample} exceeds min(N, M) = {min(N, M)}")
@@ -285,8 +294,7 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
     B = op.rmatmat(Q).T  # l x M
     P, s, Vt = np.linalg.svd(B, full_matrices=False)
     rr = min(r, _positive_rank(s))
-    return SvdResult((Q @ P)[:, :rr], s[:rr].copy(), Vt[:rr].T.copy(),
-                     converged=True, achieved_rank=rr, iterations=power)
+    return SvdResult((Q @ P)[:, :rr], s[:rr].copy(), Vt[:rr].T.copy(), iterations=power)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +303,19 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
 
 def _sample_indices(rng, total: int, count: int, given=None) -> np.ndarray:
     """Sorted sample indices into range(total): ``count`` drawn without
-    replacement, or the ``given`` ones, which must be distinct and in range."""
+    replacement, or the ``given`` ones, which must be distinct integers in
+    range (bools and fractions are rejected, not cast)."""
     if given is None:
         if not 1 <= count <= total:
             raise ValueError(f"subsample size {count} out of range [1, {total}]")
         return np.sort(rng.choice(total, size=count, replace=False))
-    idx = np.sort(np.asarray(given, dtype=np.intp))
-    if idx.size == 0 or idx[0] < 0 or idx[-1] >= total or np.any(idx[1:] == idx[:-1]):
-        raise ValueError(f"sample indices must be nonempty, distinct and in [0, {total})")
-    return idx
+    # checked as objects: an int array would already have turned True into 1
+    items = np.asarray(given, dtype=object).ravel()
+    if all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in items):
+        idx = np.sort(items.astype(np.intp))
+        if idx.size and idx[0] >= 0 and idx[-1] < total and not np.any(idx[1:] == idx[:-1]):
+            return idx
+    raise ValueError(f"sample indices must be nonempty, distinct integers in [0, {total})")
 
 
 def _nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int):
@@ -318,9 +330,9 @@ def _nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int):
             f"submatrix has rank {rank} < requested {r}: resample or increase n_sub"
         )
     lam_sub = evals[:r]
-    u_tilde = np.sqrt(n / N) * C @ (evecs[:, :r] / lam_sub[None, :])
-    u_tilde /= np.linalg.norm(u_tilde, axis=0, keepdims=True)
-    return u_tilde, (N / n) * lam_sub
+    u = np.sqrt(n / N) * C @ (evecs[:, :r] / lam_sub[None, :])
+    u /= np.linalg.norm(u, axis=0, keepdims=True)
+    return u, (N / n) * lam_sub
 
 
 def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
@@ -328,29 +340,16 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
 
     Samples n_sub rows/columns, eigendecomposes the submatrix and extends:
     lambda_s -> (N/n) * lambda_s^(n),  u_s -> sqrt(n/N) K[:, idx] u_s^(n) / lambda_s^(n),
-    with columns unit-normalized afterwards.  Returns (U_tilde, lambdas_tilde).
+    with columns unit-normalized afterwards.  Returns the approximate
+    eigenvectors and eigenvalues (U, lambdas).
     """
     op = as_operator(K)
     N, M = op.shape
     if N != M:
         raise ValueError("sym_nystrom_eig requires a square operator")
+    _check_rank(r, op.shape)
     idx = _sample_indices(np.random.default_rng(seed), N, n_sub, indices)
     return _nystrom_extend(op.block(np.arange(N), idx), idx, r)
-
-
-@dataclass
-class NystromResult:
-    """Approximated singular triplets with subsampling metadata."""
-
-    u_tilde: np.ndarray
-    v_tilde: np.ndarray
-    lambdas_tilde: np.ndarray
-    n_sub: int
-    m_sub: int
-    row_indices: np.ndarray
-    col_indices: np.ndarray
-    seed: int
-    eta: Optional[float] = None
 
 
 def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
@@ -365,22 +364,25 @@ def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
 
 
 def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
-                 row_indices=None, col_indices=None) -> NystromResult:
+                 row_indices=None, col_indices=None) -> SvdResult:
     """Asymmetric Nystrom approximation of the top-r singular triplets.
 
-    Takes the SVD of a uniformly sampled n_sub x m_sub submatrix and
-    extends through the sampled column block (for left vectors) and row
-    block (for right vectors):
+    Takes the SVD of a uniformly sampled n_sub x m_sub submatrix (or of the
+    given ``row_indices`` x ``col_indices`` one) and extends through the
+    sampled column block (for left vectors) and row block (for right
+    vectors):
 
-        u_tilde_s = G[:, cols] v_s / lambda_s,
-        v_tilde_s = G[rows, :]' u_s / lambda_s,
-        lambda_tilde_s = sqrt(N*M/(n*m)) * lambda_s,
+        u~_s = G[:, cols] v_s / lambda_s,
+        v~_s = G[rows, :]' u_s / lambda_s,
+        lambda~_s = sqrt(N*M/(n*m)) * lambda_s,
 
-    followed by unit normalization.  Only the submatrix plus its row and
-    column complements are evaluated, never the full matrix.
+    followed by unit normalization; the result holds (u~, lambda~, v~).
+    Only the submatrix plus its row and column complements are evaluated,
+    never the full matrix.
     """
     op = as_operator(op)
     N, M = op.shape
+    _check_rank(r, op.shape)
     rng = np.random.default_rng(seed)
     rows = _sample_indices(rng, N, n_sub, row_indices)
     cols = _sample_indices(rng, M, m_sub, col_indices)
@@ -407,17 +409,16 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     if comp_rows.size:
         G_Nm[comp_rows] = op.block(comp_rows, cols)
 
-    u_tilde = G_Nm @ (v_sub / lam[None, :])
-    v_tilde = G_nM.T @ (u_sub / lam[None, :])
-    u_norms = np.linalg.norm(u_tilde, axis=0)
-    v_norms = np.linalg.norm(v_tilde, axis=0)
+    u = G_Nm @ (v_sub / lam[None, :])
+    v = G_nM.T @ (u_sub / lam[None, :])
+    u_norms = np.linalg.norm(u, axis=0)
+    v_norms = np.linalg.norm(v, axis=0)
     if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
         raise NumericalError("extended singular vector collapsed to zero")
-    u_tilde /= u_norms[None, :]
-    v_tilde /= v_norms[None, :]
-    _sign_fix_pairs(u_tilde, v_tilde)
-    lam_tilde = np.sqrt((N * M) / (n * m)) * lam
-    return NystromResult(u_tilde, v_tilde, lam_tilde, n, m, rows, cols, seed)
+    u /= u_norms[None, :]
+    v /= v_norms[None, :]
+    _sign_fix_pairs(u, v)
+    return SvdResult(u, np.sqrt((N * M) / (n * m)) * lam, v)
 
 
 def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
@@ -431,21 +432,23 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     """
     A = as_operator(G).materialize()
     N, M = A.shape
+    _check_rank(r, A.shape)
     rows = _sample_indices(np.random.default_rng(seed), N, min(n_sub, N))
     cols = _sample_indices(np.random.default_rng(seed + 1), M, min(n_sub, M))
-    u_tilde, lam_left = _nystrom_extend(A @ A[rows].T, rows, r)
-    v_tilde, _ = _nystrom_extend(A.T @ A[:, cols], cols, r)
+    u, lam_left = _nystrom_extend(A @ A[rows].T, rows, r)
+    v, _ = _nystrom_extend(A.T @ A[:, cols], cols, r)
     lam = np.sqrt(np.maximum(lam_left, 0.0))
     for s in range(r):
-        if u_tilde[:, s] @ A @ v_tilde[:, s] < 0:
-            v_tilde[:, s] = -v_tilde[:, s]
-    return SvdResult(u_tilde, lam, v_tilde, converged=True, achieved_rank=r)
+        if u[:, s] @ A @ v[:, s] < 0:
+            v[:, s] = -v[:, s]
+    return SvdResult(u, lam, v)
 
 
 def solve(G, r: int, choice: SolverChoice) -> SvdResult:
     """Run a solver choice on a matrix or lazy operator.
 
-    The only place a choice becomes a solver call.  The solvers are looked
+    The only place a choice becomes a solver call; the solver's
+    :class:`SvdResult` is handed on unchanged.  The solvers are looked
     up as module globals at call time, so a wrapper installed on the module
     sees every call, from ``fit`` and ``bench`` alike.
     """
@@ -459,9 +462,7 @@ def solve(G, r: int, choice: SolverChoice) -> SvdResult:
     if isinstance(choice, SymNystrom):
         return sym_nystrom_svd(G, choice.n_sub, r, seed=choice.seed)
     if isinstance(choice, AsymNystrom):
-        res = asym_nystrom(G, choice.n_sub, choice.m_sub, r, seed=choice.seed)
-        return SvdResult(res.u_tilde, res.lambdas_tilde, res.v_tilde,
-                         converged=True, achieved_rank=res.lambdas_tilde.shape[0])
+        return asym_nystrom(G, choice.n_sub, choice.m_sub, r, seed=choice.seed)
     raise ValueError(f"unknown solver choice {choice!r}")
 
 
@@ -515,9 +516,6 @@ class BenchTrial:
 class BenchReport:
     trials: List[BenchTrial] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    def write_ldjson(self, path):
-        save_report(path, [asdict(t) for t in self.trials])
 
 
 # truncated SVD runs once, at machine-precision tolerance

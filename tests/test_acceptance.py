@@ -82,15 +82,15 @@ def test_criterion_2_nystrom_full_sampling_exactness():
         A = rng.standard_normal((n, m))
         res = asym_nystrom(MatrixOperator(A), n, m, r, seed=trial)
         ref = truncated_svd(A, r, tol=1e-12)
-        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u_tilde, res.v_tilde)
+        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v)
         assert eta <= 1e-8, f"trial {trial}: eta={eta}"
     # rank-1 recovery from a single row and column
     for trial in range(10):
         u = rng.uniform(0.5, 2.0, size=int(rng.integers(4, 12)))
         v = rng.uniform(0.5, 2.0, size=int(rng.integers(4, 12)))
         res = asym_nystrom(MatrixOperator(np.outer(u, v)), 1, 1, 1, seed=trial)
-        assert np.allclose(res.u_tilde[:, 0], u / np.linalg.norm(u), atol=1e-12)
-        assert np.allclose(res.v_tilde[:, 0], v / np.linalg.norm(v), atol=1e-12)
+        assert np.allclose(res.u[:, 0], u / np.linalg.norm(u), atol=1e-12)
+        assert np.allclose(res.v[:, 0], v / np.linalg.norm(v), atol=1e-12)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     report(2, "asymmetric Nystrom exactness at full sampling and rank 1")
@@ -108,7 +108,7 @@ def test_criterion_3_symmetric_reduction():
         res = asym_nystrom(MatrixOperator(K), n_sub, n_sub, r, seed=0,
                            row_indices=idx, col_indices=idx)
         u_sym, _ = sym_nystrom_eig(K, n_sub, r, indices=idx)
-        cos = np.abs(np.sum(res.u_tilde * u_sym, axis=0))
+        cos = np.abs(np.sum(res.u * u_sym, axis=0))
         assert np.min(cos) >= 1 - 1e-8, f"trial {trial}: min cos={np.min(cos)}"
     report(3, "asymmetric Nystrom reduces to symmetric Nystrom on PSD input")
 

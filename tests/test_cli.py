@@ -7,7 +7,7 @@ from aksvd.ksvd import fit_matrix
 from aksvd.cli import build_parser, main
 from aksvd.compat import STRATEGIES
 from aksvd.io import load_dense_csv, load_report, save_matrix_csv
-from aksvd.kernels import KernelSpec
+from aksvd.kernels import FAMILIES, KernelSpec
 from aksvd.solvers import DEFAULT_BENCH_SOLVERS, SOLVERS
 
 
@@ -330,6 +330,24 @@ def test_solver_names_come_from_the_registry():
 def test_compat_names_come_from_compat():
     embed = {a.dest: a for a in build_parser().commands["embed"]._actions}
     assert tuple(embed["compat"].choices) == tuple(STRATEGIES)
+
+
+def test_kernel_names_come_from_kernels():
+    parsers = build_parser().commands
+    for command in ("embed", "bench"):
+        actions = {a.dest: a for a in parsers[command]._actions}
+        assert tuple(actions["kernel"].choices) == FAMILIES
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--rank", "-1", "--solvers", "asymnys"], "rank -1 out of range"),
+    (["embed", "--solver", "rsvd", "--rank", "3", "--oversample", "-1"], "nonnegative"),
+])
+def test_out_of_range_solver_settings_are_data_errors(tmp_path, capsys, argv, message):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(6).standard_normal((10, 10)))
+    assert main(argv + ["--input", str(inp), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

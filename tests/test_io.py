@@ -4,7 +4,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aksvd import io
-from aksvd.ksvd import Embeddings
 from aksvd.errors import DataError
 from aksvd.io import (
     load_dense_csv,
@@ -248,14 +247,14 @@ def test_labels_non_integer_rejected_with_line(tmp_path, bad):
 
 def test_save_embeddings_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    emb = Embeddings("left", rng.standard_normal((6, 3)))
+    emb = rng.standard_normal((6, 3))
     p = tmp_path / "emb.csv"
     save_embeddings(p, emb)
-    assert np.array_equal(load_dense_csv(p), emb.values)
+    assert np.array_equal(load_dense_csv(p), emb)
 
 
 def test_save_embeddings_empty(tmp_path):
-    emb = Embeddings("left", np.zeros((0, 3)))
+    emb = np.zeros((0, 3))
     p = tmp_path / "emb.csv"
     save_embeddings(p, emb)
     assert p.read_text() == ""

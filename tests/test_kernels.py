@@ -425,3 +425,21 @@ def test_kernel_vectors_equal_materialized_property(seed, n, m, d, family):
         assert np.array_equal(op.x_row(X[i]), dense[i])
     for j in range(m):
         assert np.array_equal(op.z_col(Z[j]), dense[:, j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+       d=st.integers(1, 40), family=st.sampled_from(ALL_FAMILIES))
+def test_blocks_and_entries_equal_materialized_property(seed, n, m, d, family):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    Z = rng.standard_normal((m, d))
+    spec = family_spec(family, d)
+    dense = KernelOperator(X, Z, spec).materialize()
+    # unsorted, with repeats; fresh operators, so sne rows are first
+    # normalized by the partial path
+    rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+    cols = rng.integers(0, m, size=int(rng.integers(1, 2 * m + 1)))
+    assert np.array_equal(KernelOperator(X, Z, spec).block(rows, cols), dense[np.ix_(rows, cols)])
+    i, j = int(rng.integers(n)), int(rng.integers(m))
+    assert KernelOperator(X, Z, spec).entry(i, j) == dense[i, j]

@@ -209,14 +209,15 @@ def test_embeddings_sides():
     left = embeddings(m, "left")
     right = embeddings(m, "right")
     conc = embeddings(m, "concat")
-    assert left.values.shape == (6, 2)
-    assert right.values.shape == (6, 2)
-    assert conc.values.shape == (6, 4)
-    assert np.array_equal(conc.values[:, :2], left.values)
+    assert left.shape == (6, 2)
+    assert right.shape == (6, 2)
+    assert conc.shape == (6, 4)
+    assert np.array_equal(conc[:, :2], left)
+    assert np.array_equal(conc[:, 2:], right)
     G = m.gram.values
     ref = dense_svd(G, 2)
     for s in range(2):
-        assert abs(left.values[:, s] @ ref.u[:, s]) >= 1 - 1e-8
+        assert abs(left[:, s] @ ref.u[:, s]) >= 1 - 1e-8
 
 
 def test_embeddings_concat_requires_square():
@@ -276,8 +277,8 @@ def test_fit_matrix_rectangular_with_compat():
     m = fit_matrix(A, KernelSpec.rbf(2.0), rank=2, compat=PcaProjection())
     assert m.compat is not None and m.compat_side == "z"
     assert m.compat.shape == (9, 5)
-    assert m.x_train.shape == (9, 5)
-    assert m.z_train.shape == (5, 5)
+    assert m.operator.x_data.shape == (9, 5)
+    assert m.operator.z_data.shape == (5, 5)
     assert m.b_phi.shape == (9, 2)
     assert m.b_psi.shape == (5, 2)
     # projection of a transformed new z works through the stored compat
@@ -292,8 +293,8 @@ def test_fit_matrix_wide_with_compat():
     m = fit_matrix(A, KernelSpec.rbf(2.0), rank=2, compat=PcaProjection())
     assert m.compat_side == "x"
     assert m.compat.shape == (7, 4)
-    assert m.x_train.shape == (4, 4)
-    assert m.z_train.shape == (7, 4)
+    assert m.operator.x_data.shape == (4, 4)
+    assert m.operator.z_data.shape == (7, 4)
 
 
 def test_compat_side_points_must_be_pre_projection():

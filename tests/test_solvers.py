@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aksvd.solvers as solvers_module
+from aksvd.cli import main
 from aksvd.errors import NumericalError
 from aksvd.kernels import KernelOperator, KernelSpec
 from aksvd.solvers import (
@@ -252,9 +254,29 @@ def test_asym_full_sampling_reproduces_tsvd():
         A = rng.standard_normal((int(n), int(m)))
         res = asym_nystrom(MatrixOperator(A), int(n), int(m), r, seed=trial)
         ref = truncated_svd(A, r, tol=1e-12)
-        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u_tilde, res.v_tilde)
+        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v)
         assert eta <= 1e-8
-        assert np.allclose(res.lambdas_tilde, ref.lambdas, rtol=1e-9)
+        assert np.allclose(res.lambdas, ref.lambdas, rtol=1e-9)
+
+
+# max eta / lambda_1 measured over 3000 Gaussian cases (n, m <= 40, every
+# rank up to min(n, m)) was 2.0e-15: a few ulps of 1 - cos per column
+_FULL_SAMPLING_ETA_BOUND = 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+       data=st.data())
+def test_asym_full_sampling_equals_dense_property(seed, n, m, data):
+    r = data.draw(st.integers(1, min(n, m)))
+    A = np.random.default_rng(seed).standard_normal((n, m))
+    res = asym_nystrom(MatrixOperator(A), n, m, r, seed=seed)
+    ref = dense_svd(A, r)
+    # the sampled block is all of A and the lambda scale is sqrt(1)
+    assert np.array_equal(res.lambdas, ref.lambdas)
+    for normalized in (False, True):
+        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v, normalized=normalized)
+        assert eta <= _FULL_SAMPLING_ETA_BOUND * ref.lambdas[0]
 
 
 def test_asym_rank_one_from_single_row_and_column():
@@ -262,12 +284,11 @@ def test_asym_rank_one_from_single_row_and_column():
     u = rng.uniform(0.5, 2.0, size=8)
     v = rng.uniform(0.5, 2.0, size=6)
     G = np.outer(u, v)
-    res = asym_nystrom(MatrixOperator(G), 1, 1, 1, seed=3)
+    res = asym_nystrom(MatrixOperator(G), 1, 1, 1, row_indices=[5], col_indices=[2])
     # exact recovery: G[:, j] v_sub / lam is proportional to u
-    assert np.allclose(res.u_tilde[:, 0], u / np.linalg.norm(u), atol=1e-12)
-    assert np.allclose(res.v_tilde[:, 0], v / np.linalg.norm(v), atol=1e-12)
-    assert res.lambdas_tilde[0] == pytest.approx(
-        np.sqrt(48 / 1) * abs(G[res.row_indices[0], res.col_indices[0]]))
+    assert np.allclose(res.u[:, 0], u / np.linalg.norm(u), atol=1e-12)
+    assert np.allclose(res.v[:, 0], v / np.linalg.norm(v), atol=1e-12)
+    assert res.lambdas[0] == pytest.approx(np.sqrt(48 / 1) * abs(G[5, 2]))
 
 
 def test_asym_symmetric_special_case_matches_sym_nystrom():
@@ -280,7 +301,7 @@ def test_asym_symmetric_special_case_matches_sym_nystrom():
     res = asym_nystrom(MatrixOperator(K), 7, 7, 3, seed=0,
                        row_indices=idx, col_indices=idx)
     u_sym, _ = sym_nystrom_eig(K, 7, 3, indices=idx)
-    cos = np.abs(np.sum(res.u_tilde * u_sym, axis=0))
+    cos = np.abs(np.sum(res.u * u_sym, axis=0))
     assert np.all(cos >= 1 - 1e-8)
 
 
@@ -304,12 +325,13 @@ def test_asym_sne_lazy_equals_materialized_with_exact_entry_count():
     G = MatrixOperator(KernelOperator(X, Z, KernelSpec.sne(2.0)).materialize())
     lazy = asym_nystrom(op, 10, 8, 3, seed=5)
     dense = asym_nystrom(G, 10, 8, 3, seed=5)
-    for f in ("u_tilde", "v_tilde", "lambdas_tilde", "row_indices", "col_indices"):
+    for f in ("u", "lambdas", "v"):
         assert np.array_equal(getattr(lazy, f), getattr(dense, f))
     assert op.eval_count == 10 * 30 + 40 * 8 - 10 * 8
 
 
-@pytest.mark.parametrize("given", [[1, 1, 2], [-1, 2, 3], [1, 2, 30], []])
+@pytest.mark.parametrize("given", [[1, 1, 2], [-1, 2, 3], [1, 2, 30], [],
+                                   [0.5, 1.7, 2.2], [True, False, 2]])
 def test_nystrom_rejects_bad_sample_indices(given):
     A = np.random.default_rng(15).standard_normal((10, 10))
     K = A @ A.T
@@ -321,6 +343,45 @@ def test_nystrom_rejects_bad_sample_indices(given):
         sym_nystrom_eig(K, 3, 1, indices=given)
 
 
+def test_nystrom_accepts_numpy_integer_indices():
+    A = np.random.default_rng(15).standard_normal((10, 10))
+    want = asym_nystrom(MatrixOperator(A), 3, 3, 2, row_indices=[4, 0, 7], col_indices=[1, 2, 9])
+    for dtype in (np.int32, np.int64, np.uint8):
+        got = asym_nystrom(MatrixOperator(A), 3, 3, 2, row_indices=np.array([4, 0, 7], dtype),
+                           col_indices=np.array([1, 2, 9], dtype))
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+# each solver on a 10 x 8 A (the eigensolver on the 10 x 10 A A'), with
+# min(N, M) of its input
+_RANK_CHECKED = {
+    "dense_svd": (lambda A, r: dense_svd(A, r), 8),
+    "truncated_svd": (lambda A, r: truncated_svd(A, r), 8),
+    "randomized_svd": (lambda A, r: randomized_svd(A, r, oversample=0), 8),
+    "sym_nystrom_svd": (lambda A, r: sym_nystrom_svd(A, 4, r), 8),
+    "asym_nystrom": (lambda A, r: asym_nystrom(MatrixOperator(A), 4, 4, r), 8),
+    "sym_nystrom_eig": (lambda A, r: sym_nystrom_eig(A @ A.T, 4, r), 10),
+}
+
+
+@pytest.mark.parametrize("bad_rank", [lambda k: 0, lambda k: -1, lambda k: k + 1],
+                         ids=["zero", "negative", "min_plus_one"])
+@pytest.mark.parametrize("solver", sorted(_RANK_CHECKED))
+def test_every_solver_rejects_rank_out_of_range(solver, bad_rank):
+    # one rule for all: 1 <= r <= min(N, M)
+    call, smaller_side = _RANK_CHECKED[solver]
+    r = bad_rank(smaller_side)
+    with pytest.raises(ValueError, match=f"rank {r} out of range"):
+        call(np.random.default_rng(30).standard_normal((10, 8)), r)
+
+
+@pytest.mark.parametrize("knobs", [{"oversample": -1}, {"power": -3}])
+def test_rsvd_rejects_negative_knobs(knobs):
+    A = np.random.default_rng(31).standard_normal((10, 10))
+    with pytest.raises(ValueError, match="nonnegative"):
+        randomized_svd(A, 3, **knobs)
+
+
 def test_asym_monotone_fidelity_median():
     rng = np.random.default_rng(13)
     G = random_matrix(rng, 60, 50, decay=0.8)
@@ -330,7 +391,7 @@ def test_asym_monotone_fidelity_median():
         etas = []
         for seed in range(20):
             res = asym_nystrom(MatrixOperator(G), sub, sub, 4, seed=seed)
-            etas.append(eta_metric(ref.u, ref.lambdas, ref.v, res.u_tilde, res.v_tilde))
+            etas.append(eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v))
         medians.append(np.median(etas))
     assert medians[0] >= medians[1] >= medians[2]
 
@@ -348,8 +409,8 @@ def test_asym_deterministic_given_seed():
     G = rng.standard_normal((20, 18))
     a = asym_nystrom(MatrixOperator(G), 9, 8, 3, seed=77)
     b = asym_nystrom(MatrixOperator(G), 9, 8, 3, seed=77)
-    assert np.array_equal(a.u_tilde, b.u_tilde)
-    assert np.array_equal(a.row_indices, b.row_indices)
+    for f in ("u", "lambdas", "v"):
+        assert np.array_equal(getattr(a, f), getattr(b, f))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +426,21 @@ def test_eta_zero_for_exact_and_sign_flipped():
     assert abs(eta_metric(ref.u, ref.lambdas, ref.v, -ref.u, ref.v)) <= 1e-13
     flipped = ref.u * np.array([-1.0, 1.0, -1.0])[None, :]
     assert abs(eta_metric(ref.u, ref.lambdas, ref.v, flipped, ref.v)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30), m=st.integers(1, 30),
+       data=st.data())
+def test_eta_invariant_under_sign_flips_property(seed, n, m, data):
+    r = data.draw(st.integers(1, min(n, m)))
+    rng = np.random.default_rng(seed)
+    ref = dense_svd(rng.standard_normal((n, m)), r)
+    u, v = rng.standard_normal((n, r)), rng.standard_normal((m, r))
+    su, sv = (rng.choice([-1.0, 1.0], size=r) for _ in range(2))
+    for normalized in (False, True):
+        want = eta_metric(ref.u, ref.lambdas, ref.v, u, v, normalized=normalized)
+        got = eta_metric(ref.u, ref.lambdas, ref.v, u * su, v * sv, normalized=normalized)
+        assert got == want     # bit-identical: a flip negates each product exactly
 
 
 def test_eta_orthogonal_column_contributes_lambda_over_r():
@@ -471,14 +547,16 @@ def test_bench_empty_schedule_reports_no_trial(order):
     assert not any("speedup_vs_rsvd" in s for s in rep.summary.values())
 
 
-def test_bench_ldjson_schema(tmp_path):
+def test_bench_ldjson_schema(tmp_path, capsys):
     rng = np.random.default_rng(24)
     G = random_matrix(rng, 20, 20, decay=0.5)
-    rep = bench(G, r=2, epsilon=1e-1, solvers=("rsvd", "asymnys"), m_schedule=(5, 10), seed=0)
-    path = tmp_path / "trials.ldjson"
-    rep.write_ldjson(path)
+    inp, out = tmp_path / "g.csv", tmp_path / "run"
+    np.savetxt(inp, G, delimiter=",")
+    assert main(["bench", "--input", str(inp), "--rank", "2", "--solvers", "rsvd,asymnys",
+                 "--m-schedule", "5,10", "--out", str(out)]) == 0
+    capsys.readouterr()
     keys = {"solver", "n_sub", "m_sub", "oversample", "eta", "seconds", "seed", "success"}
-    with open(path) as f:
+    with open(str(out) + ".bench.ldjson") as f:
         lines = [json.loads(line) for line in f]
     assert lines
     for row in lines:
