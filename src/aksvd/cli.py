@@ -23,7 +23,7 @@ from . import ksvd, downstream, solvers
 from . import io as aio
 from .compat import STRATEGIES, strategy_from_name
 from .errors import DataError, NumericalError
-from .kernels import FAMILIES, KernelOperator, KernelSpec, auto_gamma
+from .kernels import FAMILIES, KernelOperator, KernelSpec, as_matrix, auto_gamma
 
 
 class UsageError(Exception):
@@ -292,7 +292,7 @@ def _bench_plan(cfg):
 
 def cmd_bench(cfg) -> int:
     names, schedule = _bench_plan(cfg)
-    A = _load_matrix(cfg)
+    A = as_matrix(_load_matrix(cfg), "A")
     kernel = _resolve_kernel(cfg, A)
     if A.shape[0] != A.shape[1]:
         raise DataError("bench requires a square matrix (or adjacency) input")
@@ -331,12 +331,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, ValueError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+    # first: np.linalg.LinAlgError subclasses ValueError
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (DataError, OSError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

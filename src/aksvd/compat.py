@@ -56,8 +56,10 @@ class LearnableConfig:
     def __post_init__(self):
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.rank_r < 1 or self.steps < 0:
-            raise ValueError("rank_r must be >= 1 and steps >= 0")
+        if self.rank_r < 1 or self.steps < 0 or self.outer_iters < 0:
+            raise ValueError("rank_r must be >= 1, and steps and outer_iters >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 CompatStrategy = Union[PseudoInverse, PcaProjection, RandomProjection]

@@ -86,6 +86,8 @@ def load_edge_list(path, n_nodes: Optional[int] = None) -> np.ndarray:
                 if header.startswith("n=") and n_nodes is None:
                     try:
                         n_nodes = int(header[2:])
+                        if n_nodes < 0:
+                            raise ValueError
                     except ValueError:
                         raise DataError(f"{path}: line {lineno}: bad node-count header {line!r}") from None
                 continue

@@ -285,7 +285,6 @@ class KernelOperator:
                 "use fit_matrix(..., compat=...))"
             )
         self.spec = spec
-        self.scaled = scaled
         n, m = self.x_data.shape[0], self.z_data.shape[0]
         self.scale = 1.0 / np.sqrt(n * m) if scaled else 1.0
         self._eval_count = 0
@@ -327,9 +326,6 @@ class KernelOperator:
         d2 /= -self.spec.gamma ** 2
         return np.exp(d2, out=d2)
 
-    def _apply_scale(self, vals: np.ndarray) -> np.ndarray:
-        return vals * self.scale if self.scaled else np.ascontiguousarray(vals)
-
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
 
@@ -345,7 +341,7 @@ class KernelOperator:
             m = self.z_data.shape[0]
             every_col = cols.size == m and np.array_equal(cols, np.arange(m))
             vals /= self._sne_denominators(rows, vals if every_col else None)[:, None]
-        return self._apply_scale(vals)
+        return vals * self.scale
 
     def entry(self, i: int, j: int) -> float:
         return float(self.block([i], [j])[0, 0])
@@ -379,23 +375,26 @@ class KernelOperator:
 
     # -- new-point kernel vectors --------------------------------------
 
-    def _train_products(self, v, side: str) -> np.ndarray:
-        """<v, a_j> over the rows a_j of the training X or Z, from tiles of
-        that side kept for later kernel vectors."""
-        data = self.x_data if side == "x" else self.z_data
-        if not _tiles_exact(data.shape[1]):
-            return _pair_products(v, data)[0]
-        if side not in self._train_tiles:
-            self._train_tiles[side] = _z_tiles(data)
-        return _vector_products(v[0], self._train_tiles[side], data.shape[0])
-
-    def _new_point(self, v, name: str):
+    def _point_kernel(self, v, name: str) -> np.ndarray:
+        """kappa between one new point and every training row of the other
+        side, before sne normalization and scaling: a new x (``name``
+        "x_new") against Z, a new z ("z_new") against X.  The tiles of that
+        training side are kept for later kernel vectors."""
         v = np.asarray(v, dtype=np.float64).reshape(1, -1)
         if v.shape[1] != self.x_data.shape[1]:
             raise ValueError(f"{name} has dimension {v.shape[1]}, expected {self.x_data.shape[1]}")
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
-        return v, (v * v).sum(axis=1) if self._x_sq is not None else None
+        data, sq = (self.z_data, self._z_sq) if name == "x_new" else (self.x_data, self._x_sq)
+        if not _tiles_exact(v.shape[1]):
+            pp = _pair_products(v, data)[0]
+        else:
+            if name not in self._train_tiles:
+                self._train_tiles[name] = _z_tiles(data)
+            pp = _vector_products(v[0], self._train_tiles[name], data.shape[0])
+        v_sq = (v * v).sum(axis=1) if sq is not None else None
+        # entrywise formulas: either argument order gives the same bits
+        return self._kernel(pp[:, None], sq, v_sq)[:, 0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.
@@ -403,13 +402,12 @@ class KernelOperator:
         For sne the softmax denominator is computed for x_new over the
         training Z, matching how training rows are normalized.
         """
-        x, x_sq = self._new_point(x_new, "x_new")
-        vals = self._kernel(self._train_products(x, "z")[None, :], x_sq, self._z_sq)[0]
+        vals = self._point_kernel(x_new, "x_new")
         if self.spec.family == "sne":
             den = vals.sum()
             _check_denominators(den)
             vals /= den
-        return self._apply_scale(vals)
+        return vals * self.scale
 
     def z_col(self, z_new) -> np.ndarray:
         """kappa(x_i, z_new) over the training X, in this operator's scaling.
@@ -417,11 +415,10 @@ class KernelOperator:
         For sne the denominators stay those of the training Z set: a new
         z does not alter how existing rows are normalized.
         """
-        z, z_sq = self._new_point(z_new, "z_new")
-        vals = self._kernel(self._train_products(z, "x")[:, None], self._x_sq, z_sq)[:, 0]
+        vals = self._point_kernel(z_new, "z_new")
         if self.spec.family == "sne":
             vals /= self._sne_denominators(np.arange(self.x_data.shape[0]))
-        return self._apply_scale(vals)
+        return vals * self.scale
 
     # -- operator algebra (used by iterative solvers) -------------------
 
@@ -450,16 +447,15 @@ class KernelOperator:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Materialized Gram matrix with scaling/centering bookkeeping.
+    """Materialized Gram matrix with centering bookkeeping.
 
-    When centered, the pre-centering statistics are retained so that
-    out-of-sample kernel vectors can be centered consistently:
-    ``row_means[j]`` is the mean of column j taken over rows (length m),
-    ``col_means[i]`` the mean of row i over columns (length n).
+    When centered, the pre-centering statistics, in the units of
+    ``values``, are retained for :func:`center_vector` to center new
+    kernel vectors of the same scaling: ``row_means[j]`` is the mean of
+    column j over rows (length m), ``col_means[i]`` of row i over columns.
     """
 
     values: np.ndarray
-    scaled: bool
     centered: bool = False
     row_means: Optional[np.ndarray] = field(default=None, repr=False)
     col_means: Optional[np.ndarray] = field(default=None, repr=False)
@@ -473,7 +469,7 @@ class GramMatrix:
 def gram(spec: KernelSpec, X, Z, scaled: bool = True) -> GramMatrix:
     """Assemble the full Gram matrix g_ij = s * kappa(x_i, z_j)."""
     op = KernelOperator(X, Z, spec, scaled=scaled)
-    return GramMatrix(op.materialize(), scaled=scaled)
+    return GramMatrix(op.materialize())
 
 
 def center(g: GramMatrix) -> GramMatrix:
@@ -491,7 +487,7 @@ def center(g: GramMatrix) -> GramMatrix:
     col_means = v.mean(axis=1)  # length n
     grand = float(v.mean())
     centered = v - row_means[None, :] - col_means[:, None] + grand
-    return GramMatrix(centered, g.scaled, True, row_means, col_means, grand)
+    return GramMatrix(centered, True, row_means, col_means, grand)
 
 
 def center_vector(k: np.ndarray, row_means: np.ndarray, grand_mean: float) -> np.ndarray:
@@ -500,18 +496,9 @@ def center_vector(k: np.ndarray, row_means: np.ndarray, grand_mean: float) -> np
     return k - k.mean() - row_means + grand_mean
 
 
-def kernel_vector(spec: KernelSpec, x_new, Z, centering: Optional[GramMatrix] = None) -> np.ndarray:
-    """Raw kernel vector [kappa(x_new, z_j)]_j, optionally centered.
-
-    If ``centering`` is a centered GramMatrix its statistics are applied
-    (rescaled to raw units when the Gram was assembled scaled).
-    """
-    op = KernelOperator(np.asarray(x_new, dtype=np.float64).reshape(1, -1), Z, spec, scaled=False)
-    k = op.x_row(np.asarray(x_new, dtype=np.float64).reshape(-1))
-    if centering is not None:
-        if not centering.centered:
-            raise ValueError("centering GramMatrix is not centered")
-        n, m = centering.shape
-        s = 1.0 / np.sqrt(n * m) if centering.scaled else 1.0
-        k = center_vector(k, centering.row_means / s, centering.grand_mean / s)
-    return k
+def kernel_vector(spec: KernelSpec, x_new, Z) -> np.ndarray:
+    """Raw kernel vector [kappa(x_new, z_j)]_j: :meth:`KernelOperator.x_row`
+    of an unscaled operator on Z.  To center it, pass it to
+    :func:`center_vector` with the statistics of a centered unscaled Gram."""
+    x = np.asarray(x_new, dtype=np.float64).reshape(1, -1)
+    return KernelOperator(x, Z, spec, scaled=False).x_row(x[0])

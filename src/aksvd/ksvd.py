@@ -82,7 +82,7 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
         g = None
         target = op
     else:
-        g = GramMatrix(op.materialize(), scaled=True)
+        g = GramMatrix(op.materialize())
         if do_center:
             g = center(g)
         target = g.values

@@ -11,6 +11,8 @@ The asymmetric Nystrom method approximates the top singular triplets of an
 N x M matrix from an n x m submatrix: it takes the SVD of the submatrix
 and extends the singular vectors to all rows/columns through the sampled
 column and row blocks, touching only O(N*m + n*M) entries of the matrix.
+The symmetric Nystrom method is its special case on a symmetric submatrix;
+all Nystrom methods share one extension step, :func:`_nystrom_extend`.
 """
 
 from __future__ import annotations
@@ -318,30 +320,54 @@ def _sample_indices(rng, total: int, count: int, given=None) -> np.ndarray:
     raise ValueError(f"sample indices must be nonempty, distinct integers in [0, {total})")
 
 
-def _nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int):
-    """Top-r Nystrom eigenpairs from the sampled columns C = K[:, idx] of a
-    symmetric PSD N x N matrix K (see :func:`sym_nystrom_eig`)."""
-    N, n = C.shape
-    evals, evecs = np.linalg.eigh(C[idx])
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    rank = int(np.sum(evals > _RANK_RTOL * max(evals[0], 0.0))) if evals.size else 0
+def _nystrom_extend(G_Nm: np.ndarray, G_nM: np.ndarray, u_sub: np.ndarray,
+                    s_sub: np.ndarray, v_sub: np.ndarray, r: int) -> SvdResult:
+    """The Nystrom step: extends the top r of the factors (u_sub, s_sub,
+    v_sub) of a sampled n x m submatrix, s_sub nonincreasing, through the
+    sampled columns G_Nm = G[:, cols] (N x m) and rows G_nM = G[rows, :]:
+
+        u~_s = G[:, cols] v_s / lambda_s,
+        v~_s = G[rows, :]' u_s / lambda_s,
+        lambda~_s = sqrt(N*M/(n*m)) * lambda_s,
+
+    with u~ and v~ unit-normalized and sign-fixed in pairs.
+    """
+    (N, m), (n, M) = G_Nm.shape, G_nM.shape
+    rank = _positive_rank(s_sub)
     if rank < r:
         raise NumericalError(
-            f"submatrix has rank {rank} < requested {r}: resample or increase n_sub"
+            f"submatrix has {rank} positive singular values < requested {r}: "
+            "increase the subsample (n_sub, m_sub)"
         )
-    lam_sub = evals[:r]
-    u = np.sqrt(n / N) * C @ (evecs[:, :r] / lam_sub[None, :])
-    u /= np.linalg.norm(u, axis=0, keepdims=True)
-    return u, (N / n) * lam_sub
+    lam = s_sub[:r]
+    u = G_Nm @ (v_sub[:, :r] / lam[None, :])
+    v = G_nM.T @ (u_sub[:, :r] / lam[None, :])
+    u_norms = np.linalg.norm(u, axis=0)
+    v_norms = np.linalg.norm(v, axis=0)
+    if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
+        raise NumericalError("extended singular vector collapsed to zero")
+    u /= u_norms[None, :]
+    v /= v_norms[None, :]
+    _sign_fix_pairs(u, v)
+    return SvdResult(u, np.sqrt((N * M) / (n * m)) * lam, v)
+
+
+def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> SvdResult:
+    """The Nystrom step for the sampled columns C = K[:, idx] of a symmetric
+    PSD matrix K: the eigenvectors of the submatrix K[idx][:, idx] serve as
+    its left and right singular vectors alike."""
+    evals, evecs = np.linalg.eigh(C[idx])
+    evecs = evecs[:, ::-1]
+    return _nystrom_extend(C, C.T, evecs, evals[::-1], evecs, r)
 
 
 def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
     """Nystrom eigendecomposition of a symmetric PSD N x N operator.
 
     Samples n_sub rows/columns, eigendecomposes the submatrix and extends:
-    lambda_s -> (N/n) * lambda_s^(n),  u_s -> sqrt(n/N) K[:, idx] u_s^(n) / lambda_s^(n),
-    with columns unit-normalized afterwards.  Returns the approximate
-    eigenvectors and eigenvalues (U, lambdas).
+    lambda_s -> (N/n) * lambda_s^(n),  u_s -> K[:, idx] u_s^(n) / lambda_s^(n),
+    with columns unit-normalized and sign-fixed afterwards.  Returns the
+    approximate eigenvectors and eigenvalues (U, lambdas).
     """
     op = as_operator(K)
     N, M = op.shape
@@ -349,7 +375,8 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
         raise ValueError("sym_nystrom_eig requires a square operator")
     _check_rank(r, op.shape)
     idx = _sample_indices(np.random.default_rng(seed), N, n_sub, indices)
-    return _nystrom_extend(op.block(np.arange(N), idx), idx, r)
+    res = _sym_nystrom_extend(op.block(np.arange(N), idx), idx, r)
+    return res.u, res.lambdas
 
 
 def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
@@ -368,17 +395,12 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     """Asymmetric Nystrom approximation of the top-r singular triplets.
 
     Takes the SVD of a uniformly sampled n_sub x m_sub submatrix (or of the
-    given ``row_indices`` x ``col_indices`` one) and extends through the
+    given ``row_indices`` x ``col_indices`` one) and extends it through the
     sampled column block (for left vectors) and row block (for right
-    vectors):
-
-        u~_s = G[:, cols] v_s / lambda_s,
-        v~_s = G[rows, :]' u_s / lambda_s,
-        lambda~_s = sqrt(N*M/(n*m)) * lambda_s,
-
-    followed by unit normalization; the result holds (u~, lambda~, v~).
-    Only the submatrix plus its row and column complements are evaluated,
-    never the full matrix.
+    vectors), as :func:`_nystrom_extend` sets out.  Only the submatrix plus
+    its row and column complements are evaluated, never the full matrix.
+    A submatrix with fewer than r positive singular values, as any sample
+    smaller than r has, is a :class:`NumericalError`.
     """
     op = as_operator(op)
     N, M = op.shape
@@ -386,39 +408,18 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     rows = _sample_indices(rng, N, n_sub, row_indices)
     cols = _sample_indices(rng, M, m_sub, col_indices)
-    n, m = rows.size, cols.size
-    if r > min(n, m):
-        raise ValueError(f"rank {r} exceeds subsample sizes ({n}, {m})")
 
     G_nM = op.block(rows, np.arange(M))   # G[rows, :], holding G_sub
     G_sub = G_nM[:, cols]
     u_sub, s_sub, vt_sub = np.linalg.svd(G_sub, full_matrices=False)
-    rank = _positive_rank(s_sub)
-    if rank < r:
-        raise NumericalError(
-            f"submatrix has {rank} positive singular values < requested {r}: increase subsamples"
-        )
-    lam = s_sub[:r]
-    u_sub = u_sub[:, :r]
-    v_sub = vt_sub[:r].T
 
     # assemble G[:, cols] reusing the submatrix entries
-    G_Nm = np.empty((N, m))
+    G_Nm = np.empty((N, cols.size))
     G_Nm[rows] = G_sub
     comp_rows = np.setdiff1d(np.arange(N), rows, assume_unique=True)
     if comp_rows.size:
         G_Nm[comp_rows] = op.block(comp_rows, cols)
-
-    u = G_Nm @ (v_sub / lam[None, :])
-    v = G_nM.T @ (u_sub / lam[None, :])
-    u_norms = np.linalg.norm(u, axis=0)
-    v_norms = np.linalg.norm(v, axis=0)
-    if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
-        raise NumericalError("extended singular vector collapsed to zero")
-    u /= u_norms[None, :]
-    v /= v_norms[None, :]
-    _sign_fix_pairs(u, v)
-    return SvdResult(u, np.sqrt((N * M) / (n * m)) * lam, v)
+    return _nystrom_extend(G_Nm, G_nM, u_sub, s_sub, vt_sub.T, r)
 
 
 def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
@@ -427,21 +428,18 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     Applies the extension of sym_nystrom_eig to G G' and G' G separately
     (rows sampled with ``seed``, columns with ``seed + 1``; only the sampled
     columns of each product are formed), pairs factors by eigenvalue order,
-    and sign-aligns each pair by u_s' G v_s > 0 (the two eigenproblems carry
-    no joint sign information).
+    and sign-aligns each pair by u_s' G v_s >= 0 (the two eigenproblems
+    carry no joint sign information).
     """
     A = as_operator(G).materialize()
     N, M = A.shape
     _check_rank(r, A.shape)
     rows = _sample_indices(np.random.default_rng(seed), N, min(n_sub, N))
     cols = _sample_indices(np.random.default_rng(seed + 1), M, min(n_sub, M))
-    u, lam_left = _nystrom_extend(A @ A[rows].T, rows, r)
-    v, _ = _nystrom_extend(A.T @ A[:, cols], cols, r)
-    lam = np.sqrt(np.maximum(lam_left, 0.0))
-    for s in range(r):
-        if u[:, s] @ A @ v[:, s] < 0:
-            v[:, s] = -v[:, s]
-    return SvdResult(u, lam, v)
+    left = _sym_nystrom_extend(A @ A[rows].T, rows, r)
+    v = _sym_nystrom_extend(A.T @ A[:, cols], cols, r).u
+    v[:, np.sum(left.u * (A @ v), axis=0) < 0] *= -1.0
+    return SvdResult(left.u, np.sqrt(left.lambdas), v)
 
 
 def solve(G, r: int, choice: SolverChoice) -> SvdResult:

@@ -375,3 +375,32 @@ def test_numerical_error_exit_code(tmp_path, capsys):
                  "--gamma", "0.001", "--rank", "1", "--out", str(out)])
     assert code == 3
     capsys.readouterr()
+
+
+def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError subclasses ValueError, the data-error type
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((6, 6)))
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["embed", "--input", str(inp), "--rank", "2", "--out", str(tmp_path / "x")]) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
+def test_undersized_asymnys_sample_is_a_numerical_failure(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((8, 8)))
+    assert main(["embed", "--input", str(inp), "--solver", "asymnys", "--nsub", "2",
+                 "--msub", "2", "--rank", "3", "--out", str(tmp_path / "x")]) == 3
+    assert "increase the subsample" in capsys.readouterr().err
+
+
+def test_bench_rejects_non_finite_csv(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    inp.write_text("1,2,3\n4,nan,6\n7,8,9\n")
+    assert main(["bench", "--input", str(inp), "--rank", "1", "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert "data error: A contains non-finite values" in captured.err
+    assert captured.out == ""

@@ -224,3 +224,11 @@ def test_learnable_config_validation():
         LearnableConfig(task="ranking")
     with pytest.raises(ValueError):
         LearnableConfig(rank_r=0)
+
+
+@pytest.mark.parametrize("bad", [{"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                                 {"learning_rate": -0.01}, {"learning_rate": 0.0},
+                                 {"outer_iters": -2}])
+def test_learnable_config_rejects_bad_step_settings(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        LearnableConfig(**bad)

@@ -195,6 +195,14 @@ def test_edge_list_header_and_bounds(tmp_path):
         load_edge_list(p)
 
 
+@pytest.mark.parametrize("header", ["# n=abc", "# n=-3"])
+def test_edge_list_bad_node_count_header(tmp_path, header):
+    p = tmp_path / "g.tsv"
+    p.write_text(f"{header}\n0\t1\n")
+    with pytest.raises(DataError, match=f"g.tsv: line 1: bad node-count header '{header}'"):
+        load_edge_list(p)
+
+
 def test_edge_list_negative_index(tmp_path):
     p = tmp_path / "g.tsv"
     p.write_text("-1\t0\n")

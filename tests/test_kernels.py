@@ -10,6 +10,7 @@ from aksvd.kernels import (
     KernelSpec,
     auto_gamma,
     center,
+    center_vector,
     gram,
     kernel_vector,
 )
@@ -60,7 +61,7 @@ def test_spec_accepts_numpy_integer_degree():
 def test_gram_linear_identity_scaled():
     G = gram(KernelSpec.linear(), np.eye(2), np.eye(2), scaled=True)
     assert np.allclose(G.values, 0.5 * np.eye(2))
-    assert G.scaled and not G.centered
+    assert not G.centered
 
 
 def test_gram_sne_two_points():
@@ -174,7 +175,7 @@ def test_eval_count():
 
 
 def test_center_all_ones():
-    G = GramMatrix(np.ones((3, 4)), scaled=False)
+    G = GramMatrix(np.ones((3, 4)))
     C = center(G)
     assert np.allclose(C.values, 0.0, atol=1e-15)
     assert C.centered and C.grand_mean == 1.0
@@ -184,7 +185,7 @@ def test_center_diag_hand_value():
     # hand oracle: (I - J/2) diag(1,1) (I - J/2) = [[.5, -.5], [-.5, .5]]
     H = np.eye(2) - np.full((2, 2), 0.5)
     want = H @ np.diag([1.0, 1.0]) @ H
-    C = center(GramMatrix(np.diag([1.0, 1.0]), scaled=False))
+    C = center(GramMatrix(np.diag([1.0, 1.0])))
     assert np.allclose(C.values, want, atol=1e-15)
     assert np.allclose(C.values, [[0.5, -0.5], [-0.5, 0.5]])
 
@@ -192,14 +193,14 @@ def test_center_diag_hand_value():
 def test_center_annihilates_row_and_col_sums():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((7, 9))
-    C = center(GramMatrix(V, scaled=False))
+    C = center(GramMatrix(V))
     assert np.all(np.abs(C.values.sum(axis=1)) <= 1e-12)
     assert np.all(np.abs(C.values.sum(axis=0)) <= 1e-12)
 
 
 def test_center_idempotent():
     rng = np.random.default_rng(6)
-    G = GramMatrix(rng.standard_normal((5, 6)), scaled=False)
+    G = GramMatrix(rng.standard_normal((5, 6)))
     once = center(G)
     twice = center(once)
     assert np.all(np.abs(twice.values - once.values) <= 1e-12)
@@ -223,21 +224,28 @@ def test_kernel_vector_centered_constant_gram():
     Z = np.ones((3, 2))
     spec = KernelSpec.linear()
     C = center(gram(spec, X, Z, scaled=False))
-    k = kernel_vector(spec, np.ones(2), Z, centering=C)
+    k = center_vector(kernel_vector(spec, np.ones(2), Z), C.row_means, C.grand_mean)
     assert np.allclose(k, 0.0, atol=1e-14)
 
 
-def test_kernel_vector_centered_scaled_stats():
+def test_center_vector_in_scaled_units():
+    # a centered Gram's statistics are in its own units: the scaled
+    # operator's kernel vector centered with scaled statistics is s times
+    # the raw one centered with raw statistics, and at a training point
+    # both are that row of the centered Gram
     rng = np.random.default_rng(9)
     X = rng.standard_normal((5, 2))
     Z = rng.standard_normal((7, 2))
     spec = KernelSpec.rbf(1.0)
+    C_raw = center(gram(spec, X, Z, scaled=False))
     C_scaled = center(gram(spec, X, Z, scaled=True))
-    raw = kernel_vector(spec, X[2], Z)
-    want = raw - raw.mean() - center(gram(spec, X, Z, scaled=False)).row_means \
-        + center(gram(spec, X, Z, scaled=False)).grand_mean
-    got = kernel_vector(spec, X[2], Z, centering=C_scaled)
-    assert np.allclose(got, want, atol=1e-12)
+    want = center_vector(kernel_vector(spec, X[2], Z), C_raw.row_means, C_raw.grand_mean)
+    assert np.allclose(want, C_raw.values[2], atol=1e-12)
+    k = KernelOperator(X, Z, spec, scaled=True).x_row(X[2])
+    got = center_vector(k, C_scaled.row_means, C_scaled.grand_mean)
+    assert np.allclose(got, want / np.sqrt(5 * 7), atol=1e-12)
+    with pytest.raises(TypeError):
+        kernel_vector(spec, X[2], Z, centering=C_raw)
 
 
 def test_kernel_vector_sne_sums_to_one():

@@ -293,16 +293,17 @@ def test_asym_rank_one_from_single_row_and_column():
 
 def test_asym_symmetric_special_case_matches_sym_nystrom():
     # same index set on a symmetric PSD matrix: the asymmetric method
-    # reduces to the symmetric one (up to column signs)
+    # reduces to the symmetric one (up to column signs), lambdas included
     rng = np.random.default_rng(11)
     B = rng.standard_normal((14, 5))
     K = B @ B.T
     idx = np.sort(rng.choice(14, 7, replace=False))
     res = asym_nystrom(MatrixOperator(K), 7, 7, 3, seed=0,
                        row_indices=idx, col_indices=idx)
-    u_sym, _ = sym_nystrom_eig(K, 7, 3, indices=idx)
+    u_sym, lam_sym = sym_nystrom_eig(K, 7, 3, indices=idx)
     cos = np.abs(np.sum(res.u * u_sym, axis=0))
     assert np.all(cos >= 1 - 1e-8)
+    assert np.max(np.abs(res.lambdas - lam_sym)) <= 1e-13 * lam_sym[0]
 
 
 def test_asym_never_evaluates_full_matrix():
@@ -394,6 +395,19 @@ def test_asym_monotone_fidelity_median():
             etas.append(eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v))
         medians.append(np.median(etas))
     assert medians[0] >= medians[1] >= medians[2]
+
+
+@pytest.mark.parametrize("method", [
+    lambda G: asym_nystrom(G, 2, 2, 3, seed=0),
+    lambda G: sym_nystrom_eig(G @ G.T, 2, 3, seed=0),
+    lambda G: sym_nystrom_svd(G, 2, 3, seed=0),
+], ids=["asym_nystrom", "sym_nystrom_eig", "sym_nystrom_svd"])
+def test_nystrom_sample_smaller_than_rank_is_numerical_error(method):
+    # every Nystrom method fails the shared extension step's rank check
+    G = np.random.default_rng(25).standard_normal((30, 30))
+    with pytest.raises(NumericalError, match=r"2 positive singular values < requested 3: "
+                                             r"increase the subsample \(n_sub, m_sub\)"):
+        method(G)
 
 
 def test_asym_rank_error_suggests_more_subsamples():
@@ -531,6 +545,16 @@ def test_bench_failure_recorded_not_thrown():
     rep = bench(G, r=5, epsilon=1e-12, solvers=("asymnys",), m_schedule=(6,), seed=0)
     assert rep.summary["asymnys"]["success"] is False
     assert all(not t.success for t in rep.trials)
+
+
+@pytest.mark.parametrize("name", ["symnys", "asymnys"])
+def test_bench_records_sample_smaller_than_rank_as_failed_trial(name):
+    G = np.random.default_rng(26).standard_normal((30, 30))
+    rep = bench(G, 3, 0.1, solvers=(name,), m_schedule=(2, 30), seed=0)
+    asym = name == "asymnys"
+    got = [(t.n_sub, t.m_sub, t.success) for t in rep.trials]
+    assert got == [(2, 2 if asym else None, False), (30, 30 if asym else None, True)]
+    assert rep.trials[0].eta == np.inf and rep.trials[1].eta <= 1e-12
 
 
 @pytest.mark.parametrize("order", [("tsvd", "rsvd"), ("rsvd", "tsvd")])
