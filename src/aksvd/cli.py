@@ -212,9 +212,7 @@ def _write_embed_outputs(cfg, model) -> None:
         "centered": model.centered,
         "config_hash": _config_hash(cfg),
     }
-    with open(out + ".fit.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True)
-        f.write("\n")
+    aio.save_report(out + ".fit.json", [report])
 
 
 def _metric_rows(cfg, task, metrics) -> list:
@@ -306,10 +304,8 @@ def cmd_bench(cfg) -> int:
     report = solvers.bench(G, cfg["rank"], cfg["eps"], solvers=names,
                            m_schedule=schedule, seed=cfg["seed"], power=cfg["power"])
     aio.save_report(cfg["out"] + ".bench.ldjson", [asdict(t) for t in report.trials])
-    with open(cfg["out"] + ".bench_summary.json", "w", encoding="utf-8") as f:
-        json.dump({"summary": report.summary, "config_hash": _config_hash(cfg)},
-                  f, sort_keys=True)
-        f.write("\n")
+    aio.save_report(cfg["out"] + ".bench_summary.json",
+                    [{"summary": report.summary, "config_hash": _config_hash(cfg)}])
     return 0
 
 

@@ -11,7 +11,7 @@ projection, applied by :func:`compat_sets`; and a3, learned against
 downstream targets by :func:`learn_compat`, which alternates SVD refreshes
 with gradient steps on C and a linear head.  The a3 gradient with respect
 to C is exact and analytic for all four kernel families (linear, poly,
-rbf, sne); central finite differences remain only as the test oracle.
+rbf, sne); the test suite checks it against central finite differences.
 """
 
 from __future__ import annotations
@@ -237,25 +237,6 @@ def _c_gradient_analytic(A, C, kernel, dG, G):
     return A @ (k * (W.T @ X - W.sum(axis=0)[:, None] * Z))
 
 
-def _c_gradient_fd(A, C, kernel, V, Y, W, b, h):
-    """Central finite differences of the loss over the entries of C.
-
-    The test oracle for :func:`_c_gradient_analytic`: it builds the Gram
-    matrix 2 |C| times.
-    """
-    grad = np.zeros_like(C)
-    for p in range(C.shape[0]):
-        for q in range(C.shape[1]):
-            orig = C[p, q]
-            C[p, q] = orig + h
-            lp = _loss(_gram_values(A, C, kernel), V, Y, W, b)
-            C[p, q] = orig - h
-            lm = _loss(_gram_values(A, C, kernel), V, Y, W, b)
-            C[p, q] = orig
-            grad[p, q] = (lp - lm) / (2.0 * h)
-    return grad
-
-
 def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnCompatResult:
     """Learn C by alternating SVD refreshes and gradient descent.
 
@@ -269,8 +250,8 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
     The gradient with respect to C is exact and analytic for every kernel
     family (:func:`_c_gradient_analytic`) and reuses the Gram matrix the
     step already holds, so a gradient step builds the Gram matrix once,
-    for the updated C.  Finite differences (:func:`_c_gradient_fd`) remain
-    only as the test oracle.
+    for the updated C.  The test suite checks it against central finite
+    differences.
     """
     A = as_matrix(A, "A")
     N, M = A.shape

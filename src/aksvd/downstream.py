@@ -20,15 +20,21 @@ from .kernels import _products, as_matrix
 
 @dataclass
 class LssvmModel:
-    alphas: np.ndarray      # k x n dual coefficients, one row per class
+    """One-vs-rest LSSVM head in primal form: decision(X) = X W + b.
+
+    With the linear kernel the dual coefficients alpha enter only through
+    w = F' alpha, so the head stores w and not the training features.  It
+    computes what :class:`LinearHead` computes, and stays a class of its
+    own because perfbench traces ``LssvmModel.decision`` and ``predict``
+    by name.
+    """
+
+    weights: np.ndarray     # d x k, one column per class
     biases: np.ndarray      # k
     classes: np.ndarray
-    features: np.ndarray    # n x d training features
-    gamma_reg: float
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        K = np.asarray(X, dtype=np.float64) @ self.features.T
-        return K @ self.alphas.T + self.biases[None, :]
+        return np.asarray(X, dtype=np.float64) @ self.weights + self.biases[None, :]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.decision(X), axis=1)]
@@ -37,46 +43,37 @@ class LssvmModel:
 def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LssvmModel:
     """Fit one-vs-rest LSSVM classifiers on linear-kernel features.
 
-    Each class solves [[0, 1'], [1, Omega + I/gamma]] [b; alpha] = [0; y]
-    with Omega = F F' and y in {-1, +1}^n; the system is the same for
-    every class, so one solve takes all of them as right-hand sides.
+    Each class minimizes ||w||^2/2 + gamma/2 ||y - F w - b||^2 with
+    y in {-1, +1}^n: ridge regression with an unpenalized bias.  With
+    X = [F, 1] that is the (d+1) x (d+1) system
+
+        (X'X + diag(1/gamma, ..., 1/gamma, 0)) [w; b] = X'y,
+
+    solved once with every class as a right-hand side.  It is the primal
+    of the dual [[0, 1'], [1, F F' + I/gamma]] [b; alpha] = [0; y]: the
+    two share b, w = F' alpha and alpha = gamma (y - F w - b), but the dual
+    costs O(n^3).  ``gamma_reg`` = inf gives the ordinary least-squares
+    limit, which needs [F, 1] of full column rank.
     """
-    F = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
+    F = as_matrix(features, "features")
+    if not gamma_reg > 0:
+        raise ValueError(f"gamma_reg must be > 0 (inf for least squares), got {gamma_reg}")
+    Y, classes = _encode_targets(labels, "classification")
+    n, d = F.shape
+    if Y.shape[0] != n:
+        raise ValueError(f"need {n} labels, one per row of features, got {Y.shape[0]}")
     if classes.size < 2:
         raise ValueError("lssvm_fit requires at least 2 classes")
-    n = F.shape[0]
-    omega = F @ F.T
-    A = np.zeros((n + 1, n + 1))
-    A[0, 1:] = 1.0
-    A[1:, 0] = 1.0
-    A[1:, 1:] = omega + np.eye(n) / gamma_reg
-    rhs = np.zeros((n + 1, classes.size))
-    rhs[1:] = np.where(labels[:, None] == classes[None, :], 1.0, -1.0)
+    X = np.column_stack([F, np.ones(n)])
+    ridge = np.append(np.full(d, 1.0 / gamma_reg), 0.0)
     try:
-        sol = np.linalg.solve(A, rhs)
+        theta = np.linalg.solve(X.T @ X + np.diag(ridge), X.T @ Y)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "LSSVM system is singular (duplicate feature rows with conflicting "
-            "labels can cause this)"
+            "LSSVM system is singular: with gamma_reg = inf, [features, 1] must "
+            "have full column rank"
         ) from exc
-    return LssvmModel(np.ascontiguousarray(sol[1:].T), sol[0].copy(), classes, F.copy(),
-                      gamma_reg)
-
-
-def lssvm_kkt_residual(model: LssvmModel, labels) -> float:
-    """Largest residual of the per-class KKT linear systems."""
-    F = model.features
-    n = F.shape[0]
-    omega = F @ F.T + np.eye(n) / model.gamma_reg
-    worst = 0.0
-    for c, cls in enumerate(model.classes):
-        y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
-        r1 = abs(model.alphas[c].sum())
-        r2 = np.abs(model.biases[c] + omega @ model.alphas[c] - y).max()
-        worst = max(worst, r1, float(r2))
-    return worst
+    return LssvmModel(theta[:-1], theta[-1], classes)
 
 
 def f1_scores(pred, truth) -> Tuple[float, float]:

@@ -68,7 +68,8 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
     positive singular values exist the model is truncated to the
     achievable rank and a RuntimeWarning is issued; so is one when the
     solver reports that it did not converge.  With an AsymNystrom solver
-    and no centering the Gram matrix is never materialized.
+    and no centering the Gram matrix is never materialized; centering
+    materializes it, with a RuntimeWarning.
     """
     X = as_matrix(X, "X")
     Z = as_matrix(Z, "Z")
@@ -77,8 +78,13 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
         solver = solvers.Dense()
 
     op = KernelOperator(X, Z, kernel, scaled=True)
-    lazy = isinstance(solver, solvers.AsymNystrom) and not do_center
-    if lazy:
+    nystrom = isinstance(solver, solvers.AsymNystrom)
+    if nystrom and do_center:
+        N, M = op.shape
+        warnings.warn(
+            f"centering evaluates all {N}*{M} = {N * M} Gram entries, so the Nystrom "
+            "sample does not bound the cost", RuntimeWarning)
+    if nystrom and not do_center:
         g = None
         target = op
     else:

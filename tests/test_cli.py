@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aksvd
 from aksvd.ksvd import fit_matrix
 from aksvd.cli import build_parser, main
 from aksvd.compat import STRATEGIES
@@ -404,3 +409,36 @@ def test_bench_rejects_non_finite_csv(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "data error: A contains non-finite values" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["embed", "--rank", "2"], "x.fit.json"),
+    (["bench", "--rank", "1"], "x.bench_summary.json"),
+])
+def test_unwritable_json_report_is_a_data_error(tmp_path, capsys, argv, path):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(4))
+    (tmp_path / path).mkdir()   # a directory in the report's place
+    assert main(argv + ["--input", str(inp), "--out", str(tmp_path / "x")]) == 2
+    assert f"data error: cannot write report to {tmp_path / path}" in capsys.readouterr().err
+
+
+def test_exit_codes_of_the_module_entry_point(tmp_path):
+    # through a real process: `sys.exit(main())` must carry every code
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((8, 8)))
+    src = str(Path(aksvd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = ["--out", str(tmp_path / "x")]
+    runs = [
+        (0, ["embed", "--input", str(inp), "--rank", "2"] + out),
+        (1, []),
+        (2, ["embed", "--input", str(tmp_path / "missing.csv"), "--rank", "2"] + out),
+        (3, ["embed", "--input", str(inp), "--solver", "asymnys", "--nsub", "2",
+             "--msub", "2", "--rank", "3"] + out),
+    ]
+    for code, argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "aksvd.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from aksvd.downstream import (
     kmeans,
     linear_head,
     lssvm_fit,
-    lssvm_kkt_residual,
     nmi,
     recon_error,
 )
+from oracles import lssvm_kkt_residual
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ def test_lssvm_kkt_residual():
     F = rng.standard_normal((12, 4))
     y = rng.integers(0, 3, size=12)
     model = lssvm_fit(F, y, gamma_reg=1.0)
-    assert lssvm_kkt_residual(model, y) <= 1e-8
+    assert lssvm_kkt_residual(model, F, y) <= 1e-8
 
 
 def test_lssvm_one_solve_for_every_class(monkeypatch):
@@ -84,13 +85,13 @@ def test_lssvm_one_solve_for_every_class(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", spy)
     model = lssvm_fit(F, y)
-    assert calls == [(16, 4)]
-    assert model.alphas.shape == (4, 15) and model.biases.shape == (4,)
-    assert lssvm_kkt_residual(model, y) <= 1e-8
+    assert calls == [(4, 4)]
+    assert model.weights.shape == (3, 4) and model.biases.shape == (4,)
+    assert lssvm_kkt_residual(model, F, y) <= 1e-8
 
 
 def test_lssvm_singular_system_is_numerical_error():
-    # no ridge and two equal feature rows: two equal rows of the system
+    # no ridge and a zero feature column: [F, 1] is rank-deficient
     with pytest.raises(NumericalError, match="singular"):
         lssvm_fit(np.zeros((2, 1)), np.array([0, 1]), gamma_reg=np.inf)
 
@@ -114,6 +115,94 @@ def test_lssvm_separable_training_accuracy():
     y = np.array([0] * 10 + [1] * 10)
     model = lssvm_fit(F, y, gamma_reg=1.0)
     assert np.mean(model.predict(F) == y) == 1.0
+
+
+def _lssvm_cases():
+    """The feature/label sets of the LSSVM tests above and of criterion 6,
+    and two equal rows with conflicting labels."""
+    yield np.array([[-1.0], [1.0]]), np.array([0, 1])
+    F = np.random.default_rng(0).standard_normal((10, 3))
+    y = (F[:, 0] > 0).astype(int)
+    yield F, y
+    yield np.column_stack([F, np.zeros(10)]), y
+    rng = np.random.default_rng(1)
+    yield rng.standard_normal((12, 4)), rng.integers(0, 3, size=12)
+    rng = np.random.default_rng(4)
+    F = rng.standard_normal((15, 3))
+    y = rng.integers(0, 4, size=15)
+    y[:4] = [0, 1, 2, 3]
+    yield F, y
+    rng = np.random.default_rng(2)
+    F = rng.standard_normal((9, 3))
+    y = rng.integers(0, 2, size=9)
+    y[0], y[1] = 0, 1
+    yield F, y
+    perm = rng.permutation(9)
+    yield F[perm], y[perm]
+    rng = np.random.default_rng(3)
+    yield (np.vstack([rng.standard_normal((10, 2)) + 3.0,
+                      rng.standard_normal((10, 2)) - 3.0]),
+           np.array([0] * 10 + [1] * 10))
+    rng = np.random.default_rng(606)
+    yield (np.vstack([rng.standard_normal((15, 3)) + 2.5,
+                      rng.standard_normal((15, 3)) - 2.5]),
+           np.array([0] * 15 + [1] * 15))
+    yield np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0], [3.0, 1.0]]), np.array([0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("gamma_reg", [0.1, 1.0, 100.0])
+def test_lssvm_primal_solves_the_dual_kkt_system(gamma_reg):
+    for F, y in _lssvm_cases():
+        model = lssvm_fit(F, y, gamma_reg=gamma_reg)
+        assert lssvm_kkt_residual(model, F, y, gamma_reg) <= 1e-8
+
+
+def test_lssvm_infinite_gamma_is_least_squares():
+    rng = np.random.default_rng(6)
+    F = rng.standard_normal((40, 3))
+    y = rng.integers(0, 3, size=40)
+    X = np.column_stack([F, np.ones(40)])
+    Y = np.where(y[:, None] == np.unique(y)[None, :], 1.0, -1.0)
+    theta, *_ = np.linalg.lstsq(X, Y, rcond=None)
+    model = lssvm_fit(F, y, gamma_reg=np.inf)
+    assert np.allclose(model.decision(F), X @ theta, rtol=0, atol=1e-12)
+    # and finite gamma approaches that limit
+    near = lssvm_fit(F, y, gamma_reg=1e8).decision(F)
+    assert np.abs(near - X @ theta).max() <= 1e-6
+
+
+def test_lssvm_rejects_non_finite_features():
+    F = np.random.default_rng(7).standard_normal((8, 2))
+    F[3, 1] = np.nan
+    with pytest.raises(ValueError, match="features contains non-finite"):
+        lssvm_fit(F, np.arange(8) % 2)
+
+
+@pytest.mark.parametrize("gamma_reg", [-1.0, 0.0, np.nan, -np.inf])
+def test_lssvm_rejects_bad_gamma(gamma_reg):
+    F = np.random.default_rng(7).standard_normal((8, 2))
+    with pytest.raises(ValueError, match="gamma_reg must be > 0"):
+        lssvm_fit(F, np.arange(8) % 2, gamma_reg=gamma_reg)
+
+
+def test_lssvm_rejects_label_count_mismatch():
+    F = np.random.default_rng(7).standard_normal((8, 2))
+    with pytest.raises(ValueError, match="need 8 labels.*got 5"):
+        lssvm_fit(F, np.array([0, 1, 0, 1, 0]))
+
+
+def test_lssvm_builds_no_n_by_n_array():
+    rng = np.random.default_rng(8)
+    n = 2000
+    F = rng.standard_normal((n, 4))
+    y = rng.integers(0, 3, size=n)
+    tracemalloc.start()
+    try:
+        lssvm_fit(F, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 10   # an n x n float64 array is 32 MB
 
 
 # ---------------------------------------------------------------------------

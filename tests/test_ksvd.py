@@ -85,6 +85,23 @@ def test_fit_warns_when_solver_did_not_converge():
     assert m.lambdas.shape == (4,)
 
 
+def test_centered_nystrom_fit_warns_that_it_materializes_the_gram():
+    rng = np.random.default_rng(13)
+    X, Z = rng.standard_normal((60, 3)), rng.standard_normal((50, 3))
+    with pytest.warns(RuntimeWarning, match=r"centering evaluates all 60\*50 = 3000"):
+        m = fit(X, Z, KernelSpec.rbf(2.0), 3, do_center=True, solver=AsymNystrom(20, 20))
+    assert m.centered
+
+
+def test_uncentered_nystrom_fit_does_not_warn():
+    rng = np.random.default_rng(13)
+    X, Z = rng.standard_normal((60, 3)), rng.standard_normal((50, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = fit(X, Z, KernelSpec.rbf(2.0), 3, solver=AsymNystrom(20, 20))
+    assert m.gram is None
+
+
 def test_fit_rejects_bad_rank():
     with pytest.raises(ValueError):
         fit(np.eye(3), np.eye(3), KernelSpec.linear(), rank=4)
