@@ -150,10 +150,13 @@ class LearnCompatResult:
 def _encode_targets(targets, task):
     """Targets as a column for regression, or one-vs-rest +-1 columns and
     the sorted classes for classification; shared with
-    :func:`aksvd.downstream.linear_head`."""
+    :func:`aksvd.downstream.linear_head`.  A NaN class label is a
+    ``ValueError``: it would be a class that no row matches."""
     targets = np.asarray(targets)
     if task == "regression":
         return targets.astype(np.float64).reshape(-1, 1), None
+    if targets.dtype.kind in "fc" and np.isnan(targets).any():
+        raise ValueError("class labels contain NaN")
     classes = np.unique(targets)
     Y = np.where(targets[:, None] == classes[None, :], 1.0, -1.0)
     return Y, classes

@@ -33,6 +33,17 @@ position of a tile, and both call heights, alike, so a self-check places
 a few pairs at different tile positions once per process and feature
 dimension; if any result differs, evaluation falls back to a broadcast
 multiply-and-sum, which is exact at any shape but much slower.
+
+A block is streamed: its n x m result is allocated once and filled one
+chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries or
+one row tile, whichever is more.
+The chunk's tile gemms write straight into its slice of the result, and
+the family formula, the sne normalization and the scaling then run in
+place while the chunk is still in cache.  A block therefore needs its
+own 8*n*m bytes plus one chunk and the tiles of its columns, however
+large it is; the Nystrom fit holds G[rows, :], G[:, cols] and little
+else.  Chunk boundaries do not change a value: every entry still takes
+the same gemm call and the same elementwise operations.
 """
 
 from __future__ import annotations
@@ -54,9 +65,15 @@ _TILE = 16
 # product goes to gemv in BLAS, which rounds unlike gemm
 _VEC_ROWS = 2
 
-# cap on float64 elements of one product temporary (~32 MB): the tile-product
-# output of the engine, or the broadcast buffer of the fallback
-_BLOCK_BUDGET = 2 ** 22
+# cap on the float64 entries of one chunk (256 KB) of every chunked loop:
+# the rows a block is filled and transformed in, the rows of sne
+# denominators evaluated at once, the broadcast buffer of the fallback and
+# the row ranges of matmat/rmatmat.  A chunk and its rbf/sne temporary
+# fit in a core's L2 cache, and memory beyond a block's result stays
+# small.  From 2^14 to 2^17 block times showed no consistent difference
+# (Xeon, 2 MB L2, 1 BLAS thread), while the Nystrom fit's peak grew above
+# 2^15.
+_BLOCK_BUDGET = 2 ** 15
 
 # feature dimension d -> result of the tile self-check in this process
 _TILE_EXACT: dict = {}
@@ -145,6 +162,12 @@ def _pair_products(xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunk_rows(m: int) -> int:
+    """Rows of a chunk of at most ``_BLOCK_BUDGET`` entries of an m-column
+    block, in whole tiles and at least one tile."""
+    return max(_TILE, _BLOCK_BUDGET // max(1, m) // _TILE * _TILE)
+
+
 def _x_tiles(a: np.ndarray) -> np.ndarray:
     """Rows of ``a`` zero-padded to a multiple of _TILE, as (tiles, _TILE, d)."""
     n, d = a.shape
@@ -156,18 +179,25 @@ def _x_tiles(a: np.ndarray) -> np.ndarray:
 def _z_tiles(a: np.ndarray) -> np.ndarray:
     """Padded tiles of ``a`` transposed to (tiles, d, _TILE), the layout of
     the right-hand gemm operand: a plain NN call, about 2.5 times faster
-    at this size than multiplying by a transposed view."""
-    return np.ascontiguousarray(_x_tiles(a).transpose(0, 2, 1))
+    at this size than multiplying by a transposed view.  Written in one
+    pass, with no padded copy in between."""
+    n, d = a.shape
+    full = n // _TILE * _TILE
+    tiles = np.zeros((-(-n // _TILE), d, _TILE))
+    tiles[: full // _TILE] = a[:full].reshape(-1, _TILE, d).transpose(0, 2, 1)
+    if full < n:
+        tiles[-1, :, : n - full] = a[full:].T
+    return tiles
 
 
-def _tile_gemm(xt: np.ndarray, zt: np.ndarray) -> np.ndarray:
+def _tile_gemm(xt: np.ndarray, zt: np.ndarray, out=None) -> np.ndarray:
     """out[a, b] = xt[a] @ zt[b] for every pair of x tiles and transposed z
-    tiles, in one batched matmul.
+    tiles, in one batched matmul, into ``out`` when given.
 
     Each of the p*q gemm calls has the same shape and operand layout,
-    whatever the number of tiles on either side.
+    whatever the number of tiles on either side and wherever it writes.
     """
-    return np.matmul(xt[:, None], zt[None])
+    return np.matmul(xt[:, None], zt[None], out=out)
 
 
 def _vector_products(v: np.ndarray, tiles: np.ndarray, count: int) -> np.ndarray:
@@ -185,30 +215,43 @@ def _vector_products(v: np.ndarray, tiles: np.ndarray, count: int) -> np.ndarray
     return _tile_gemm(vt, tiles)[0, :, 0, :].reshape(-1)[:count]
 
 
+def _fill_tiles(dest: np.ndarray, xt: np.ndarray, zt: np.ndarray) -> None:
+    """Write <x_i, z_j> into ``dest`` from the :func:`_x_tiles` ``xt`` of
+    its rows and the :func:`_z_tiles` ``zt`` of its columns.
+
+    The gemms of whole tiles write straight into ``dest``, seen as
+    (row tiles, _TILE, column tiles, _TILE).  A partial last row or column
+    tile goes through a temporary of one tile row or column; its gemm
+    calls have the same shape as the others.
+    """
+    k, m = dest.shape
+    p, q = k // _TILE, m // _TILE
+    kf, mf = p * _TILE, q * _TILE
+    if p and q:
+        tiles = dest[:kf, :mf].reshape(p, _TILE, q, _TILE)
+        _tile_gemm(xt[:p], zt[:q], out=tiles.transpose(0, 2, 1, 3))
+    if mf < m:
+        dest[:, mf:] = _tile_gemm(xt, zt[q:])[:, 0].reshape(-1, _TILE)[:k, : m - mf]
+    if kf < k:
+        edge = _tile_gemm(xt[p:], zt[:q])[0].transpose(1, 0, 2)
+        dest[kf:, :mf] = edge.reshape(_TILE, mf)[: k - kf]
+
+
 def _tile_products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Inner products <x_i, z_j> for all pairs, from tile gemms alone.
 
-    Pads both sides to whole tiles and evaluates every tile pair with
-    :func:`_tile_gemm`, chunked over tiles so that one product stays
-    within ``_BLOCK_BUDGET`` elements.  A one-row or one-column result is
-    a kernel vector and goes through :func:`_vector_products`.
+    Pads both sides to whole tiles and lets :func:`_fill_tiles` evaluate
+    every tile pair into the result.  A one-row or one-column result is a
+    kernel vector and goes through :func:`_vector_products`.
     """
     n, m = x.shape[0], z.shape[0]
     if n == 1:
         return _vector_products(x[0], _z_tiles(z), m)[None, :]
     if m == 1:
         return _vector_products(z[0], _z_tiles(x), n)[:, None]
-    xt, zt = _x_tiles(x), _z_tiles(z)
-    p, q = xt.shape[0], zt.shape[0]
-    qstep = max(1, min(q, _BLOCK_BUDGET // _TILE ** 2))
-    pstep = max(1, _BLOCK_BUDGET // (qstep * _TILE ** 2))
-    out = np.empty((p * _TILE, q * _TILE))
-    dest = out.reshape(p, _TILE, q, _TILE)
-    for s in range(0, p, pstep):
-        for t in range(0, q, qstep):
-            g = _tile_gemm(xt[s : s + pstep], zt[t : t + qstep])
-            dest[s : s + pstep, :, t : t + qstep] = g.transpose(0, 2, 1, 3)
-    return out[:n, :m]
+    out = np.empty((n, m))
+    _fill_tiles(out, _x_tiles(x), _z_tiles(z))
+    return out
 
 
 def _tiles_exact(d: int) -> bool:
@@ -294,7 +337,7 @@ class KernelOperator:
             self._z_sq = (self.z_data * self.z_data).sum(axis=1)
         if spec.family == "sne":
             self._sne_den = np.full(n, np.nan)
-        # _z_tiles of the training X and Z, built by the first z_col / x_row
+        # _z_tiles of the training X and Z (see _training_tiles)
         self._train_tiles = {}
 
     @property
@@ -310,38 +353,80 @@ class KernelOperator:
     def _kernel(self, pp, x_sq, z_sq) -> np.ndarray:
         """kappa(x_i, z_j) for all pairs, before sne normalization and scaling.
 
-        The one place the family formulas live; ``pp`` holds the inner
-        products <x_i, z_j> (overwritten for rbf and sne), ``x_sq``/``z_sq``
-        the squared row norms (rbf and sne only).
+        The one place the family formulas live.  They overwrite ``pp``, the
+        inner products <x_i, z_j>, and return it; ``x_sq``/``z_sq`` are the
+        squared row norms (rbf and sne only).
         """
         fam = self.spec.family
-        if fam == "linear":
-            return pp
         if fam == "poly":
-            return (pp + self.spec.offset) ** self.spec.degree
-        d2 = np.add.outer(x_sq, z_sq)
-        pp *= 2.0
-        d2 -= pp
-        np.maximum(d2, 0.0, out=d2)  # clamp round-off
-        d2 /= -self.spec.gamma ** 2
-        return np.exp(d2, out=d2)
+            pp += self.spec.offset
+            pp **= self.spec.degree
+        elif fam in ("rbf", "sne"):
+            pp *= 2.0
+            np.subtract(np.add.outer(x_sq, z_sq), pp, out=pp)
+            np.maximum(pp, 0.0, out=pp)  # clamp round-off
+            pp /= -self.spec.gamma ** 2
+            np.exp(pp, out=pp)
+        return pp
+
+    def _training_tiles(self, name: str) -> np.ndarray:
+        """The :func:`_z_tiles` of the training side that a new point of
+        ``name`` meets: Z for "x_new", X for "z_new".  Built once and kept:
+        kernel vectors, blocks over all of Z and sne denominators reuse
+        them."""
+        if name not in self._train_tiles:
+            self._train_tiles[name] = _z_tiles(self.z_data if name == "x_new" else self.x_data)
+        return self._train_tiles[name]
+
+    def _kernel_chunks(self, rows, cols=None, out=None):
+        """kappa over ``rows`` x ``cols`` (all of Z in order when None),
+        before sne normalization and scaling, one chunk of whole row tiles
+        at a time.
+
+        Yields each chunk's rows and values, a slice of ``out`` when given
+        and else a new array, while they are still in cache.  A chunk holds
+        at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
+        its tile gemms write into it and the family formula runs on it in
+        place.  One-row and one-column
+        blocks are kernel vectors and come in one chunk.
+        """
+        z, z_sq = self.z_data, self._z_sq
+        if cols is not None:
+            z = z[cols]
+            z_sq = None if z_sq is None else z_sq[cols]
+        n, m = rows.size, z.shape[0]
+        tiled = n > 1 and m > 1 and _tiles_exact(z.shape[1])
+        if tiled:
+            zt = self._training_tiles("x_new") if cols is None else _z_tiles(z)
+        step = _chunk_rows(m) if m > 1 else max(1, n)
+        for s in range(0, n, step):
+            r = rows[s : s + step]
+            vals = np.empty((r.size, m)) if out is None else out[s : s + step]
+            if tiled:
+                _fill_tiles(vals, _x_tiles(self.x_data[r]), zt)
+            else:
+                vals[...] = _products(self.x_data[r], z)
+            yield r, self._kernel(vals, None if z_sq is None else self._x_sq[r], z_sq)
 
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
 
-        For sne, a block whose columns are all of Z in order fills any
-        missing softmax denominators from its own values.
+        The result is allocated once and filled chunk by chunk, each
+        normalized (sne) and scaled while in cache.  For sne, a block whose
+        columns are all of Z in order fills any missing softmax
+        denominators from its own values.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
         cols = np.atleast_1d(np.asarray(cols, dtype=np.intp))
         self._eval_count += rows.size * cols.size
-        norms = (None, None) if self._x_sq is None else (self._x_sq[rows], self._z_sq[cols])
-        vals = self._kernel(_products(self.x_data[rows], self.z_data[cols]), *norms)
-        if self.spec.family == "sne":
-            m = self.z_data.shape[0]
-            every_col = cols.size == m and np.array_equal(cols, np.arange(m))
-            vals /= self._sne_denominators(rows, vals if every_col else None)[:, None]
-        return vals * self.scale
+        out = np.empty((rows.size, cols.size))
+        m = self.z_data.shape[0]
+        every_col = cols.size == m and bool((cols == np.arange(m)).all())
+        for r, vals in self._kernel_chunks(rows, None if every_col else cols, out):
+            if self.spec.family == "sne":
+                vals /= self._sne_denominators(r, vals if every_col else None)[:, None]
+            vals *= self.scale
+        return out
 
     def entry(self, i: int, j: int) -> float:
         return float(self.block([i], [j])[0, 0])
@@ -355,20 +440,16 @@ class KernelOperator:
 
         ``num``, when given, holds the unnormalized sne values of ``rows``
         over all of Z in column order, and the missing denominators are
-        summed from it rather than evaluated again.
+        summed from it rather than evaluated again.  Otherwise they are
+        evaluated in chunks against Z's cached tiles.
         """
         missing = np.isnan(self._sne_den[rows])
         if missing.any():
             if num is not None:
                 den = num[missing].sum(axis=1)
             else:
-                todo = rows[missing]
-                den = np.empty(todo.size)
-                step = max(1, _BLOCK_BUDGET // self.z_data.shape[0])
-                for s in range(0, todo.size, step):
-                    r = todo[s : s + step]
-                    pp = _products(self.x_data[r], self.z_data)
-                    den[s : s + step] = self._kernel(pp, self._x_sq[r], self._z_sq).sum(axis=1)
+                den = np.concatenate([vals.sum(axis=1)
+                                      for _, vals in self._kernel_chunks(rows[missing])])
             _check_denominators(den)
             self._sne_den[rows[missing]] = den
         return self._sne_den[rows]
@@ -389,9 +470,7 @@ class KernelOperator:
         if not _tiles_exact(v.shape[1]):
             pp = _pair_products(v, data)[0]
         else:
-            if name not in self._train_tiles:
-                self._train_tiles[name] = _z_tiles(data)
-            pp = _vector_products(v[0], self._train_tiles[name], data.shape[0])
+            pp = _vector_products(v[0], self._training_tiles(name), data.shape[0])
         v_sq = (v * v).sum(axis=1) if sq is not None else None
         # entrywise formulas: either argument order gives the same bits
         return self._kernel(pp[:, None], sq, v_sq)[:, 0]
@@ -425,7 +504,7 @@ class KernelOperator:
     def _row_chunks(self):
         """Row ranges of at most _BLOCK_BUDGET Gram entries, in whole tiles."""
         n, m = self.shape
-        step = max(_TILE, _BLOCK_BUDGET // m // _TILE * _TILE)
+        step = _chunk_rows(m)
         return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
 
     def matmat(self, W: np.ndarray) -> np.ndarray:

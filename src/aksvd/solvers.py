@@ -26,6 +26,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import NumericalError
+from .kernels import _chunk_rows
 
 # relative cutoff below which singular values count as numerically zero
 _RANK_RTOL = 1e-12
@@ -413,12 +414,15 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     G_sub = G_nM[:, cols]
     u_sub, s_sub, vt_sub = np.linalg.svd(G_sub, full_matrices=False)
 
-    # assemble G[:, cols] reusing the submatrix entries
+    # assemble G[:, cols] reusing the submatrix entries, the complement
+    # rows one chunk at a time so that no second N x m array is held
     G_Nm = np.empty((N, cols.size))
     G_Nm[rows] = G_sub
     comp_rows = np.setdiff1d(np.arange(N), rows, assume_unique=True)
-    if comp_rows.size:
-        G_Nm[comp_rows] = op.block(comp_rows, cols)
+    step = _chunk_rows(cols.size)
+    for s in range(0, comp_rows.size, step):
+        chunk = comp_rows[s : s + step]
+        G_Nm[chunk] = op.block(chunk, cols)
     return _nystrom_extend(G_Nm, G_nM, u_sub, s_sub, vt_sub.T, r)
 
 

@@ -163,6 +163,13 @@ def test_learn_compat_classification():
     assert np.mean(pred == y) >= 0.9
 
 
+def test_learn_compat_rejects_nan_class_labels():
+    A = np.random.default_rng(9).standard_normal((8, 3))
+    cfg = LearnableConfig(rank_r=2, steps=2, task="classification", outer_iters=1)
+    with pytest.raises(ValueError, match="class labels contain NaN"):
+        learn_compat(A, [0, 1, 0, 1, np.nan, 1, 0, np.nan], KernelSpec.rbf(8.0), cfg)
+
+
 _FAMILIES = [KernelSpec.linear(), KernelSpec.poly(3, 0.5), KernelSpec.rbf(2.5),
              KernelSpec.sne(2.5)]
 

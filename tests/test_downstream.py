@@ -191,6 +191,16 @@ def test_lssvm_rejects_label_count_mismatch():
         lssvm_fit(F, np.array([0, 1, 0, 1, 0]))
 
 
+@pytest.mark.parametrize("fit", [lambda F, y: lssvm_fit(F, y),
+                                 lambda F, y: linear_head(F, y, "classification", steps=5)],
+                         ids=["lssvm_fit", "linear_head"])
+def test_nan_class_labels_are_rejected(fit):
+    # NaN matches no row, so it would be a class whose column is all -1
+    F = np.random.default_rng(7).standard_normal((8, 2))
+    with pytest.raises(ValueError, match="class labels contain NaN"):
+        fit(F, np.array([0, 1, 0, 1, np.nan, 1, 0, np.nan]))
+
+
 def test_lssvm_builds_no_n_by_n_array():
     rng = np.random.default_rng(8)
     n = 2000

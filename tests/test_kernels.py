@@ -358,13 +358,13 @@ def test_self_check_rejects_position_dependent_gemm(monkeypatch):
     assert kernels._tiles_exact(5)
     exact_gemm = kernels._tile_gemm
 
-    def skewed(xt, zt):
-        out = exact_gemm(xt, zt)
+    def skewed(xt, zt, out=None):
+        out = exact_gemm(xt, zt, out)
         out[..., -1, :] *= 1.0 + 2.0 ** -50   # last tile row rounds differently
         return out
 
-    def skewed_one_row(xt, zt):
-        out = exact_gemm(xt, zt)
+    def skewed_one_row(xt, zt, out=None):
+        out = exact_gemm(xt, zt, out)
         if xt.shape[0] == 1:                  # only the kernel-vector path differs
             out *= 1.0 + 2.0 ** -50
         return out
@@ -384,8 +384,8 @@ def test_budget_chunking_is_exact(monkeypatch):
     V = rng.standard_normal((70, 2))
     spec = family_spec("sne", 9)
     dense = gram(spec, X, Z).values
-    # two tile pairs per product: the engine chunks over both x and z tiles,
-    # matmat/rmatmat and the sne denominators over rows
+    # two tile pairs per chunk: blocks, matmat/rmatmat and the sne
+    # denominators chunk over rows
     monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
     assert np.array_equal(kernels._products(X, Z), gram(KernelSpec.linear(), X, Z, scaled=False).values)
     assert np.array_equal(gram(spec, X, Z).values, dense)
@@ -393,6 +393,47 @@ def test_budget_chunking_is_exact(monkeypatch):
     assert np.array_equal(op.z_col(Z[0]), dense[:, 0])
     assert np.allclose(op.matmat(W), dense @ W, rtol=1e-12, atol=1e-15)
     assert np.allclose(op.rmatmat(V), dense.T @ V, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_chunk_boundaries_do_not_change_values(monkeypatch, family):
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((70, 9))
+    Z = rng.standard_normal((53, 9))
+    spec = family_spec(family, 9)
+    rows = rng.choice(70, 37, replace=False)
+    cols = rng.choice(53, 21, replace=False)
+    every = np.arange(53)
+
+    def evaluate():
+        op = KernelOperator(X, Z, spec)
+        # sne denominators filled from a block over every column, or
+        # evaluated first for a block over some columns
+        fused, partial = KernelOperator(X, Z, spec), KernelOperator(X, Z, spec)
+        partial_cols = partial.block(rows, cols)
+        return {
+            "rows_all": [op.block(rows, every)],
+            "all_cols": [KernelOperator(X, Z, spec).block(np.arange(70), cols)],
+            "materialize": [op.materialize()],
+            "entry": [np.array([op.entry(int(i), int(j)) for i, j in zip(rows, cols)])],
+            "x_row": [op.x_row(X[i]) for i in rows[:4]],
+            "z_col": [op.z_col(Z[j]) for j in cols[:4]],
+            "every_col": [fused.block(rows, every), partial.block(rows, every)],
+            "some_cols": [fused.block(rows, cols), partial_cols],
+            "empty": [op.block([], cols), op.block(rows, [])],
+        }
+
+    want = evaluate()
+    # two tile pairs per chunk: 16-row chunks over all of Z, the last one
+    # partial, and a partial last column tile
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
+    got = evaluate()
+    for key, arrays in want.items():
+        for a, b in zip(got[key], arrays, strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b), key
+    for a, b in (want["every_col"], want["some_cols"]):
+        assert np.array_equal(a, b)
+    assert [a.shape for a in want["empty"]] == [(0, 21), (37, 0)]
 
 
 def test_kernel_vectors_multiply_a_two_row_tile(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -329,6 +330,37 @@ def test_asym_sne_lazy_equals_materialized_with_exact_entry_count():
     for f in ("u", "lambdas", "v"):
         assert np.array_equal(getattr(lazy, f), getattr(dense, f))
     assert op.eval_count == 10 * 30 + 40 * 8 - 10 * 8
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nystrom_blocks_stream_within_their_memory_bound():
+    # nystrom-rbf's shape: the fit needs G[rows, :] and G[:, cols], 8 (nM + Nm)
+    # bytes; beyond them it holds the submatrix with its SVD, Z's tiles and
+    # one chunk, 2.3 MB with 2^15-entry chunks; full-size temporaries of a
+    # block would add about 15 MB
+    rng = np.random.default_rng(15)
+    N = M = 4000
+    d, n = 16, 200
+    X = rng.standard_normal((N, d))
+    Z = rng.standard_normal((M, d)) + 0.5
+    spec = KernelSpec.rbf(float(np.sqrt(2.0 * d)))
+    slack = 3.5e6
+    # first calls import and cache, which is not the fit's memory
+    asym_nystrom(KernelOperator(X[:50], Z[:50], spec), n // 10, n // 10, 8, seed=0)
+    peak = _traced_peak(lambda: asym_nystrom(KernelOperator(X, Z, spec), n, n, 8, seed=0))
+    assert peak <= 8 * (n * M + N * n) + slack
+    op = KernelOperator(X, Z, spec)
+    rows = rng.choice(N, n, replace=False)
+    peak = _traced_peak(lambda: op.block(rows, np.arange(M)))
+    assert peak <= 8 * n * M + slack
 
 
 @pytest.mark.parametrize("given", [[1, 1, 2], [-1, 2, 3], [1, 2, 30], [],
