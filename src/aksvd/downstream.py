@@ -108,6 +108,12 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     Each node v points to the out_degrees[v] nodes u != v whose target
     embedding is nearest (Euclidean) to v's source embedding; exact
     distance ties go to the smaller node index.
+
+    Rows are selected, not sorted: v's cut-off t is its out_degrees[v]-th
+    smallest distance, read from one partition of every row at the largest
+    degree; v keeps every node nearer than t and, in index order, as many
+    of the nodes at exactly t as places remain.  The output array is the
+    partition's scratch, so no N x N array beyond the distances is made.
     """
     src = np.asarray(src_emb, dtype=np.float64)
     tgt = np.asarray(tgt_emb, dtype=np.float64)
@@ -115,16 +121,27 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     N = src.shape[0]
     if np.any(deg > N - 1) or np.any(deg < 0):
         raise ValueError("out-degrees must lie in [0, N-1]")
+    k = int(deg.max(initial=0))
+    if k == 0:
+        return np.zeros((N, N))
     src_sq = (src * src).sum(axis=1)
     tgt_sq = (tgt * tgt).sum(axis=1)
-    d2 = src_sq[:, None] + tgt_sq[None, :] - 2.0 * _products(src, tgt)
+    d2 = _products(src, tgt)
+    d2 *= 2.0
+    A_hat = np.add.outer(src_sq, tgt_sq)
+    np.subtract(A_hat, d2, out=d2)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
-    # a stable sort keeps equal distances in index order
-    order = np.argsort(d2, axis=1, kind="stable")
-    keep = np.arange(N)[None, :] < deg[:, None]
-    A_hat = np.zeros((N, N))
-    A_hat[np.nonzero(keep)[0], order[keep]] = 1.0
+    A_hat[...] = d2
+    A_hat.partition(k - 1, axis=1)
+    nearest = np.sort(A_hat[:, :k], axis=1)
+    cut = np.where(deg > 0, nearest[np.arange(N), np.maximum(deg - 1, 0)], -np.inf)
+    np.less_equal(d2, cut[:, None], out=A_hat)
+    taken = A_hat.sum(axis=1).astype(int)
+    # rows with more ties at their cut-off than places: drop the later ones
+    for v in np.flatnonzero(taken > deg):
+        ties = np.flatnonzero(d2[v] == cut[v])
+        A_hat[v, ties[deg[v] - taken[v]:]] = 0.0
     return A_hat
 
 

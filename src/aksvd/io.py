@@ -138,21 +138,33 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=int)
 
 
-def save_matrix_csv(path, values: np.ndarray) -> None:
+def format_rows(values) -> List[str]:
+    """The CSV rows of a real matrix, without line ends: each value is
+    formatted on its own with 17 significant digits, so a row of two
+    matrices side by side is their two rows joined by a comma.  A matrix
+    with no values has no rows."""
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    row_fmt = ",".join([_FLOAT_FMT] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        for row in values.tolist():
-            f.write(row_fmt % tuple(row))
-
-
-def save_embeddings(path, emb) -> None:
-    """Write an embedding array as headerless CSV, one row per sample."""
-    values = np.asarray(emb)
     if values.size == 0:
-        open(path, "w", encoding="utf-8").close()
-        return
-    save_matrix_csv(path, values)
+        return []
+    row_fmt = ",".join([_FLOAT_FMT] * values.shape[1])
+    return [row_fmt % tuple(row) for row in values.tolist()]
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(line + "\n" for line in lines)
+
+
+def save_matrix_csv(path, values: np.ndarray) -> None:
+    """Write a real matrix as headerless CSV, one line per row."""
+    _write_lines(path, format_rows(values))
+
+
+def save_embeddings(path, *blocks: List[str]) -> None:
+    """Write row-aligned :func:`format_rows` blocks side by side as
+    headerless CSV, one line per sample: one embedding, or the left and
+    right ones for their concatenation.  No rows make an empty file."""
+    _write_lines(path, map(",".join, zip(*blocks)))
 
 
 def save_report(path, rows: List[dict]) -> None:

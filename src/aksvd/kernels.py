@@ -313,9 +313,11 @@ class KernelOperator:
 
     Caches squared row norms at construction and, for the sne family, the
     per-row softmax denominators sum_{z' in Z} exp(-||x_i - z'||^2/gamma^2)
-    the first time a row is touched.  ``eval_count`` tracks how many Gram
-    entries have been requested through :meth:`block` / :meth:`entry`
-    (sne denominators are internal to the kernel and not counted).
+    the first time a row is touched.  It keeps the gemm tiles of X and Z
+    once built, and those of the last column subset it evaluated.
+    ``eval_count`` tracks how many Gram entries have been requested through
+    :meth:`block` / :meth:`entry` (sne denominators are internal to the
+    kernel and not counted).
     """
 
     def __init__(self, x_data, z_data, spec: KernelSpec, scaled: bool = True):
@@ -339,6 +341,8 @@ class KernelOperator:
             self._sne_den = np.full(n, np.nan)
         # _z_tiles of the training X and Z (see _training_tiles)
         self._train_tiles = {}
+        # the last column subset tiled, and its tiles (see _column_tiles)
+        self._cols_tiled = (None, None)
 
     @property
     def shape(self):
@@ -378,6 +382,16 @@ class KernelOperator:
             self._train_tiles[name] = _z_tiles(self.z_data if name == "x_new" else self.x_data)
         return self._train_tiles[name]
 
+    def _column_tiles(self, cols) -> np.ndarray:
+        """The :func:`_z_tiles` of Z[cols], kept until another column
+        subset is tiled: the Nystrom fit asks for the same sampled columns
+        once per chunk of complement rows."""
+        kept, tiles = self._cols_tiled
+        if kept is None or not np.array_equal(kept, cols):
+            tiles = _z_tiles(self.z_data[cols])
+            self._cols_tiled = (cols.copy(), tiles)
+        return tiles
+
     def _kernel_chunks(self, rows, cols=None, out=None):
         """kappa over ``rows`` x ``cols`` (all of Z in order when None),
         before sne normalization and scaling, one chunk of whole row tiles
@@ -387,25 +401,30 @@ class KernelOperator:
         and else a new array, while they are still in cache.  A chunk holds
         at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
         its tile gemms write into it and the family formula runs on it in
-        place.  One-row and one-column
-        blocks are kernel vectors and come in one chunk.
+        place.  One-row and one-column blocks are kernel vectors and come
+        in one chunk; a one-row block meets the same column tiles as any
+        other block, Z's cached ones when it spans all of Z.
         """
-        z, z_sq = self.z_data, self._z_sq
-        if cols is not None:
-            z = z[cols]
-            z_sq = None if z_sq is None else z_sq[cols]
-        n, m = rows.size, z.shape[0]
-        tiled = n > 1 and m > 1 and _tiles_exact(z.shape[1])
-        if tiled:
-            zt = self._training_tiles("x_new") if cols is None else _z_tiles(z)
+        z_sq = self._z_sq
+        if cols is not None and z_sq is not None:
+            z_sq = z_sq[cols]
+        n = rows.size
+        m = self.z_data.shape[0] if cols is None else cols.size
+        zt = z = None
+        if m > 1 and _tiles_exact(self.z_data.shape[1]):
+            zt = self._training_tiles("x_new") if cols is None else self._column_tiles(cols)
+        else:
+            z = self.z_data if cols is None else self.z_data[cols]
         step = _chunk_rows(m) if m > 1 else max(1, n)
         for s in range(0, n, step):
             r = rows[s : s + step]
             vals = np.empty((r.size, m)) if out is None else out[s : s + step]
-            if tiled:
-                _fill_tiles(vals, _x_tiles(self.x_data[r]), zt)
-            else:
+            if zt is None:
                 vals[...] = _products(self.x_data[r], z)
+            elif n == 1:
+                vals[0] = _vector_products(self.x_data[r[0]], zt, m)
+            else:
+                _fill_tiles(vals, _x_tiles(self.x_data[r]), zt)
             yield r, self._kernel(vals, None if z_sq is None else self._x_sq[r], z_sq)
 
     def block(self, rows, cols) -> np.ndarray:

@@ -130,8 +130,10 @@ def residuals(model: KsvdModel):
     r1 = ||G'G B_psi - G'B_phi L||_F, r2 = ||GG'B_phi - G B_psi L||_F."""
     G = model.gram_values()
     lam = model.lambdas
-    r1 = np.linalg.norm(G.T @ (G @ model.b_psi) - (G.T @ model.b_phi) * lam[None, :])
-    r2 = np.linalg.norm(G @ (G.T @ model.b_phi) - (G @ model.b_psi) * lam[None, :])
+    g_psi = G @ model.b_psi      # each product is formed once and used twice
+    gt_phi = G.T @ model.b_phi
+    r1 = np.linalg.norm(G.T @ g_psi - gt_phi * lam[None, :])
+    r2 = np.linalg.norm(G @ gt_phi - g_psi * lam[None, :])
     return float(r1), float(r2)
 
 

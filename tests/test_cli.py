@@ -63,6 +63,55 @@ def test_embed_matches_api(tmp_path, capsys):
     assert np.array_equal(left, model.b_phi)
 
 
+def _per_value_csv(values):
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in values)
+
+
+def test_embed_output_bytes(tmp_path, capsys):
+    # each file is the per-value formatter of its factors, and a concat
+    # line is the left line, a comma and the right line
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 8))
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, A)
+    out = str(tmp_path / "run")
+    code, _ = run_cli(capsys, ["embed", "--input", str(inp), "--kernel", "rbf",
+                               "--gamma", "2.0", "--rank", "3", "--out", out])
+    assert code == 0
+    model = fit_matrix(load_dense_csv(inp), KernelSpec.rbf(2.0), 3)
+    left, right, concat = (Path(out + s).read_text() for s in (".left.csv", ".right.csv",
+                                                              ".concat.csv"))
+    assert left == _per_value_csv(model.b_phi)
+    assert right == _per_value_csv(model.b_psi)
+    assert concat == _per_value_csv(np.hstack([model.b_phi, model.b_psi]))
+    assert concat.splitlines() == [a + "," + b for a, b in zip(left.splitlines(),
+                                                              right.splitlines())]
+
+
+def test_rectangular_embed_writes_no_concat(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(1).standard_normal((7, 4)))
+    out = str(tmp_path / "run")
+    code, _ = run_cli(capsys, ["embed", "--input", str(inp), "--compat", "a1",
+                               "--rank", "2", "--out", out])
+    assert code == 0
+    assert load_dense_csv(out + ".left.csv").shape == (7, 2)
+    assert load_dense_csv(out + ".right.csv").shape == (4, 2)
+    assert not os.path.exists(out + ".concat.csv")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # no positive singular value
+def test_rank_zero_embed_writes_empty_embeddings(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.zeros((4, 4)))
+    out = str(tmp_path / "run")
+    code, _ = run_cli(capsys, ["embed", "--input", str(inp), "--rank", "2", "--out", out])
+    assert code == 0
+    assert load_report(out + ".fit.json")[0]["achieved_rank"] == 0
+    for suffix in (".left.csv", ".right.csv", ".concat.csv"):
+        assert Path(out + suffix).read_bytes() == b""
+
+
 def test_embed_deterministic_same_seed(tmp_path, capsys):
     rng = np.random.default_rng(1)
     A = rng.standard_normal((10, 10))

@@ -288,6 +288,19 @@ def test_reconstruct_matches_loop_property(seed, n, d, levels):
     assert np.array_equal(graph_reconstruct(src, tgt, deg), loop_reconstruct(src, tgt, deg))
 
 
+def test_reconstruct_matches_loop_at_graph_size():
+    # graph-sne's node count; integer embeddings put exact ties at most
+    # rows' cut-offs, and the degrees mix 0, 1, typical values and N - 1
+    rng = np.random.default_rng(7)
+    N = 400
+    src = rng.integers(0, 3, size=(N, 4)).astype(float)
+    tgt = rng.integers(0, 3, size=(N, 4)).astype(float)
+    deg = rng.integers(2, 20, size=N)
+    deg[:50], deg[50:100], deg[100:110] = 0, 1, N - 1
+    rng.shuffle(deg)
+    assert np.array_equal(graph_reconstruct(src, tgt, deg), loop_reconstruct(src, tgt, deg))
+
+
 def test_reconstruct_zero_degrees():
     rng = np.random.default_rng(4)
     emb = rng.standard_normal((5, 3))

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from aksvd import io
 from aksvd.errors import DataError
 from aksvd.io import (
+    format_rows,
     load_dense_csv,
     load_edge_list,
     load_labels,
@@ -257,15 +258,29 @@ def test_save_embeddings_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     emb = rng.standard_normal((6, 3))
     p = tmp_path / "emb.csv"
-    save_embeddings(p, emb)
+    save_embeddings(p, format_rows(emb))
     assert np.array_equal(load_dense_csv(p), emb)
 
 
 def test_save_embeddings_empty(tmp_path):
-    emb = np.zeros((0, 3))
+    # no samples, or a rank-0 fit's zero-width embeddings, alone or side by
+    # side: an empty file, not blank lines
     p = tmp_path / "emb.csv"
-    save_embeddings(p, emb)
-    assert p.read_text() == ""
+    for emb in (np.zeros((0, 3)), np.zeros((4, 0))):
+        save_embeddings(p, format_rows(emb))
+        assert p.read_text() == ""
+        save_embeddings(p, format_rows(emb), format_rows(emb))
+        assert p.read_text() == ""
+
+
+def test_save_embeddings_side_by_side_is_the_concatenation(tmp_path):
+    rng = np.random.default_rng(2)
+    left = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-200, 200, size=(5, 3))
+    right = rng.standard_normal((5, 2))
+    p, q = tmp_path / "pair.csv", tmp_path / "whole.csv"
+    save_embeddings(p, format_rows(left), format_rows(right))
+    save_matrix_csv(q, np.hstack([left, right]))
+    assert p.read_bytes() == q.read_bytes()
 
 
 def test_report_round_trip_bit_exact(tmp_path):

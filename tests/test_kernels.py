@@ -337,6 +337,25 @@ def test_sne_denominators_same_fused_or_partial_first():
     assert np.array_equal(by_column.block(np.arange(40), np.arange(35)), want)
 
 
+def test_sne_entry_normalizes_its_row_on_cached_z_tiles(monkeypatch):
+    # an entry whose row has no denominator yet evaluates that row over all
+    # of Z with Z's cached tiles, not with a new tiling of Z
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((40, 17))
+    Z = rng.standard_normal((35, 17))
+    spec = family_spec("sne", 17)
+    want = KernelOperator(X, Z, spec).materialize()
+    op = KernelOperator(X, Z, spec)
+    op.x_row(X[0])                        # tiles Z once and keeps the tiles
+    tiled = []
+    real = kernels._z_tiles
+    monkeypatch.setattr(kernels, "_z_tiles", lambda a: tiled.append(len(a)) or real(a))
+    for i, j in ((3, 7), (39, 0), (20, 34)):
+        assert op.entry(i, j) == want[i, j]
+    assert np.array_equal(op.block([11], np.arange(35)), want[11:12])
+    assert max(tiled, default=0) < 35
+
+
 def test_fallback_equals_broadcast_oracle(monkeypatch):
     rng = np.random.default_rng(22)
     X = rng.standard_normal((37, 6))

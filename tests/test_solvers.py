@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aksvd.kernels as kernels_module
 import aksvd.solvers as solvers_module
 from aksvd.cli import main
 from aksvd.errors import NumericalError
@@ -330,6 +331,24 @@ def test_asym_sne_lazy_equals_materialized_with_exact_entry_count():
     for f in ("u", "lambdas", "v"):
         assert np.array_equal(getattr(lazy, f), getattr(dense, f))
     assert op.eval_count == 10 * 30 + 40 * 8 - 10 * 8
+
+
+def test_asym_tiles_the_sampled_columns_once_per_fit(monkeypatch):
+    # one tiling of Z[cols] serves every chunk of complement rows
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((300, 5))
+    Z = rng.standard_normal((260, 5))
+    spec = KernelSpec.rbf(2.0)
+    want = asym_nystrom(MatrixOperator(KernelOperator(X, Z, spec).materialize()),
+                        20, 24, 4, seed=3)
+    monkeypatch.setattr(kernels_module, "_BLOCK_BUDGET", 2 * kernels_module._TILE ** 2)
+    tiled = []
+    real = kernels_module._z_tiles
+    monkeypatch.setattr(kernels_module, "_z_tiles", lambda a: tiled.append(len(a)) or real(a))
+    got = asym_nystrom(KernelOperator(X, Z, spec), 20, 24, 4, seed=3)
+    assert tiled.count(24) == 1
+    for f in ("u", "lambdas", "v"):
+        assert np.array_equal(getattr(got, f), getattr(want, f))
 
 
 def _traced_peak(call):
