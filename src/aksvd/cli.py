@@ -238,8 +238,16 @@ def cmd_graph(cfg) -> int:
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1]:
         raise DataError("graph command requires a square adjacency matrix")
+    bad = np.argwhere((A != 0.0) & (A != 1.0))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"graph adjacency must be binary (0 or 1): entry at row {i}, "
+                        f"column {j} (0-based) is {float(A[i, j])!r}")
     labels = _load_labels(cfg, A.shape[0], "nodes")
     model = _fit_from_config(cfg, A)
+    if model.achieved_rank == 0:
+        raise NumericalError("graph fit achieved rank 0: no embedding to classify nodes "
+                             "or reconstruct edges from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 

@@ -13,26 +13,29 @@ vectors on demand without ever forming the full matrix.  All of these go
 through one kernel-value routine, so a lazily fetched entry is
 bit-for-bit equal to the materialized one.
 
-Every kernel family needs the inner products <x_i, z_j>.  They come from
-a tile engine: the rows of X and Z are zero-padded to a multiple of
+Every kernel family needs the inner products <x_i, z_j>, and one routine,
+``_fill``, computes them all: blocks, entries and kernel vectors alike.
+It is a tile engine: the rows of X and Z are zero-padded to a multiple of
 ``_TILE`` and every pair of _TILE x d tiles is multiplied in one batched
 gemm.  The tile shape is fixed because a gemm's rounding depends on the
 shape of the call (its blocking, micro-kernel and edge handling), not
 only on the two vectors: ``x @ z.T`` on a sub-block can differ in the last
 bit from the same entry of the full product.  With one call shape every
 entry is computed by the same sequence of operations wherever it sits.
-A kernel vector (one new point, a one-row or a one-column block) needs
-only one row of each tile product, so it takes a narrower call: the point
-fills row 0 of a zero-padded 2 x d tile that multiplies the other side's
-d x _TILE transposed tiles.  The gemm micro-kernel computes each entry
-by the same sequence of operations at either height, and products
-commute, so the same layout serves an x-side and a z-side vector.  One
-row is not used because BLAS libraries hand a one-row product to gemv,
-which rounds differently.  That still assumes the BLAS treats every
-position of a tile, and both call heights, alike, so a self-check places
-a few pairs at different tile positions once per process and feature
-dimension; if any result differs, evaluation falls back to a broadcast
-multiply-and-sum, which is exact at any shape but much slower.
+A one-row block or a new point needs only one row of each tile product,
+so it takes a narrower call: the point fills row 0 of a zero-padded
+2 x d tile that multiplies the other side's d x _TILE transposed tiles.
+The gemm micro-kernel computes each entry by the same sequence of
+operations at either height, and products commute, so the same layout
+serves an x-side and a z-side point.  One row is not used because BLAS
+libraries hand a one-row product to gemv, which rounds differently.
+That still assumes the BLAS treats every position of a tile, and both
+call heights, alike, so a self-check runs ``_fill`` itself on a few pairs
+placed at different tile positions, partial edge tiles among them, once
+per process and feature dimension.  If any result differs, the column
+side of every product is kept as raw rows instead of tiles, a choice made
+once when a side is built and cached, and ``_fill`` computes from them by
+a broadcast multiply-and-sum, which is exact at any shape but much slower.
 
 A block is streamed: its n x m result is allocated once and filled one
 chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries or
@@ -147,7 +150,7 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
 def _pair_products(xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """Inner products <x_i, z_j> for all pairs by broadcast multiply-and-sum.
 
-    The reference routine and the fallback of :func:`_products`: the
+    The reference routine and the fallback of :func:`_fill`: the
     per-entry reduction order is independent of the block shape, so any
     sub-block agrees bit-for-bit with full assembly, at roughly sixty
     times the cost of gemm.  Chunked over rows so that the (rows x cols
@@ -200,105 +203,98 @@ def _tile_gemm(xt: np.ndarray, zt: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(xt[:, None], zt[None], out=out)
 
 
-def _vector_products(v: np.ndarray, tiles: np.ndarray, count: int) -> np.ndarray:
-    """Inner products <v, a_j> of one point with the ``count`` rows a_j
-    held in ``tiles``, the :func:`_z_tiles` layout of either side.
-
-    ``v`` fills row 0 of a zero-padded _VEC_ROWS x d tile, and one
-    :func:`_tile_gemm` multiplies it by every tile; row 0 of each product
-    holds the same bits as the entries of a full tile product.  The
-    product has only _VEC_ROWS entries per row of ``tiles``, so it is not
-    chunked.
-    """
-    vt = np.zeros((1, _VEC_ROWS, v.size))
-    vt[0, 0] = v
-    return _tile_gemm(vt, tiles)[0, :, 0, :].reshape(-1)[:count]
+def _side(a: np.ndarray) -> np.ndarray:
+    """The column side of :func:`_fill` for the rows of ``a``: their
+    :func:`_z_tiles`, or ``a`` itself when the self-check
+    :func:`_tiles_exact` fails for this feature dimension.  Chosen once,
+    when a side is built and cached."""
+    return _z_tiles(a) if _tiles_exact(a.shape[1]) else a
 
 
-def _fill_tiles(dest: np.ndarray, xt: np.ndarray, zt: np.ndarray) -> None:
-    """Write <x_i, z_j> into ``dest`` from the :func:`_x_tiles` ``xt`` of
-    its rows and the :func:`_z_tiles` ``zt`` of its columns.
+def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
+    """Write <x_i, z_j> into ``dest``, the one routine every inner product
+    takes: ``x`` holds the rows of ``dest``, and ``side`` its columns as
+    :func:`_side` built them.
 
-    The gemms of whole tiles write straight into ``dest``, seen as
-    (row tiles, _TILE, column tiles, _TILE).  A partial last row or column
-    tile goes through a temporary of one tile row or column; its gemm
-    calls have the same shape as the others.
+    Raw rows (the fallback) go to :func:`_pair_products`.  A one-row
+    ``dest`` is a kernel vector: the point fills row 0 of a zero-padded
+    _VEC_ROWS x d tile, and one :func:`_tile_gemm` multiplies it by every
+    column tile; row 0 of each product holds the same bits as the entries
+    of a full tile product.  Otherwise the rows are tiled and the gemms of
+    whole tiles write straight into ``dest``, seen as (row tiles, _TILE,
+    column tiles, _TILE); a partial last row or column tile goes through a
+    temporary of one tile row or column, with gemm calls of the same shape.
     """
     k, m = dest.shape
+    if side.ndim == 2:
+        dest[...] = _pair_products(x, side)
+        return
+    if k == 1:
+        vt = np.zeros((1, _VEC_ROWS, x.shape[1]))
+        vt[0, 0] = x[0]
+        dest[0] = _tile_gemm(vt, side)[0, :, 0, :].reshape(-1)[:m]
+        return
+    xt = _x_tiles(x)
     p, q = k // _TILE, m // _TILE
     kf, mf = p * _TILE, q * _TILE
     if p and q:
         tiles = dest[:kf, :mf].reshape(p, _TILE, q, _TILE)
-        _tile_gemm(xt[:p], zt[:q], out=tiles.transpose(0, 2, 1, 3))
+        _tile_gemm(xt[:p], side[:q], out=tiles.transpose(0, 2, 1, 3))
     if mf < m:
-        dest[:, mf:] = _tile_gemm(xt, zt[q:])[:, 0].reshape(-1, _TILE)[:k, : m - mf]
+        dest[:, mf:] = _tile_gemm(xt, side[q:])[:, 0].reshape(-1, _TILE)[:k, : m - mf]
     if kf < k:
-        edge = _tile_gemm(xt[p:], zt[:q])[0].transpose(1, 0, 2)
+        edge = _tile_gemm(xt[p:], side[:q])[0].transpose(1, 0, 2)
         dest[kf:, :mf] = edge.reshape(_TILE, mf)[: k - kf]
 
 
-def _tile_products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inner products <x_i, z_j> for all pairs, from tile gemms alone.
-
-    Pads both sides to whole tiles and lets :func:`_fill_tiles` evaluate
-    every tile pair into the result.  A one-row or one-column result is a
-    kernel vector and goes through :func:`_vector_products`.
-    """
-    n, m = x.shape[0], z.shape[0]
-    if n == 1:
-        return _vector_products(x[0], _z_tiles(z), m)[None, :]
-    if m == 1:
-        return _vector_products(z[0], _z_tiles(x), n)[:, None]
-    out = np.empty((n, m))
-    _fill_tiles(out, _x_tiles(x), _z_tiles(z))
-    return out
-
-
 def _tiles_exact(d: int) -> bool:
-    """Whether :func:`_tile_products` gives an entry the same bits wherever
-    it sits.
+    """Whether :func:`_fill` gives an entry the same bits wherever it sits.
 
-    Three pairs of random vectors each fill three rows of X and of Z, in
-    different tiles and at different positions within a tile, among
-    random filler rows.  Every copy of a pair's product must agree across
-    the full product and the kernel-vector path in both roles: x in the
-    narrow tile against Z's tiles, and z in it against X's.  The
-    result is cached per feature dimension for the life of the process.
+    Three pairs of random vectors each fill four rows of X and of Z, in
+    different tiles and at different positions within a tile, the last
+    one in a partial last tile, among random filler rows.  Every copy of a
+    pair's product must agree across the full product, whose partial
+    tiles go through the edge temporaries, and the kernel-vector path in
+    both roles: x in the narrow tile against Z's tiles, and z in it
+    against X's.  The result is cached per feature dimension for the life
+    of the process.
     """
     ok = _TILE_EXACT.get(d)
     if ok is None:
         rng = np.random.default_rng(d)
-        X = rng.standard_normal((2 * _TILE, d))
-        Z = rng.standard_normal((3 * _TILE, d))
+        X = rng.standard_normal((2 * _TILE + 3, d))
+        Z = rng.standard_normal((3 * _TILE + 5, d))
         half = _TILE // 2
-        slots = [([k, 2 * _TILE - 1 - k, half + k], [k, 3 * _TILE - 1 - k, _TILE + half + k])
+        slots = [([k, half + k, 2 * _TILE - 1 - k, 2 * _TILE + k],
+                  [k, _TILE + half + k, 3 * _TILE - 1 - k, 3 * _TILE + 2 + k])
                  for k in range(3)]
         for xs, zs in slots:
             X[xs] = rng.standard_normal(d)
             Z[zs] = rng.standard_normal(d)
-        full = _tile_products(X, Z)
+        x_side, z_side = _z_tiles(X), _z_tiles(Z)
+        full = np.empty((len(X), len(Z)))
+        _fill(full, X, z_side)
+        row, col = np.empty((1, len(Z))), np.empty((1, len(X)))
         ok = True
         for xs, zs in slots:
             got = [full[np.ix_(xs, zs)].ravel()]
-            got += [_tile_products(X[i : i + 1], Z)[0, zs] for i in xs]
-            got += [_tile_products(X, Z[j : j + 1])[xs, 0] for j in zs]
+            for i in xs:
+                _fill(row, X[i : i + 1], z_side)
+                got.append(row[0, zs])
+            for j in zs:
+                _fill(col, Z[j : j + 1], x_side)
+                got.append(col[0, xs])
             ok &= np.unique(np.concatenate(got)).size == 1
         _TILE_EXACT[d] = bool(ok)
     return _TILE_EXACT[d]
 
 
 def _products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inner products <x_i, z_j> for all pairs, exact at any block shape.
-
-    Uses :func:`_tile_products`, so an entry has the same bits in a full
-    Gram matrix, a sub-block, a single entry or a kernel vector, unless
-    the self-check :func:`_tiles_exact` fails for this feature dimension;
-    then :func:`_pair_products` computes every entry instead, which is
-    exact too, only slower.
-    """
-    if not _tiles_exact(x.shape[1]):
-        return _pair_products(x, z)
-    return _tile_products(x, z)
+    """Inner products <x_i, z_j> for all pairs, exact at any block shape:
+    :func:`_fill` into a new array, with the :func:`_side` of ``z``."""
+    out = np.empty((x.shape[0], z.shape[0]))
+    _fill(out, x, _side(z))
+    return out
 
 
 def _check_denominators(den) -> None:
@@ -339,9 +335,9 @@ class KernelOperator:
             self._z_sq = (self.z_data * self.z_data).sum(axis=1)
         if spec.family == "sne":
             self._sne_den = np.full(n, np.nan)
-        # _z_tiles of the training X and Z (see _training_tiles)
+        # _side of the training X and Z (see _training_tiles)
         self._train_tiles = {}
-        # the last column subset tiled, and its tiles (see _column_tiles)
+        # the last column subset tiled, and its _side (see _column_tiles)
         self._cols_tiled = (None, None)
 
     @property
@@ -374,21 +370,21 @@ class KernelOperator:
         return pp
 
     def _training_tiles(self, name: str) -> np.ndarray:
-        """The :func:`_z_tiles` of the training side that a new point of
+        """The :func:`_side` of the training side that a new point of
         ``name`` meets: Z for "x_new", X for "z_new".  Built once and kept:
         kernel vectors, blocks over all of Z and sne denominators reuse
-        them."""
+        it."""
         if name not in self._train_tiles:
-            self._train_tiles[name] = _z_tiles(self.z_data if name == "x_new" else self.x_data)
+            self._train_tiles[name] = _side(self.z_data if name == "x_new" else self.x_data)
         return self._train_tiles[name]
 
     def _column_tiles(self, cols) -> np.ndarray:
-        """The :func:`_z_tiles` of Z[cols], kept until another column
-        subset is tiled: the Nystrom fit asks for the same sampled columns
-        once per chunk of complement rows."""
+        """The :func:`_side` of Z[cols], kept until another column subset
+        is tiled: the Nystrom fit asks for the same sampled columns once
+        per chunk of complement rows."""
         kept, tiles = self._cols_tiled
         if kept is None or not np.array_equal(kept, cols):
-            tiles = _z_tiles(self.z_data[cols])
+            tiles = _side(self.z_data[cols])
             self._cols_tiled = (cols.copy(), tiles)
         return tiles
 
@@ -400,31 +396,21 @@ class KernelOperator:
         Yields each chunk's rows and values, a slice of ``out`` when given
         and else a new array, while they are still in cache.  A chunk holds
         at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
-        its tile gemms write into it and the family formula runs on it in
-        place.  One-row and one-column blocks are kernel vectors and come
-        in one chunk; a one-row block meets the same column tiles as any
-        other block, Z's cached ones when it spans all of Z.
+        :func:`_fill` writes its inner products into it and the family
+        formula runs on it in place.  A one-row block is a kernel vector
+        against the same column side as any other block, Z's cached one
+        when it spans all of Z.
         """
         z_sq = self._z_sq
         if cols is not None and z_sq is not None:
             z_sq = z_sq[cols]
-        n = rows.size
         m = self.z_data.shape[0] if cols is None else cols.size
-        zt = z = None
-        if m > 1 and _tiles_exact(self.z_data.shape[1]):
-            zt = self._training_tiles("x_new") if cols is None else self._column_tiles(cols)
-        else:
-            z = self.z_data if cols is None else self.z_data[cols]
-        step = _chunk_rows(m) if m > 1 else max(1, n)
-        for s in range(0, n, step):
+        side = self._training_tiles("x_new") if cols is None else self._column_tiles(cols)
+        step = _chunk_rows(m)
+        for s in range(0, rows.size, step):
             r = rows[s : s + step]
             vals = np.empty((r.size, m)) if out is None else out[s : s + step]
-            if zt is None:
-                vals[...] = _products(self.x_data[r], z)
-            elif n == 1:
-                vals[0] = _vector_products(self.x_data[r[0]], zt, m)
-            else:
-                _fill_tiles(vals, _x_tiles(self.x_data[r]), zt)
+            _fill(vals, self.x_data[r], side)
             yield r, self._kernel(vals, None if z_sq is None else self._x_sq[r], z_sq)
 
     def block(self, rows, cols) -> np.ndarray:
@@ -486,13 +472,11 @@ class KernelOperator:
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
         data, sq = (self.z_data, self._z_sq) if name == "x_new" else (self.x_data, self._x_sq)
-        if not _tiles_exact(v.shape[1]):
-            pp = _pair_products(v, data)[0]
-        else:
-            pp = _vector_products(v[0], self._training_tiles(name), data.shape[0])
+        pp = np.empty((1, data.shape[0]))
+        _fill(pp, v, self._training_tiles(name))
         v_sq = (v * v).sum(axis=1) if sq is not None else None
         # entrywise formulas: either argument order gives the same bits
-        return self._kernel(pp[:, None], sq, v_sq)[:, 0]
+        return self._kernel(pp, v_sq, sq)[0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.

@@ -244,6 +244,39 @@ def test_graph_zero_edge_reconstruction(tmp_path, capsys):
     assert l1 == 0.0
 
 
+def test_graph_rank_zero_fit_is_a_numerical_error(tmp_path, capsys):
+    # an all-zero linear Gram has no positive singular value: nothing to
+    # embed, so no output file is written
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.zeros((6, 6)))
+    labels = tmp_path / "y.txt"
+    labels.write_text("0\n0\n0\n1\n1\n1\n")
+    with pytest.warns(RuntimeWarning, match="only 0 positive"):
+        code = main(["graph", "--input", str(inp), "--labels", str(labels),
+                     "--kernel", "linear", "--rank", "2", "--out", str(tmp_path / "g")])
+    assert code == 3
+    assert "rank 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g.*"))
+
+
+@pytest.mark.parametrize("adjacency, where", [
+    (np.random.default_rng(9).standard_normal((25, 25)), "row 0, column 0"),
+    (0.5 * (np.eye(8, k=1) + np.eye(8, k=3)), "row 0, column 1"),   # weighted 0/0.5
+])
+def test_graph_rejects_non_binary_adjacency(tmp_path, capsys, adjacency, where):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, adjacency)
+    labels = tmp_path / "y.txt"
+    labels.write_text("".join(f"{i % 2}\n" for i in range(len(adjacency))))
+    code = main(["graph", "--input", str(inp), "--labels", str(labels),
+                 "--kernel", "rbf", "--gamma", "1.0", "--rank", "2",
+                 "--out", str(tmp_path / "g")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "binary" in err and where in err
+    assert not list(tmp_path.glob("g.*"))
+
+
 def test_bicluster_command(tmp_path, capsys):
     rng = np.random.default_rng(3)
     blocks = []

@@ -309,6 +309,10 @@ def assert_lazy_matches_dense(spec, X, Z, rng):
         assert np.array_equal(op.x_row(X[i]), dense[i])
     for j in range(0, m, 5):
         assert np.array_equal(op.z_col(Z[j]), dense[:, j])
+    # one-column blocks take the ordinary tile path, not the narrow tile
+    every_row = np.arange(n)
+    for j in range(m):
+        assert np.array_equal(op.block(every_row, [j]), dense[:, j : j + 1])
 
 
 @pytest.mark.parametrize("d", [1, 15, 16, 17, 400])
@@ -318,6 +322,15 @@ def test_lazy_exact_every_family_and_dimension(family, d):
     X = rng.standard_normal((37, d))
     Z = rng.standard_normal((29, d))
     assert_lazy_matches_dense(family_spec(family, d), X, Z, rng)
+
+
+@pytest.mark.parametrize("d", [1, 15, 16, 17, 400])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_lazy_exact_every_family_and_dimension_in_the_fallback(monkeypatch, family, d):
+    # the same checks with the self-check failed: every side is raw rows
+    # and every inner product comes from the broadcast fallback
+    monkeypatch.setattr(kernels, "_tiles_exact", lambda d: False)
+    test_lazy_exact_every_family_and_dimension(family, d)
 
 
 def test_sne_denominators_same_fused_or_partial_first():
@@ -393,6 +406,23 @@ def test_self_check_rejects_position_dependent_gemm(monkeypatch):
     monkeypatch.setattr(kernels, "_tile_gemm", skewed_one_row)
     assert not kernels._tiles_exact(7)
     assert kernels._tiles_exact(5)         # cached per dimension
+
+
+def test_self_check_reaches_the_edge_tiles(monkeypatch):
+    # a gemm that rounds differently only in the temporaries of partial
+    # last row and column tiles is caught too
+    monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+    exact_gemm = kernels._tile_gemm
+
+    def skewed_edges(xt, zt, out=None):
+        edge = out is None and xt.shape[1] == kernels._TILE
+        out = exact_gemm(xt, zt, out)
+        if edge:
+            out *= 1.0 + 2.0 ** -50
+        return out
+
+    monkeypatch.setattr(kernels, "_tile_gemm", skewed_edges)
+    assert not kernels._tiles_exact(5)
 
 
 def test_budget_chunking_is_exact(monkeypatch):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import aksvd
 
 
@@ -11,3 +14,24 @@ def test_star_import():
     namespace = {}
     exec("from aksvd import *", namespace)
     assert set(aksvd.__all__) <= set(namespace)
+
+
+def test_every_private_helper_is_used():
+    # a _-prefixed function or class that nothing in the package names is
+    # dead code
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(aksvd.__file__).parent.glob("*.py")]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = sorted(name for name in defined - used
+                    if name.startswith("_") and not name.startswith("__"))
+    assert not unused, unused
