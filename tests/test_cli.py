@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import aksvd
+from aksvd import solvers
 from aksvd.ksvd import fit_matrix
 from aksvd.cli import build_parser, main
 from aksvd.compat import STRATEGIES
@@ -368,6 +369,50 @@ def test_bench_rerun_reproduces_nontiming_fields(tmp_path, capsys):
         results.append([{k: v for k, v in t.items() if k != "seconds"} for t in trials])
     assert results[0] == results[1]
 
+
+
+@pytest.mark.parametrize("fmt, kernel", [("edges", "linear"), ("csv", "poly")])
+def test_bench_runs_on_the_scaled_gram_of_its_input(tmp_path, capsys, fmt, kernel):
+    # only a dense CSV under the linear kernel is taken as the matrix itself;
+    # an edge list, or any other kernel, is benchmarked on its Gram matrix
+    rng = np.random.default_rng(7)
+    A = (rng.random((12, 12)) < 0.4).astype(float)
+    if fmt == "edges":
+        inp = tmp_path / "g.tsv"
+        inp.write_text("# n=12\n" + "".join(f"{s}\t{d}\n" for s, d in zip(*np.nonzero(A))))
+        G = A @ A / 12
+    else:
+        A = rng.standard_normal((12, 12))
+        inp = tmp_path / "a.csv"
+        save_matrix_csv(inp, A)
+        G = (A @ A + 1.0) ** 2 / 12
+    out = tmp_path / "b"
+    code, _ = run_cli(capsys, ["bench", "--input", str(inp), "--format", fmt,
+                               "--kernel", kernel, "--rank", "2", "--eps", "0",
+                               "--solvers", "tsvd,asymnys", "--m-schedule", "4,12",
+                               "--out", str(out)])
+    assert code == 0
+    want = solvers.bench(G, 2, 0.0, solvers=("tsvd", "asymnys"), m_schedule=(4, 12))
+    got = load_report(str(out) + ".bench.ldjson")
+    assert [(t["solver"], t["n_sub"], t["m_sub"]) for t in got] == \
+        [(t.solver, t.n_sub, t.m_sub) for t in want.trials]
+    assert [t["eta"] for t in got] == pytest.approx([t.eta for t in want.trials],
+                                                    rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("solver, rank, nsub, msub", [
+    ("asymnys", 2, 6, 3),    # a quarter of each side of the 24 x 12 input
+    ("asymnys", 4, 6, 4),    # never below the rank
+    ("symnys", 2, 6, None),  # symnys samples no columns
+])
+def test_unset_nystrom_subsamples_are_echoed(tmp_path, capsys, solver, rank, nsub, msub):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((24, 12)))
+    code, cfg = run_cli(capsys, ["embed", "--input", str(inp), "--compat", "a1",
+                                 "--solver", solver, "--rank", str(rank),
+                                 "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert (cfg["nsub"], cfg["msub"]) == (nsub, msub)
 
 @pytest.mark.parametrize("flags", [
     ["--m-schedule", "5,x"],

@@ -214,6 +214,34 @@ def test_learn_compat_one_gram_build_per_step(monkeypatch):
     assert 1 <= len(calls) <= 8, len(calls)
 
 
+def test_learn_compat_rolls_back_an_iteration_that_raises_the_loss():
+    # a step this large overshoots on the second outer iteration: that
+    # iteration is undone, so the result is the one-iteration result
+    rng = np.random.default_rng(0)
+    A = rng.random((12, 8))
+    y = rng.standard_normal(12)
+    cfg = LearnableConfig(rank_r=2, steps=1, learning_rate=2.0, outer_iters=4)
+    res = learn_compat(A, y, KernelSpec.linear(), cfg)
+    once = learn_compat(A, y, KernelSpec.linear(),
+                        LearnableConfig(rank_r=2, steps=1, learning_rate=2.0, outer_iters=1))
+    assert len(res.losses) == 1 and res.losses == once.losses
+    assert np.array_equal(res.c, once.c)
+    assert np.array_equal(res.head.weights, once.head.weights)
+    assert np.array_equal(res.head.bias, once.head.bias)
+
+
+def test_learn_compat_no_outer_iterations_scores_the_untrained_head():
+    rng = np.random.default_rng(0)
+    A = rng.random((12, 8))
+    y = rng.standard_normal(12)
+    cfg = LearnableConfig(rank_r=2, steps=5, learning_rate=1e-2, outer_iters=0)
+    res = learn_compat(A, y, KernelSpec.linear(), cfg)
+    assert np.array_equal(res.c, realize_compat(PcaProjection(), A))
+    assert not res.head.weights.any() and not res.head.bias.any()
+    # a zero head predicts 0, so the loss is the mean squared target
+    assert res.losses == [pytest.approx(np.mean(y ** 2), rel=1e-12)]
+
+
 def test_learn_compat_deterministic():
     rng = np.random.default_rng(12)
     A = rng.standard_normal((8, 4))

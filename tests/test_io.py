@@ -293,3 +293,41 @@ def test_report_round_trip_bit_exact(tmp_path):
     p = tmp_path / "r.ldjson"
     save_report(p, rows)
     assert load_report(p) == rows
+
+
+def _error_text(load, path):
+    with pytest.raises(DataError) as info:
+        load(path)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\t1\n0 2\n", "line 2: expected 'src<TAB>dst', got '0 2'"),
+    ("0\t1\t2\n", "line 1: expected 'src<TAB>dst', got '0\\t1\\t2'"),
+    ("\n  \n0\tx\n", "line 3: non-integer node index in '0\\tx'"),
+    ("1.5\t0\n", "line 1: non-integer node index in '1.5\\t0'"),
+    ("", "empty edge list and no node-count header"),
+    ("\n# a comment\n \n", "empty edge list and no node-count header"),
+])
+def test_edge_list_errors_name_file_and_line(tmp_path, text, message):
+    p = tmp_path / "g.tsv"
+    p.write_text(text)
+    assert _error_text(load_edge_list, p) == f"{p}: {message}"
+
+
+def test_edge_list_header_alone_is_an_edgeless_graph(tmp_path):
+    p = tmp_path / "g.tsv"
+    p.write_text("# n=3\n")
+    assert np.array_equal(load_edge_list(p), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\n\nabc\n", "line 3: cannot parse label 'abc'"),
+    ("0\n1 2\n", "line 2: cannot parse label '1 2'"),
+    ("", "empty labels file"),
+    ("\n \t\n", "empty labels file"),
+])
+def test_labels_errors_name_file_and_line(tmp_path, text, message):
+    p = tmp_path / "y.txt"
+    p.write_text(text)
+    assert _error_text(load_labels, p) == f"{p}: {message}"
