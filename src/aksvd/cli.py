@@ -197,6 +197,16 @@ def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
                           do_center=cfg["center"], solver=solver)
 
 
+def _fit_for_task(cfg, A, task) -> ksvd.KsvdModel:
+    """The fit of a command whose downstream task reads the embeddings:
+    a rank-0 fit leaves nothing to ``task``, a numerical failure."""
+    model = _fit_from_config(cfg, A)
+    if model.achieved_rank == 0:
+        raise NumericalError(f"{cfg['subcommand']} fit achieved rank 0: no embedding "
+                             f"to {task}")
+    return model
+
+
 def _write_embed_outputs(cfg, model) -> None:
     out = cfg["out"]
     # each embedding is formatted once; the concatenation reuses its rows
@@ -244,10 +254,7 @@ def cmd_graph(cfg) -> int:
         raise DataError(f"graph adjacency must be binary (0 or 1): entry at row {i}, "
                         f"column {j} (0-based) is {float(A[i, j])!r}")
     labels = _load_labels(cfg, A.shape[0], "nodes")
-    model = _fit_from_config(cfg, A)
-    if model.achieved_rank == 0:
-        raise NumericalError("graph fit achieved rank 0: no embedding to classify nodes "
-                             "or reconstruct edges from")
+    model = _fit_for_task(cfg, A, "classify nodes or reconstruct edges from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 
@@ -267,8 +274,12 @@ def cmd_graph(cfg) -> int:
 
 def cmd_bicluster(cfg) -> int:
     A = _load_matrix(cfg)
+    for flag, k, n, side in (("--k-rows", cfg["k_rows"], A.shape[0], "rows"),
+                             ("--k-cols", cfg["k_cols"], A.shape[1], "columns")):
+        if not 1 <= k <= n:
+            raise DataError(f"{flag} must lie in [1, {n}] for {n} {side}, got {k}")
     truth = None if cfg["labels"] is None else _load_labels(cfg, A.shape[0], "rows")
-    model = _fit_from_config(cfg, A)
+    model = _fit_for_task(cfg, A, "cluster rows and columns from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 

@@ -4,19 +4,34 @@ Formats are deliberately plain: dense matrices as headerless CSV with
 17-significant-digit reals (value-exact round trips for float64), edge
 lists as tab-separated 0-indexed integer pairs, reports as line-delimited
 JSON.
+
+Every loader reads through one line reader, :func:`_lines`: UTF-8 text
+with or without a leading byte-order mark, blank and whitespace-only lines
+skipped, lines numbered from 1.  Every writer writes through one line
+writer, :func:`_write_lines`: UTF-8 without a byte-order mark, and an
+unwritable output is a :class:`DataError` that names the file.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DataError
 
 _FLOAT_FMT = "%.17g"
+
+
+def _lines(path) -> List[Tuple[int, str]]:
+    """The 1-based number and stripped text of each non-blank line of a
+    UTF-8 text file, with or without a byte-order mark; blank lines count
+    in the numbering."""
+    with open(path, "r", encoding="utf-8-sig") as f:
+        return [(lineno, text) for lineno, line in enumerate(f, start=1)
+                if (text := line.strip())]
 
 
 def load_dense_csv(path) -> np.ndarray:
@@ -31,7 +46,7 @@ def load_dense_csv(path) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                dtype=np.float64, encoding="utf-8")
+                                dtype=np.float64, encoding="utf-8-sig")
     except ValueError:
         return _scan_dense_csv(path)
     return values if values.size else _scan_dense_csv(path)
@@ -42,71 +57,64 @@ def _scan_dense_csv(path) -> np.ndarray:
     whitespace-only lines are skipped and each field goes through ``float``."""
     rows: List[List[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise DataError(
-                    f"{path}: line {lineno} has {len(tokens)} fields, expected {width}"
-                )
-            try:
-                rows.append(list(map(float, tokens)))
-            except ValueError:
-                for col, tok in enumerate(tokens, start=1):   # find the bad token
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise DataError(f"{path}: line {lineno}, column {col}: "
-                                        f"cannot parse {tok!r} as a real number") from None
+    for lineno, line in _lines(path):
+        tokens = line.split(",")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise DataError(
+                f"{path}: line {lineno} has {len(tokens)} fields, expected {width}"
+            )
+        try:
+            rows.append(list(map(float, tokens)))
+        except ValueError:
+            for col, tok in enumerate(tokens, start=1):   # find the bad token
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno}, column {col}: "
+                                    f"cannot parse {tok!r} as a real number") from None
     if not rows:
         raise DataError(f"{path}: empty matrix file")
     return np.asarray(rows, dtype=np.float64)
 
 
-def load_edge_list(path, n_nodes: Optional[int] = None) -> np.ndarray:
+def load_edge_list(path) -> np.ndarray:
     """Load a directed edge list ("src<TAB>dst" per line) as a dense binary
     adjacency matrix.
 
     An optional "# n=<N>" header fixes the node count; otherwise it is
     max index + 1.  Duplicate edges collapse; self-loops are preserved.
     """
+    n_nodes = None
     edges = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header = line[1:].strip()
-                if header.startswith("n=") and n_nodes is None:
-                    try:
-                        n_nodes = int(header[2:])
-                        if n_nodes < 0:
-                            raise ValueError
-                    except ValueError:
-                        raise DataError(f"{path}: line {lineno}: bad node-count header {line!r}") from None
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst', got {line!r}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: non-integer node index in {line!r}") from None
-            if src < 0 or dst < 0:
-                raise DataError(f"{path}: line {lineno}: negative node index")
-            edges.append((src, dst))
+    for lineno, line in _lines(path):
+        if line.startswith("#"):
+            header = line[1:].strip()
+            if header.startswith("n=") and n_nodes is None:
+                try:
+                    n_nodes = int(header[2:])
+                    if n_nodes < 0:
+                        raise ValueError
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno}: bad node-count header {line!r}") from None
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst', got {line!r}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: non-integer node index in {line!r}") from None
+        if src < 0 or dst < 0:
+            raise DataError(f"{path}: line {lineno}: negative node index")
+        edges.append((src, dst))
     if n_nodes is None:
         if not edges:
             raise DataError(f"{path}: empty edge list and no node-count header")
         n_nodes = max(max(s, d) for s, d in edges) + 1
     A = np.zeros((n_nodes, n_nodes))
-    for lineno, (src, dst) in enumerate(edges):
+    for src, dst in edges:
         if src >= n_nodes or dst >= n_nodes:
             raise DataError(f"{path}: edge ({src}, {dst}) exceeds node count {n_nodes}")
         A[src, dst] = 1.0
@@ -117,22 +125,18 @@ def load_labels(path) -> np.ndarray:
     """Load one integer label per line; an integral real such as ``2.0``
     counts as an integer, a fraction, infinity or NaN does not."""
     labels = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in _lines(path):
+        try:
+            value = int(line)   # exact at any size, unlike float
+        except ValueError:
             try:
-                value = int(line)   # exact at any size, unlike float
+                value = float(line)
             except ValueError:
-                try:
-                    value = float(line)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: cannot parse label {line!r}") from None
-                value = int(value) if value.is_integer() else None
-            if value is None or not -2 ** 63 <= value < 2 ** 63:
-                raise DataError(f"{path}: line {lineno}: label {line!r} is not a 64-bit integer")
-            labels.append(value)
+                raise DataError(f"{path}: line {lineno}: cannot parse label {line!r}") from None
+            value = int(value) if value.is_integer() else None
+        if value is None or not -2 ** 63 <= value < 2 ** 63:
+            raise DataError(f"{path}: line {lineno}: label {line!r} is not a 64-bit integer")
+        labels.append(value)
     if not labels:
         raise DataError(f"{path}: empty labels file")
     return np.asarray(labels, dtype=int)
@@ -151,8 +155,13 @@ def format_rows(values) -> List[str]:
 
 
 def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(line + "\n" for line in lines)
+    """Write each of ``lines`` and a line end to a UTF-8 file; a file that
+    cannot be written is a :class:`DataError` naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(line + "\n" for line in lines)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def save_matrix_csv(path, values: np.ndarray) -> None:
@@ -169,20 +178,9 @@ def save_embeddings(path, *blocks: List[str]) -> None:
 
 def save_report(path, rows: List[dict]) -> None:
     """Write a report as line-delimited JSON, one object per line."""
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            for row in rows:
-                f.write(json.dumps(row, sort_keys=True))
-                f.write("\n")
-    except OSError as exc:
-        raise DataError(f"cannot write report to {path}: {exc}") from exc
+    _write_lines(path, (json.dumps(row, sort_keys=True) for row in rows))
 
 
 def load_report(path) -> List[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+    """Read a line-delimited JSON report, one object per non-blank line."""
+    return [json.loads(line) for _, line in _lines(path)]

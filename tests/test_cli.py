@@ -319,6 +319,44 @@ def test_bicluster_checks_labels_before_fitting(tmp_path, capsys):
     assert not (tmp_path / "b.fit.json").exists()
 
 
+def test_bicluster_rank_zero_fit_is_a_numerical_error(tmp_path, capsys):
+    # as for graph: an all-zero linear Gram leaves nothing to cluster
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.zeros((6, 6)))
+    with pytest.warns(RuntimeWarning, match="only 0 positive"):
+        code = main(["bicluster", "--input", str(inp), "--kernel", "linear",
+                     "--out", str(tmp_path / "r0")])
+    assert code == 3
+    assert "bicluster fit achieved rank 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r0.*"))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k-rows", "0", "--k-rows must lie in [1, 12] for 12 rows, got 0"),
+    ("--k-rows", "13", "--k-rows must lie in [1, 12] for 12 rows, got 13"),
+    ("--k-cols", "0", "--k-cols must lie in [1, 9] for 9 columns, got 0"),
+    ("--k-cols", "10", "--k-cols must lie in [1, 9] for 9 columns, got 10"),
+])
+def test_bicluster_checks_cluster_counts_before_fitting(tmp_path, capsys, flag, value, message):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(5).standard_normal((12, 9)))
+    code = main(["bicluster", "--input", str(inp), "--compat", "a1", flag, value,
+                 "--out", str(tmp_path / "b")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"data error: {message}" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("b.*"))
+
+
+def test_bicluster_cluster_counts_may_reach_each_side(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(5).standard_normal((12, 9)))
+    code, _ = run_cli(capsys, ["bicluster", "--input", str(inp), "--compat", "a1",
+                               "--k-rows", "12", "--k-cols", "9", "--out", str(tmp_path / "b")])
+    assert code == 0
+    assert (tmp_path / "b.metrics.json").exists()
+
 def test_infinite_gamma_is_a_data_error(tmp_path, capsys):
     inp = tmp_path / "a.csv"
     save_matrix_csv(inp, np.eye(4))
@@ -547,7 +585,15 @@ def test_unwritable_json_report_is_a_data_error(tmp_path, capsys, argv, path):
     save_matrix_csv(inp, np.eye(4))
     (tmp_path / path).mkdir()   # a directory in the report's place
     assert main(argv + ["--input", str(inp), "--out", str(tmp_path / "x")]) == 2
-    assert f"data error: cannot write report to {tmp_path / path}" in capsys.readouterr().err
+    assert f"data error: cannot write {tmp_path / path}" in capsys.readouterr().err
+
+
+def test_unwritable_embedding_is_a_data_error(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(4))
+    (tmp_path / "x.left.csv").mkdir()   # a directory in the embedding's place
+    assert main(["embed", "--rank", "2", "--input", str(inp), "--out", str(tmp_path / "x")]) == 2
+    assert f"data error: cannot write {tmp_path / 'x.left.csv'}" in capsys.readouterr().err
 
 
 def test_exit_codes_of_the_module_entry_point(tmp_path):

@@ -86,6 +86,7 @@ CSV_EDGE_CASES = {
     "semicolon": b"1;2\n",
     "unicode_minus": "\u22121,2\n".encode(),
     "byte_order_mark": b"\xef\xbb\xbf1,2\n",
+    "bom": b"\xef\xbb\xbf \n1,2\r\n\t\n3,4\n",
     "nul": b"1\x00,2\n",
     "bad_utf8": b"1,\xff\n",
 }
@@ -331,3 +332,32 @@ def test_labels_errors_name_file_and_line(tmp_path, text, message):
     p = tmp_path / "y.txt"
     p.write_text(text)
     assert _error_text(load_labels, p) == f"{p}: {message}"
+
+
+def test_byte_order_mark_is_accepted_by_every_loader(tmp_path):
+    bom = "\ufeff"
+    p = tmp_path / "m.csv"
+    p.write_text(bom + "1,2\n3,4\n", encoding="utf-8")
+    assert np.array_equal(load_dense_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+    p = tmp_path / "g.tsv"
+    p.write_text(bom + "# n=3\n0\t1\n", encoding="utf-8")
+    want = np.zeros((3, 3))
+    want[0, 1] = 1.0
+    assert np.array_equal(load_edge_list(p), want)
+    p = tmp_path / "y.txt"
+    p.write_text(bom + "1\n0\n", encoding="utf-8")
+    assert load_labels(p).tolist() == [1, 0]
+    p = tmp_path / "r.ldjson"
+    p.write_text(bom + '{"a": 1}\n', encoding="utf-8")
+    assert load_report(p) == [{"a": 1}]
+
+
+@pytest.mark.parametrize("save", [
+    lambda p: save_matrix_csv(p, np.eye(2)),
+    lambda p: save_embeddings(p, format_rows(np.eye(2))),
+    lambda p: save_report(p, [{"a": 1}]),
+])
+def test_unwritable_output_is_a_data_error_naming_it(tmp_path, save):
+    p = tmp_path / "out"
+    p.mkdir()
+    assert _error_text(save, p).startswith(f"cannot write {p}: ")
