@@ -117,10 +117,13 @@ def _config_from_file(parser, path) -> dict:
 
     The file may hold any subset of the keys of an echoed configuration,
     but must name the subcommand and its required options; an unknown key
-    or a value that the option would not accept is a usage error.
+    or a value that the option would not accept is a usage error, and an
+    unreadable or malformed file a data error.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        given = json.load(f)
+    try:  # a JSON string cannot span lines: joining stripped lines changes no value
+        given = json.loads("\n".join(text for _, text in aio._lines(path)))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(given, dict) or given.get("subcommand") not in _COMMANDS:
         raise UsageError(f"config file {path} lacks a valid subcommand")
     actions = {a.dest: a for a in parser.commands[given["subcommand"]]._actions
@@ -188,6 +191,9 @@ def _load_labels(cfg, n, unit) -> np.ndarray:
 
 
 def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
+    if A.shape[0] != A.shape[1] and cfg["compat"] is None:
+        raise DataError(f"a {A.shape[0]}x{A.shape[1]} input needs a compatibility matrix "
+                        f"between its rows and columns: --compat {'|'.join(STRATEGIES)}")
     kernel = _resolve_kernel(cfg, A)
     compat = None
     if cfg["compat"] is not None:
@@ -313,13 +319,14 @@ def cmd_bench(cfg) -> int:
     names, schedule = _bench_plan(cfg)
     A = as_matrix(_load_matrix(cfg), "A")
     kernel = _resolve_kernel(cfg, A)
-    if A.shape[0] != A.shape[1]:
-        raise DataError("bench requires a square matrix (or adjacency) input")
     # bench operates on the (scaled) Gram matrix of the data with itself;
-    # a dense CSV under the linear kernel is taken as that matrix
+    # a dense CSV under the linear kernel is taken as that matrix, of any shape
     if kernel.family == "linear" and cfg["format"] == "csv":
         G = A
     else:
+        if A.shape[0] != A.shape[1]:
+            raise DataError("bench requires a square matrix (or adjacency) input "
+                            "unless it reads the matrix itself (--kernel linear --format csv)")
         G = KernelOperator(A, np.ascontiguousarray(A.T), kernel, scaled=True).materialize()
     print(json.dumps(cfg, sort_keys=True))
     report = solvers.bench(G, cfg["rank"], cfg["eps"], solvers=names,

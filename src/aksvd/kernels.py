@@ -44,9 +44,9 @@ The chunk's tile gemms write straight into its slice of the result, and
 the family formula, the sne normalization and the scaling then run in
 place while the chunk is still in cache.  A block therefore needs its
 own 8*n*m bytes plus one chunk and the tiles of its columns, however
-large it is; the Nystrom fit holds G[rows, :], G[:, cols] and little
-else.  Chunk boundaries do not change a value: every entry still takes
-the same gemm call and the same elementwise operations.
+large it is; the Nystrom fit holds G[rows, :] and then G[comp_rows,
+cols], and little else.  Chunk boundaries do not change a value: every entry still
+takes the same gemm call and the same elementwise operations.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ class KernelOperator:
     Caches squared row norms at construction and, for the sne family, the
     per-row softmax denominators sum_{z' in Z} exp(-||x_i - z'||^2/gamma^2)
     the first time a row is touched.  It keeps the gemm tiles of X and Z
-    once built, and those of the last column subset it evaluated.
+    once built.
     ``eval_count`` tracks how many Gram entries have been requested through
     :meth:`block` / :meth:`entry` (sne denominators are internal to the
     kernel and not counted).
@@ -337,8 +337,6 @@ class KernelOperator:
             self._sne_den = np.full(n, np.nan)
         # _side of the training X and Z (see _training_tiles)
         self._train_tiles = {}
-        # the last column subset tiled, and its _side (see _column_tiles)
-        self._cols_tiled = (None, None)
 
     @property
     def shape(self):
@@ -378,16 +376,6 @@ class KernelOperator:
             self._train_tiles[name] = _side(self.z_data if name == "x_new" else self.x_data)
         return self._train_tiles[name]
 
-    def _column_tiles(self, cols) -> np.ndarray:
-        """The :func:`_side` of Z[cols], kept until another column subset
-        is tiled: the Nystrom fit asks for the same sampled columns once
-        per chunk of complement rows."""
-        kept, tiles = self._cols_tiled
-        if kept is None or not np.array_equal(kept, cols):
-            tiles = _side(self.z_data[cols])
-            self._cols_tiled = (cols.copy(), tiles)
-        return tiles
-
     def _kernel_chunks(self, rows, cols=None, out=None):
         """kappa over ``rows`` x ``cols`` (all of Z in order when None),
         before sne normalization and scaling, one chunk of whole row tiles
@@ -398,14 +386,15 @@ class KernelOperator:
         at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
         :func:`_fill` writes its inner products into it and the family
         formula runs on it in place.  A one-row block is a kernel vector
-        against the same column side as any other block, Z's cached one
-        when it spans all of Z.
+        against the same column side as any other block: Z's cached one
+        when it spans all of Z, else the :func:`_side` of Z[cols], built
+        once per call.
         """
         z_sq = self._z_sq
         if cols is not None and z_sq is not None:
             z_sq = z_sq[cols]
         m = self.z_data.shape[0] if cols is None else cols.size
-        side = self._training_tiles("x_new") if cols is None else self._column_tiles(cols)
+        side = self._training_tiles("x_new") if cols is None else _side(self.z_data[cols])
         step = _chunk_rows(m)
         for s in range(0, rows.size, step):
             r = rows[s : s + step]

@@ -154,7 +154,8 @@ def project_x(model: KsvdModel, x_new) -> np.ndarray:
 
     Returns sqrt(n) * B_psi' g where g is the (scaled, centered like
     training) kernel vector of x_new; at a training point x_i this equals
-    sqrt(n) * lambda_l * b_phi[i, l] coordinate-wise.
+    sqrt(n) * lambda_l * b_phi[i, l] coordinate-wise for an exact solver,
+    but not for a Nystrom model, whose factors are not singular vectors.
     """
     x = _maybe_transform(x_new, model, "x")
     k = model.operator.x_row(x)
@@ -165,7 +166,7 @@ def project_x(model: KsvdModel, x_new) -> np.ndarray:
 
 def project_z(model: KsvdModel, z_new) -> np.ndarray:
     """Mirror of project_x: sqrt(m) * B_phi' g with g the kernel vector
-    of z_new against the training X."""
+    of z_new against the training X (with the same training-point identity)."""
     z = _maybe_transform(z_new, model, "z")
     k = model.operator.z_col(z)
     if model.centered:

@@ -26,7 +26,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import NumericalError
-from .kernels import _chunk_rows
 
 # relative cutoff below which singular values count as numerically zero
 _RANK_RTOL = 1e-12
@@ -321,28 +320,26 @@ def _sample_indices(rng, total: int, count: int, given=None) -> np.ndarray:
     raise ValueError(f"sample indices must be nonempty, distinct integers in [0, {total})")
 
 
-def _nystrom_extend(G_Nm: np.ndarray, G_nM: np.ndarray, u_sub: np.ndarray,
-                    s_sub: np.ndarray, v_sub: np.ndarray, r: int) -> SvdResult:
-    """The Nystrom step: extends the top r of the factors (u_sub, s_sub,
-    v_sub) of a sampled n x m submatrix, s_sub nonincreasing, through the
-    sampled columns G_Nm = G[:, cols] (N x m) and rows G_nM = G[rows, :]:
-
-        u~_s = G[:, cols] v_s / lambda_s,
-        v~_s = G[rows, :]' u_s / lambda_s,
-        lambda~_s = sqrt(N*M/(n*m)) * lambda_s,
-
-    with u~ and v~ unit-normalized and sign-fixed in pairs.
-    """
-    (N, m), (n, M) = G_Nm.shape, G_nM.shape
+def _nystrom_lambdas(s_sub: np.ndarray, r: int) -> np.ndarray:
+    """The top r of a sampled submatrix's singular values ``s_sub``, fewer
+    than r of them positive being a :class:`NumericalError`."""
     rank = _positive_rank(s_sub)
     if rank < r:
         raise NumericalError(
             f"submatrix has {rank} positive singular values < requested {r}: "
             "increase the subsample (n_sub, m_sub)"
         )
-    lam = s_sub[:r]
-    u = G_Nm @ (v_sub[:, :r] / lam[None, :])
-    v = G_nM.T @ (u_sub[:, :r] / lam[None, :])
+    return s_sub[:r]
+
+
+def _nystrom_extend(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
+                    n: int, m: int) -> SvdResult:
+    """The Nystrom step: the extensions of the factors of a sampled n x m
+    submatrix, u_s = G[:, cols] v_sub_s / lambda_s (N x r) and
+    v_s = G[rows, :]' u_sub_s / lambda_s (M x r), unit-normalized and
+    sign-fixed in pairs in place, and lambda~_s = sqrt(N*M/(n*m)) * lambda_s.
+    """
+    N, M = u.shape[0], v.shape[0]
     u_norms = np.linalg.norm(u, axis=0)
     v_norms = np.linalg.norm(v, axis=0)
     if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
@@ -356,10 +353,11 @@ def _nystrom_extend(G_Nm: np.ndarray, G_nM: np.ndarray, u_sub: np.ndarray,
 def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> SvdResult:
     """The Nystrom step for the sampled columns C = K[:, idx] of a symmetric
     PSD matrix K: the eigenvectors of the submatrix K[idx][:, idx] serve as
-    its left and right singular vectors alike."""
+    its left and right singular vectors alike, so both extensions are u."""
     evals, evecs = np.linalg.eigh(C[idx])
-    evecs = evecs[:, ::-1]
-    return _nystrom_extend(C, C.T, evecs, evals[::-1], evecs, r)
+    lam = _nystrom_lambdas(evals[::-1], r)
+    u = C @ (evecs[:, ::-1][:, :r] / lam[None, :])
+    return _nystrom_extend(u, u.copy(), lam, idx.size, idx.size)
 
 
 def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
@@ -413,17 +411,17 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
     G_nM = op.block(rows, np.arange(M))   # G[rows, :], holding G_sub
     G_sub = G_nM[:, cols]
     u_sub, s_sub, vt_sub = np.linalg.svd(G_sub, full_matrices=False)
+    lam = _nystrom_lambdas(s_sub, r)
+    v = G_nM.T @ (u_sub[:, :r] / lam[None, :])
+    del G_nM   # hold one large block at a time: a lower peak memory
 
-    # assemble G[:, cols] reusing the submatrix entries, the complement
-    # rows one chunk at a time so that no second N x m array is held
-    G_Nm = np.empty((N, cols.size))
-    G_Nm[rows] = G_sub
+    # G[:, cols] v_sub / lambda from the rows of G_sub and G[comp_rows, cols]
+    w = vt_sub[:r].T / lam[None, :]
     comp_rows = np.setdiff1d(np.arange(N), rows, assume_unique=True)
-    step = _chunk_rows(cols.size)
-    for s in range(0, comp_rows.size, step):
-        chunk = comp_rows[s : s + step]
-        G_Nm[chunk] = op.block(chunk, cols)
-    return _nystrom_extend(G_Nm, G_nM, u_sub, s_sub, vt_sub.T, r)
+    u = np.empty((N, r))
+    u[rows] = G_sub @ w
+    u[comp_rows] = op.block(comp_rows, cols) @ w
+    return _nystrom_extend(u, v, lam, rows.size, cols.size)
 
 
 def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:

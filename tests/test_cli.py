@@ -189,6 +189,46 @@ def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_config_with_byte_order_mark_loads(tmp_path, capsys):
+    graph, _ = write_toy_graph(tmp_path)
+    cfg = {"subcommand": "embed", "input": str(graph), "format": "edges",
+           "out": str(tmp_path / "bom")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes("\ufeff".encode() + json.dumps(cfg, indent=2).encode())
+    code, echoed = run_cli(capsys, ["--config", str(cfg_path)])
+    assert code == 0
+    assert {k: echoed[k] for k in cfg} == cfg
+    assert load_dense_csv(str(tmp_path / "bom") + ".left.csv").shape == (6, 2)
+
+
+@pytest.mark.parametrize("content", [None, "{\"subcommand\": ", b"\xff\xfe{}"],
+                         ids=["directory", "malformed", "not-utf8"])
+def test_unreadable_config_is_a_data_error_naming_it(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    if content is None:
+        cfg_path.mkdir()
+    elif isinstance(content, bytes):
+        cfg_path.write_bytes(content)
+    else:
+        cfg_path.write_text(content)
+    assert main(["--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"data error: cannot read config file {cfg_path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["embed", "bicluster"])
+def test_rectangular_fit_without_compat_is_a_data_error(tmp_path, capsys, command):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(3).standard_normal((7, 4)))
+    out = tmp_path / "run"
+    assert main([command, "--input", str(inp), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "7x4 input" in captured.err and "--compat a0|a1|a2" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [inp]
+
+
 def test_compat_a3_rejected(tmp_path, capsys):
     inp = tmp_path / "a.csv"
     save_matrix_csv(inp, np.arange(12.0).reshape(4, 3))
@@ -388,6 +428,31 @@ def test_bench_command(tmp_path, capsys):
     with open(str(out) + ".bench_summary.json") as f:
         summary = json.load(f)["summary"]
     assert set(summary) == {"tsvd", "rsvd", "asymnys"}
+
+
+def test_bench_takes_a_rectangular_matrix_as_itself(tmp_path, capsys):
+    # under --kernel linear --format csv the CSV is G, of any shape
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    v, _ = np.linalg.qr(rng.standard_normal((40, 30)))
+    inp = tmp_path / "g.csv"
+    save_matrix_csv(inp, (u * 0.5 ** np.arange(30)) @ v.T)
+    out = tmp_path / "bench"
+    code, _ = run_cli(capsys, ["bench", "--input", str(inp), "--rank", "3", "--out", str(out)])
+    assert code == 0
+    summary = load_report(str(out) + ".bench_summary.json")[0]["summary"]
+    assert set(summary) == set(DEFAULT_BENCH_SOLVERS)
+    assert summary["asymnys"]["success"]
+
+
+def test_bench_rejects_a_rectangular_input_to_a_kernel(tmp_path, capsys):
+    inp = tmp_path / "g.csv"
+    save_matrix_csv(inp, np.random.default_rng(4).standard_normal((6, 8)))
+    out = tmp_path / "bench"
+    assert main(["bench", "--input", str(inp), "--kernel", "poly", "--rank", "2",
+                 "--out", str(out)]) == 2
+    assert "requires a square matrix" in capsys.readouterr().err
+    assert not (tmp_path / "bench.bench.ldjson").exists()
 
 
 def test_bench_rerun_reproduces_nontiming_fields(tmp_path, capsys):

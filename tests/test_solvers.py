@@ -351,6 +351,27 @@ def test_asym_tiles_the_sampled_columns_once_per_fit(monkeypatch):
         assert np.array_equal(getattr(got, f), getattr(want, f))
 
 
+def test_asym_evaluates_each_sampled_block_in_one_call(monkeypatch):
+    # G[rows, :] and G[comp_rows, cols], each one block call however small
+    # the kernels' chunks
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((300, 5))
+    Z = rng.standard_normal((260, 5))
+    rows = np.sort(rng.choice(300, 20, replace=False))
+    cols = np.sort(rng.choice(260, 24, replace=False))
+    monkeypatch.setattr(kernels_module, "_BLOCK_BUDGET", 2 * kernels_module._TILE ** 2)
+    calls = []
+    real = KernelOperator.block
+    monkeypatch.setattr(KernelOperator, "block",
+                        lambda self, r, c: calls.append((r, c)) or real(self, r, c))
+    asym_nystrom(KernelOperator(X, Z, KernelSpec.rbf(2.0)), 20, 24, 4,
+                 row_indices=rows, col_indices=cols)
+    comp_rows = np.setdiff1d(np.arange(300), rows)
+    assert len(calls) == 2
+    for (r, c), (want_r, want_c) in zip(calls, [(rows, np.arange(260)), (comp_rows, cols)]):
+        assert np.array_equal(r, want_r) and np.array_equal(c, want_c)
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
