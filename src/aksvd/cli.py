@@ -35,14 +35,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _gamma(text):
+    """The --gamma value: 'auto' or a real number (KernelSpec checks its range)."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a real number or 'auto', got {text!r}") from None
+
+
 def _add_common(p):
     """The options of every subcommand."""
     p.add_argument("--input", required=True, help="input data file")
     p.add_argument("--format", choices=("csv", "edges"), default="csv",
                    help="input format: dense CSV or tab-separated edge list")
     p.add_argument("--kernel", choices=FAMILIES, default="linear")
-    p.add_argument("--gamma", default="auto",
-                   help="kernel bandwidth, a real or 'auto' (k*sqrt(M*var) heuristic)")
+    p.add_argument("--gamma", type=_gamma, default="auto",
+                   help="rbf/sne kernel bandwidth: a positive real number, or 'auto' "
+                        "(k*sqrt(M*var) heuristic); ignored by the linear and poly kernels")
     p.add_argument("--degree", type=int, default=2, help="poly kernel degree")
     p.add_argument("--offset", type=float, default=1.0, help="poly kernel offset")
     p.add_argument("--rank", type=int, default=2)
@@ -104,7 +115,7 @@ def _accepts(action, value) -> bool:
     if isinstance(value, bool):
         return False
     if action.dest == "gamma":  # echoed resolved: a number, or null without bandwidth
-        return value is None or isinstance(value, (str, int, float))
+        return value is None or value == "auto" or isinstance(value, (int, float))
     if value is None:
         return action.default is None
     if action.choices is not None:
@@ -361,6 +372,9 @@ def main(argv=None) -> int:
         return 3
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # an input too large to hold, e.g. an edge list's n=
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

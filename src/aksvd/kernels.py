@@ -532,10 +532,6 @@ class GramMatrix:
     col_means: Optional[np.ndarray] = field(default=None, repr=False)
     grand_mean: Optional[float] = None
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def gram(spec: KernelSpec, X, Z, scaled: bool = True) -> GramMatrix:
     """Assemble the full Gram matrix g_ij = s * kappa(x_i, z_j)."""

@@ -7,6 +7,11 @@ singular value.  An operator exposes ``shape``, ``block(rows, cols)``,
 ``materialize()`` and the block products ``matmat(W)`` = G W and
 ``rmatmat(W)`` = G' W; the solvers use nothing else.
 
+The registry :data:`SOLVERS` names each solver's choice dataclass and
+function, and :func:`solve` calls the function its entry names, with the
+choice's fields as keywords; a new solver is therefore one choice class
+and one ``SOLVERS`` line.
+
 The asymmetric Nystrom method approximates the top singular triplets of an
 N x M matrix from an n x m submatrix: it takes the SVD of the submatrix
 and extends the singular vectors to all rows/columns through the sampled
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,12 +71,9 @@ class MatrixOperator:
 
 
 def as_operator(G):
-    """ndarray -> MatrixOperator; operators pass through."""
-    if isinstance(G, np.ndarray):
-        return MatrixOperator(G)
-    if hasattr(G, "block"):
-        return G
-    return MatrixOperator(np.asarray(G, dtype=np.float64))
+    """Operators (anything with ``block``) pass through; arrays become a
+    MatrixOperator."""
+    return G if hasattr(G, "block") else MatrixOperator(G)
 
 
 @dataclass
@@ -130,22 +132,24 @@ SolverChoice = Union[Dense, Truncated, Randomized, SymNystrom, AsymNystrom]
 
 
 class SolverEntry(NamedTuple):
-    """A registered solver: its choice dataclass and the field(s) that
+    """A registered solver: its choice dataclass, the name of its function
+    (which takes every choice field as a keyword) and the field(s) that
     :func:`bench` escalates until the target accuracy is reached."""
 
     choice: type
+    function: str
     knobs: Tuple[str, ...]
 
 
 # The one solver registry: the names accepted by ``bench`` and the CLI.
-# It holds classes and field names only; :func:`solve` turns a choice into
-# a call of the solver function.
+# It holds classes and names only; :func:`solve` turns a choice into a
+# call of the function its entry names.
 SOLVERS = {
-    "dense": SolverEntry(Dense, ()),
-    "tsvd": SolverEntry(Truncated, ()),
-    "rsvd": SolverEntry(Randomized, ("oversample",)),
-    "symnys": SolverEntry(SymNystrom, ("n_sub",)),
-    "asymnys": SolverEntry(AsymNystrom, ("n_sub", "m_sub")),
+    "dense": SolverEntry(Dense, "dense_svd", ()),
+    "tsvd": SolverEntry(Truncated, "truncated_svd", ()),
+    "rsvd": SolverEntry(Randomized, "randomized_svd", ("oversample",)),
+    "symnys": SolverEntry(SymNystrom, "sym_nystrom_svd", ("n_sub",)),
+    "asymnys": SolverEntry(AsymNystrom, "asym_nystrom", ("n_sub", "m_sub")),
 }
 
 # bench's default: every solver but the dense reference eta is measured against
@@ -447,22 +451,15 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
 def solve(G, r: int, choice: SolverChoice) -> SvdResult:
     """Run a solver choice on a matrix or lazy operator.
 
-    The only place a choice becomes a solver call; the solver's
-    :class:`SvdResult` is handed on unchanged.  The solvers are looked
-    up as module globals at call time, so a wrapper installed on the module
-    sees every call, from ``fit`` and ``bench`` alike.
+    The only place a choice becomes a solver call: it calls the function
+    its :data:`SOLVERS` entry names, with the choice's fields as keywords,
+    and hands the :class:`SvdResult` on unchanged.  The function is looked
+    up as a module global at call time, so a wrapper installed on the
+    module sees every call, from ``fit`` and ``bench`` alike.
     """
-    if isinstance(choice, Dense):
-        return dense_svd(G, r)
-    if isinstance(choice, Truncated):
-        return truncated_svd(G, r, tol=choice.tol, max_iter=choice.max_iter)
-    if isinstance(choice, Randomized):
-        return randomized_svd(G, r, oversample=choice.oversample,
-                              power=choice.power, seed=choice.seed)
-    if isinstance(choice, SymNystrom):
-        return sym_nystrom_svd(G, choice.n_sub, r, seed=choice.seed)
-    if isinstance(choice, AsymNystrom):
-        return asym_nystrom(G, choice.n_sub, choice.m_sub, r, seed=choice.seed)
+    for entry in SOLVERS.values():
+        if entry.choice is type(choice):
+            return globals()[entry.function](G, r=r, **asdict(choice))
     raise ValueError(f"unknown solver choice {choice!r}")
 
 

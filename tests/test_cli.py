@@ -181,6 +181,7 @@ def test_partial_config_merges_over_defaults(tmp_path, capsys):
     {"subcommand": "fit", "input": "g.tsv", "out": "run"},
     {"subcommand": "bench", "input": "g.csv", "out": "run", "center": False},  # not a bench key
     ["embed"],
+    {"subcommand": "embed", "input": "g.tsv", "out": "run", "rank": True},
 ])
 def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
     cfg_path = tmp_path / "cfg.json"
@@ -410,6 +411,40 @@ def test_infinite_gamma_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "e.left.csv").exists()
 
 
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_malformed_gamma_is_a_usage_error_naming_it(tmp_path, capsys, kernel, source):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(4))
+    out = tmp_path / "e"
+    if source == "argv":
+        argv = ["embed", "--input", str(inp), "--kernel", kernel, "--gamma", "abc",
+                "--out", str(out)]
+        named = "argument --gamma: expected a real number or 'auto', got 'abc'"
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"subcommand": "embed", "input": str(inp),
+                                        "kernel": kernel, "gamma": "abc", "out": str(out)}))
+        argv = ["--config", str(cfg_path)]
+        named = "invalid value 'abc' for 'gamma'"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and named in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("e.*"))
+
+
+@pytest.mark.parametrize("gamma", ["auto", 2, 0.5, None])
+def test_config_gamma_takes_auto_a_number_or_null(tmp_path, capsys, gamma):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(2).standard_normal((5, 5)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": "embed", "input": str(inp), "gamma": gamma,
+                                    "out": str(tmp_path / "e")}))
+    code, cfg = run_cli(capsys, ["--config", str(cfg_path)])
+    assert code == 0 and cfg["gamma"] is None   # the linear kernel reads no bandwidth
+
+
 def test_bench_command(tmp_path, capsys):
     rng = np.random.default_rng(4)
     u, _ = np.linalg.qr(rng.standard_normal((30, 30)))
@@ -610,6 +645,36 @@ def test_numerical_error_exit_code(tmp_path, capsys):
                  "--gamma", "0.001", "--rank", "1", "--out", str(out)])
     assert code == 3
     capsys.readouterr()
+
+
+def test_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # an edge list whose "# n=" header asks for more memory than there is;
+    # the loader is replaced, so nothing that large is allocated
+    def too_large(path):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000, 1000000) and data type float64")
+
+    inp = tmp_path / "g.tsv"
+    inp.write_text("# n=1000000\n0\t1\n")
+    monkeypatch.setattr(aksvd.io, "load_edge_list", too_large)
+    assert main(["embed", "--input", str(inp), "--format", "edges",
+                 "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("data error: out of memory: Unable to allocate 7.28 TiB for an "
+                            "array with shape (1000000, 1000000) and data type float64\n")
+    assert captured.out == ""
+
+
+def test_graph_rejects_a_non_square_csv(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.zeros((3, 4)))
+    labels = tmp_path / "y.txt"
+    labels.write_text("0\n1\n0\n")
+    assert main(["graph", "--input", str(inp), "--labels", str(labels),
+                 "--out", str(tmp_path / "g")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: graph command requires a square adjacency matrix\n"
+    assert captured.out == ""
 
 
 def test_linalg_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):

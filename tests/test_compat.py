@@ -92,6 +92,13 @@ def test_mirrored_construction_tall():
         assert abs(C[:, s] @ u[:, s]) >= 1 - 1e-10
 
 
+@pytest.mark.parametrize("shape", [(4, 6), (6, 4)], ids=["wide", "tall"])
+def test_realize_compat_rejects_what_is_no_strategy(shape):
+    A = np.random.default_rng(5).standard_normal(shape)
+    with pytest.raises(ValueError, match="unknown compat strategy 'a1'"):
+        realize_compat("a1", A)
+
+
 def test_strategy_from_name():
     assert isinstance(strategy_from_name("a0"), PseudoInverse)
     assert isinstance(strategy_from_name("a1"), PcaProjection)
@@ -161,6 +168,28 @@ def test_learn_compat_classification():
     _, _, vt = np.linalg.svd(G, full_matrices=False)
     pred = res.head.predict(G @ vt[:2].T)
     assert np.mean(pred == y) >= 0.9
+
+
+@pytest.mark.parametrize("targets, rank_r, message", [
+    (np.zeros(7), 2, "targets length 7 does not match 8 rows of A"),
+    (np.zeros(8), 4, r"rank_r 4 exceeds min\(N, M\) = 3"),
+], ids=["targets-length", "rank-above-min"])
+def test_learn_compat_rejects_a_mismatched_problem(targets, rank_r, message):
+    A = np.random.default_rng(9).standard_normal((8, 3))
+    cfg = LearnableConfig(rank_r=rank_r, steps=2, task="regression", outer_iters=1)
+    with pytest.raises(ValueError, match=message):
+        learn_compat(A, targets, KernelSpec.rbf(3.0), cfg)
+
+
+def test_learn_compat_diverging_learning_rate_is_a_numerical_error():
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((10, 5))
+    y = rng.standard_normal(10)
+    cfg = LearnableConfig(rank_r=2, steps=20, learning_rate=1e6, outer_iters=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="training loss diverged; decrease the "
+                                                 "learning rate"):
+            learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
 
 
 def test_learn_compat_rejects_nan_class_labels():

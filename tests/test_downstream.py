@@ -480,6 +480,27 @@ def test_coherence_singleton_cluster_zero():
     assert got == pytest.approx((0.0 + np.log(11 / 10)) / 2)
 
 
+def test_coherence_skips_pairs_with_a_term_in_no_document():
+    # terms 2 and 3 occur nowhere: cluster 0 scores its one pair (0, 1),
+    # cluster 1 has no scorable pair and scores 0
+    dt = np.ones((10, 4))
+    dt[:, 2:] = 0.0
+    got = coherence(np.array([0, 0, 0, 1]), dt)
+    assert got == pytest.approx((np.log(11 / 10) + 0.0) / 2)
+    assert coherence(np.array([0, 0, 1, 1]), dt) == pytest.approx(np.log(11 / 10) / 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: f1_scores([0, 1, 1], [0, 1]), "pred and truth lengths differ"),
+    (lambda: recon_error(np.zeros((3, 3)), np.zeros((3, 2))), "adjacency shapes differ"),
+    (lambda: nmi([0, 1, 1], [0, 1]), "label vectors must have equal length"),
+    (lambda: coherence([0, 1], np.ones((4, 3))), "term_labels length must match"),
+], ids=["f1_scores", "recon_error", "nmi", "coherence"])
+def test_metrics_reject_mismatched_lengths(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_coherence_top10_selection():
     rng = np.random.default_rng(12)
     n_docs, n_terms = 30, 15
@@ -675,7 +696,8 @@ def test_linear_head_closed_form_matches_loop_property(seed, n, d, n_classes, rh
 @pytest.mark.parametrize("kwargs", [{"steps": -1}, {"lr": 0.0}, {"lr": float("nan")},
                                     {"lr": -0.1}, {"lr": float("inf")},
                                     {"targets": np.zeros(39)},
-                                    {"targets": np.r_[np.zeros(39), np.nan]}])
+                                    {"targets": np.r_[np.zeros(39), np.nan]},
+                                    {"task": "ranking"}])
 def test_linear_head_rejects_bad_input(kwargs):
     F, y = _regression_problem(25)
     with pytest.raises(ValueError):

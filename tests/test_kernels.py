@@ -10,6 +10,7 @@ from aksvd.kernels import (
     KernelSpec,
     auto_gamma,
     center,
+    as_matrix,
     center_vector,
     gram,
     kernel_vector,
@@ -276,6 +277,25 @@ def test_auto_gamma_heuristic():
     X = rng.standard_normal((20, 6))
     assert auto_gamma(X) == pytest.approx(np.sqrt(6 * X.var()))
     assert auto_gamma(X, k=0.5) == pytest.approx(0.5 * np.sqrt(6 * X.var()))
+
+
+def test_auto_gamma_rejects_constant_data():
+    with pytest.raises(NumericalError, match="zero variance"):
+        auto_gamma(np.full((5, 3), 2.5))
+
+
+def test_as_matrix_takes_a_vector_as_one_row():
+    out = as_matrix([1, 2, 3], "x")
+    assert out.shape == (1, 3) and out.dtype == np.float64 and out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("a, message", [(np.ones((2, 2, 2)), r"x must be 2-D, got shape \(2, 2, 2\)"),
+                                        ([], r"x must be non-empty, got shape \(1, 0\)"),
+                                        (np.ones((0, 3)), r"x must be non-empty, got shape \(0, 3\)")],
+                         ids=["3-D", "empty-list", "no-rows"])
+def test_as_matrix_rejects_what_is_no_matrix(a, message):
+    with pytest.raises(ValueError, match=message):
+        as_matrix(a, "x")
 
 
 # -- tile engine ----------------------------------------------------------

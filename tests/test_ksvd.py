@@ -237,6 +237,12 @@ def test_embeddings_sides():
         assert abs(left[:, s] @ ref.u[:, s]) >= 1 - 1e-8
 
 
+def test_embeddings_rejects_an_unknown_side():
+    m = fit_matrix(np.random.default_rng(9).standard_normal((6, 6)), KernelSpec.linear(), rank=2)
+    with pytest.raises(ValueError, match="side must be one of"):
+        embeddings(m, "middle")
+
+
 def test_embeddings_concat_requires_square():
     rng = np.random.default_rng(10)
     m = fit(rng.standard_normal((5, 2)), rng.standard_normal((7, 2)),

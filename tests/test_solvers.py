@@ -1,7 +1,8 @@
+import inspect
 import json
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from aksvd.solvers import (
     DEFAULT_BENCH_SOLVERS,
     SOLVERS,
     MatrixOperator,
+    as_operator,
     asym_nystrom,
     bench,
     dense_svd,
@@ -416,6 +418,22 @@ def test_nystrom_rejects_bad_sample_indices(given):
         sym_nystrom_eig(K, 3, 1, indices=given)
 
 
+@pytest.mark.parametrize("count", [0, 11])
+def test_nystrom_rejects_a_subsample_count_outside_its_side(count):
+    A = np.random.default_rng(15).standard_normal((10, 10))
+    with pytest.raises(ValueError, match=f"subsample size {count} out of range"):
+        asym_nystrom(MatrixOperator(A), count, 3, 1)
+    with pytest.raises(ValueError, match=f"subsample size {count} out of range"):
+        asym_nystrom(MatrixOperator(A), 3, count, 1)
+    with pytest.raises(ValueError, match=f"subsample size {count} out of range"):
+        sym_nystrom_eig(A @ A.T, count, 1)
+
+
+def test_sym_nystrom_eig_rejects_a_non_square_operator():
+    with pytest.raises(ValueError, match="requires a square operator"):
+        sym_nystrom_eig(np.ones((4, 3)), 2, 1)
+
+
 def test_nystrom_accepts_numpy_integer_indices():
     A = np.random.default_rng(15).standard_normal((10, 10))
     want = asym_nystrom(MatrixOperator(A), 3, 3, 2, row_indices=[4, 0, 7], col_indices=[1, 2, 9])
@@ -559,6 +577,14 @@ def test_eta_rejects_zero_columns():
         eta_metric(ref.u, ref.lambdas, ref.v, bad, ref.v)
 
 
+def test_eta_rejects_mismatched_shapes():
+    ref = dense_svd(np.random.default_rng(18).standard_normal((6, 6)), 2)
+    with pytest.raises(ValueError, match="shapes differ"):
+        eta_metric(ref.u, ref.lambdas, ref.v, ref.u[:, :1], ref.v)
+    with pytest.raises(ValueError, match="shapes differ"):
+        eta_metric(ref.u, ref.lambdas, ref.v, ref.u, ref.v[:5])
+
+
 def test_eta_normalized_variant():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((10, 10))
@@ -629,6 +655,25 @@ def test_bench_records_sample_smaller_than_rank_as_failed_trial(name):
     assert rep.trials[0].eta == np.inf and rep.trials[1].eta <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["dense", "tsvd", "rsvd"])
+def test_bench_records_a_result_below_the_rank_as_failed_trial(name):
+    # a rank-2 G gives 2 triplets for r = 3; the reference is a rank-3 one
+    rng = np.random.default_rng(27)
+    G = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 20))
+    ref = dense_svd(rng.standard_normal((20, 20)), 3)
+    rep = bench(G, 3, 0.1, solvers=(name,), reference=(ref.u, ref.lambdas, ref.v),
+                oversample_schedule=(5,))
+    assert [(t.eta, t.success) for t in rep.trials] == [(np.inf, False)]
+    assert rep.summary[name]["success"] is False and rep.summary[name]["eta"] == np.inf
+
+
+def test_bench_rejects_a_reference_below_the_rank():
+    G = np.random.default_rng(28).standard_normal((10, 10))
+    ref = dense_svd(G, 2)
+    with pytest.raises(NumericalError, match="reference rank 2 < requested 3"):
+        bench(G, 3, 0.1, solvers=("tsvd",), reference=(ref.u, ref.lambdas, ref.v))
+
+
 @pytest.mark.parametrize("order", [("tsvd", "rsvd"), ("rsvd", "tsvd")])
 def test_bench_empty_schedule_reports_no_trial(order):
     # an empty oversample schedule runs no rsvd trial: its summary must not
@@ -672,6 +717,27 @@ def test_registry_knobs_are_fields_of_their_choice():
         make_choice("svd")
     with pytest.raises(ValueError, match="unknown bench solver"):
         bench(np.eye(4), r=1, epsilon=1.0, solvers=("tsvd", "lanczos"))
+
+
+def test_registry_functions_take_every_choice_field():
+    # solve() calls fn(G, r=r, **fields of the choice): each field, and r,
+    # must be a keyword parameter of the module-level function the entry names
+    for entry in SOLVERS.values():
+        fn = getattr(solvers_module, entry.function)
+        assert fn.__module__ == solvers_module.__name__
+        params = inspect.signature(fn).parameters
+        for name in ["r"] + [f.name for f in fields(entry.choice)]:
+            assert params[name].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+
+
+def test_solve_rejects_an_unregistered_choice():
+    @dataclass(frozen=True)
+    class Lanczos:
+        tol: float = 1e-8
+
+    for choice in (Lanczos(), "dense", None):
+        with pytest.raises(ValueError, match="unknown solver choice"):
+            solvers_module.solve(np.eye(3), 1, choice)
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
@@ -747,8 +813,24 @@ def test_solvers_need_only_the_operator_protocol(name, shape):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("values", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+def test_matrix_operator_rejects_a_non_matrix(values):
+    with pytest.raises(ValueError, match="expects a 2-D array"):
+        MatrixOperator(values)
+
+
+def test_as_operator_wraps_a_nested_list():
+    op = as_operator([[1, 2], [3, 4]])
+    assert isinstance(op, MatrixOperator)
+    assert op.values.dtype == np.float64
+    assert np.array_equal(op.materialize(), [[1.0, 2.0], [3.0, 4.0]])
+    assert as_operator(op) is op
+
+
 def test_readme_solver_table_matches_registry():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (.*) \|$", readme, flags=re.M)
-    table = {name: (cls, tuple(re.findall(r"`(\w+)`", knobs))) for name, cls, knobs in rows}
-    assert table == {name: (e.choice.__name__, e.knobs) for name, e in SOLVERS.items()}
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `(\w+)` \| (.*) \|$", readme, flags=re.M)
+    table = {name: (cls, fn, tuple(re.findall(r"`(\w+)`", knobs)))
+             for name, cls, fn, knobs in rows}
+    assert table == {name: (e.choice.__name__, e.function, e.knobs)
+                     for name, e in SOLVERS.items()}
