@@ -46,6 +46,11 @@ class RandomProjection:
 
 @dataclass(frozen=True)
 class LearnableConfig:
+    """Settings of :func:`learn_compat`: the rank r of the frozen singular
+    vectors, the gradient steps per outer iteration, the step size, the
+    task and the number of outer iterations.  ``seed`` is never read: C
+    starts from the a1 projection and no step draws random numbers."""
+
     rank_r: int = 4
     steps: int = 50               # gradient steps per outer iteration
     learning_rate: float = 1e-2
@@ -144,7 +149,7 @@ class LinearHead:
 class LearnCompatResult:
     c: np.ndarray
     head: LinearHead
-    losses: List[float]   # loss at the end of each outer iteration
+    losses: List[float]   # loss after each kept outer iteration, else the untrained loss
 
 
 def _encode_targets(targets, task):
@@ -240,6 +245,9 @@ def _c_gradient_analytic(A, C, kernel, dG, G):
     return A @ (k * (W.T @ X - W.sum(axis=0)[:, None] * Z))
 
 
+_DIVERGED = "training loss diverged; decrease the learning rate"
+
+
 def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnCompatResult:
     """Learn C by alternating SVD refreshes and gradient descent.
 
@@ -248,7 +256,10 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
     cfg.steps joint gradient steps on C and the head against the task
     loss on features G V.  An outer iteration that fails to improve the
     loss is rolled back and training stops, so the recorded end-of-
-    iteration losses are nonincreasing.
+    iteration losses are nonincreasing; the first is compared with the
+    untrained (zero) head, and when no iteration is kept ``losses`` is
+    that head's loss alone.  A step that makes C, or the loss at the end
+    of an iteration, non-finite raises :class:`NumericalError`.
 
     The gradient with respect to C is exact and analytic for every kernel
     family (:func:`_c_gradient_analytic`) and reuses the Gram matrix the
@@ -271,7 +282,7 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
     W = np.zeros((r, k))
     b = np.zeros(k)
     losses: List[float] = []
-    prev = np.inf
+    prev = float(np.mean(Y ** 2))         # the untrained head predicts 0
 
     for _ in range(cfg.outer_iters):
         _, _, vt = np.linalg.svd(G, full_matrices=False)
@@ -283,20 +294,17 @@ def learn_compat(A, targets, kernel: KernelSpec, cfg: LearnableConfig) -> LearnC
             W -= cfg.learning_rate * dW
             b -= cfg.learning_rate * db
             C -= cfg.learning_rate * dC
+            if not np.isfinite(C).all():
+                raise NumericalError(_DIVERGED)
             G = _gram_values(A, C, kernel)
         loss = _loss(G, V, Y, W, b)
         if not np.isfinite(loss):
-            raise NumericalError("training loss diverged; decrease the learning rate")
+            raise NumericalError(_DIVERGED)
         if loss > prev - 1e-12:
             C, W, b, G = snapshot         # roll back the failed iteration
             break
         losses.append(loss)
         prev = loss
-        if cfg.steps == 0:
-            break
 
-    if not losses:   # no outer iterations
-        _, _, vt = np.linalg.svd(G, full_matrices=False)
-        losses.append(_loss(G, vt[:r].T, Y, W, b))
     head = LinearHead(weights=W, bias=b, classes=classes)
-    return LearnCompatResult(c=C, head=head, losses=losses)
+    return LearnCompatResult(c=C, head=head, losses=losses or [prev])

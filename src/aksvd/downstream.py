@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .compat import LinearHead, _encode_targets
-from .kernels import _products, as_matrix
+from .kernels import _products, _sq_dists, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +124,9 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     k = int(deg.max(initial=0))
     if k == 0:
         return np.zeros((N, N))
-    src_sq = (src * src).sum(axis=1)
-    tgt_sq = (tgt * tgt).sum(axis=1)
-    d2 = _products(src, tgt)
-    d2 *= 2.0
-    A_hat = np.add.outer(src_sq, tgt_sq)
-    np.subtract(A_hat, d2, out=d2)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = _sq_dists(_products(src, tgt), (src * src).sum(axis=1), (tgt * tgt).sum(axis=1))
     np.fill_diagonal(d2, np.inf)
-    A_hat[...] = d2
+    A_hat = d2.copy()
     A_hat.partition(k - 1, axis=1)
     nearest = np.sort(A_hat[:, :k], axis=1)
     cut = np.where(deg > 0, nearest[np.arange(N), np.maximum(deg - 1, 0)], -np.inf)

@@ -51,6 +51,7 @@ takes the same gemm call and the same elementwise operations.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional
@@ -297,6 +298,15 @@ def _products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sq_dists(pp: np.ndarray, x_sq: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
+    """Overwrite the inner products ``pp`` with the squared distances
+    x_sq_i + z_sq_j - 2 pp_ij, clamped at 0 against round-off; return it."""
+    pp *= 2.0
+    np.subtract(np.add.outer(x_sq, z_sq), pp, out=pp)
+    np.maximum(pp, 0.0, out=pp)
+    return pp
+
+
 def _check_denominators(den) -> None:
     if np.any(den <= 0.0) or not np.all(np.isfinite(den)):
         raise NumericalError(
@@ -309,8 +319,8 @@ class KernelOperator:
 
     Caches squared row norms at construction and, for the sne family, the
     per-row softmax denominators sum_{z' in Z} exp(-||x_i - z'||^2/gamma^2)
-    the first time a row is touched.  It keeps the gemm tiles of X and Z
-    once built.
+    the first time a row is touched.  It builds ``_z_side`` and ``_x_side``,
+    the :func:`_side` of Z and of X, once each on first use, and keeps them.
     ``eval_count`` tracks how many Gram entries have been requested through
     :meth:`block` / :meth:`entry` (sne denominators are internal to the
     kernel and not counted).
@@ -329,14 +339,18 @@ class KernelOperator:
         n, m = self.x_data.shape[0], self.z_data.shape[0]
         self.scale = 1.0 / np.sqrt(n * m) if scaled else 1.0
         self._eval_count = 0
-        self._x_sq = self._z_sq = None
-        if spec.family in ("rbf", "sne"):
-            self._x_sq = (self.x_data * self.x_data).sum(axis=1)
-            self._z_sq = (self.z_data * self.z_data).sum(axis=1)
+        self._x_sq = (self.x_data * self.x_data).sum(axis=1)
+        self._z_sq = (self.z_data * self.z_data).sum(axis=1)
         if spec.family == "sne":
             self._sne_den = np.full(n, np.nan)
-        # _side of the training X and Z (see _training_tiles)
-        self._train_tiles = {}
+
+    @functools.cached_property
+    def _z_side(self) -> np.ndarray:
+        return _side(self.z_data)
+
+    @functools.cached_property
+    def _x_side(self) -> np.ndarray:
+        return _side(self.x_data)
 
     @property
     def shape(self):
@@ -353,28 +367,17 @@ class KernelOperator:
 
         The one place the family formulas live.  They overwrite ``pp``, the
         inner products <x_i, z_j>, and return it; ``x_sq``/``z_sq`` are the
-        squared row norms (rbf and sne only).
+        squared row norms, which rbf and sne read (:func:`_sq_dists`).
         """
         fam = self.spec.family
         if fam == "poly":
             pp += self.spec.offset
             pp **= self.spec.degree
         elif fam in ("rbf", "sne"):
-            pp *= 2.0
-            np.subtract(np.add.outer(x_sq, z_sq), pp, out=pp)
-            np.maximum(pp, 0.0, out=pp)  # clamp round-off
+            _sq_dists(pp, x_sq, z_sq)
             pp /= -self.spec.gamma ** 2
             np.exp(pp, out=pp)
         return pp
-
-    def _training_tiles(self, name: str) -> np.ndarray:
-        """The :func:`_side` of the training side that a new point of
-        ``name`` meets: Z for "x_new", X for "z_new".  Built once and kept:
-        kernel vectors, blocks over all of Z and sne denominators reuse
-        it."""
-        if name not in self._train_tiles:
-            self._train_tiles[name] = _side(self.z_data if name == "x_new" else self.x_data)
-        return self._train_tiles[name]
 
     def _kernel_chunks(self, rows, cols=None, out=None):
         """kappa over ``rows`` x ``cols`` (all of Z in order when None),
@@ -386,21 +389,21 @@ class KernelOperator:
         at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
         :func:`_fill` writes its inner products into it and the family
         formula runs on it in place.  A one-row block is a kernel vector
-        against the same column side as any other block: Z's cached one
-        when it spans all of Z, else the :func:`_side` of Z[cols], built
-        once per call.
+        against the same column side as any other block: ``_z_side`` when
+        it spans all of Z, else the :func:`_side` of Z[cols], built once
+        per call.
         """
-        z_sq = self._z_sq
-        if cols is not None and z_sq is not None:
-            z_sq = z_sq[cols]
-        m = self.z_data.shape[0] if cols is None else cols.size
-        side = self._training_tiles("x_new") if cols is None else _side(self.z_data[cols])
+        if cols is None:
+            side, z_sq = self._z_side, self._z_sq
+        else:
+            side, z_sq = _side(self.z_data[cols]), self._z_sq[cols]
+        m = z_sq.size
         step = _chunk_rows(m)
         for s in range(0, rows.size, step):
             r = rows[s : s + step]
             vals = np.empty((r.size, m)) if out is None else out[s : s + step]
             _fill(vals, self.x_data[r], side)
-            yield r, self._kernel(vals, None if z_sq is None else self._x_sq[r], z_sq)
+            yield r, self._kernel(vals, self._x_sq[r], z_sq)
 
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
@@ -435,7 +438,7 @@ class KernelOperator:
         ``num``, when given, holds the unnormalized sne values of ``rows``
         over all of Z in column order, and the missing denominators are
         summed from it rather than evaluated again.  Otherwise they are
-        evaluated in chunks against Z's cached tiles.
+        evaluated in chunks against ``_z_side``.
         """
         missing = np.isnan(self._sne_den[rows])
         if missing.any():
@@ -453,19 +456,17 @@ class KernelOperator:
     def _point_kernel(self, v, name: str) -> np.ndarray:
         """kappa between one new point and every training row of the other
         side, before sne normalization and scaling: a new x (``name``
-        "x_new") against Z, a new z ("z_new") against X.  The tiles of that
-        training side are kept for later kernel vectors."""
+        "x_new") against ``_z_side``, a new z ("z_new") against ``_x_side``."""
         v = np.asarray(v, dtype=np.float64).reshape(1, -1)
         if v.shape[1] != self.x_data.shape[1]:
             raise ValueError(f"{name} has dimension {v.shape[1]}, expected {self.x_data.shape[1]}")
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
-        data, sq = (self.z_data, self._z_sq) if name == "x_new" else (self.x_data, self._x_sq)
-        pp = np.empty((1, data.shape[0]))
-        _fill(pp, v, self._training_tiles(name))
-        v_sq = (v * v).sum(axis=1) if sq is not None else None
+        side, sq = (self._z_side, self._z_sq) if name == "x_new" else (self._x_side, self._x_sq)
+        pp = np.empty((1, sq.size))
+        _fill(pp, v, side)
         # entrywise formulas: either argument order gives the same bits
-        return self._kernel(pp, v_sq, sq)[0]
+        return self._kernel(pp, (v * v).sum(axis=1), sq)[0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.

@@ -182,14 +182,31 @@ def test_learn_compat_rejects_a_mismatched_problem(targets, rank_r, message):
 
 
 def test_learn_compat_diverging_learning_rate_is_a_numerical_error():
+    # C overflows inside the first outer iteration under both kernels
     rng = np.random.default_rng(8)
     A = rng.standard_normal((10, 5))
     y = rng.standard_normal(10)
-    cfg = LearnableConfig(rank_r=2, steps=20, learning_rate=1e6, outer_iters=3)
+    cfg = LearnableConfig(rank_r=2, steps=20, learning_rate=1.0, outer_iters=3)
+    for spec in (KernelSpec.linear(), KernelSpec.poly()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="training loss diverged; decrease the "
+                                                     "learning rate"):
+                learn_compat(A, y, spec, cfg)
+
+
+@pytest.mark.parametrize("learning_rate", [10.0, 1e6])
+def test_learn_compat_rolls_back_a_first_iteration_worse_than_the_untrained_head(
+        learning_rate):
+    # the first outer iteration overshoots far above the zero head's loss
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((10, 5))
+    y = rng.standard_normal(10)
+    cfg = LearnableConfig(rank_r=2, steps=20, learning_rate=learning_rate, outer_iters=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="training loss diverged; decrease the "
-                                                 "learning rate"):
-            learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
+        res = learn_compat(A, y, KernelSpec.rbf(3.0), cfg)
+    assert np.array_equal(res.c, realize_compat(PcaProjection(), A))
+    assert not res.head.weights.any() and not res.head.bias.any()
+    assert res.losses == [float(np.mean(y ** 2))]
 
 
 def test_learn_compat_rejects_nan_class_labels():

@@ -301,6 +301,22 @@ def test_reconstruct_matches_loop_at_graph_size():
     assert np.array_equal(graph_reconstruct(src, tgt, deg), loop_reconstruct(src, tgt, deg))
 
 
+def test_reconstruct_holds_two_n_by_n_arrays_at_most():
+    # the distances and the output are its only N x N arrays alive at once
+    rng = np.random.default_rng(11)
+    N = 1000
+    src, tgt = rng.standard_normal((N, 16)), rng.standard_normal((N, 16))
+    deg = rng.integers(0, 40, size=N)
+    graph_reconstruct(src[:20], tgt[:20], deg[:20] % 20)   # runs d = 16's tile self-check first
+    tracemalloc.start()
+    try:
+        graph_reconstruct(src, tgt, deg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * N * N * 8
+
+
 def test_reconstruct_zero_degrees():
     rng = np.random.default_rng(4)
     emb = rng.standard_normal((5, 3))

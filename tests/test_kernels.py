@@ -389,6 +389,27 @@ def test_sne_entry_normalizes_its_row_on_cached_z_tiles(monkeypatch):
     assert max(tiled, default=0) < 35
 
 
+def test_each_training_side_is_built_once(monkeypatch):
+    # Z's side serves sne denominators, new x, blocks over all of Z and
+    # materialize, X's side serves new z; a column subset builds its own
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((40, 17))
+    Z = rng.standard_normal((35, 17))
+    built = []
+    real = kernels._side
+    monkeypatch.setattr(kernels, "_side", lambda a: built.append(len(a)) or real(a))
+    op = KernelOperator(X, Z, family_spec("sne", 17))
+    for k in range(3):
+        op.z_col(Z[k] - 0.5)
+        op.x_row(X[k] + 0.5)
+    op.block(np.arange(5), np.arange(35))
+    op.materialize()
+    assert sorted(built) == [35, 40]
+    op.block(np.arange(5), [3, 1, 4])
+    op.block([7], [0, 2])
+    assert sorted(built) == [2, 3, 35, 40]
+
+
 def test_fallback_equals_broadcast_oracle(monkeypatch):
     rng = np.random.default_rng(22)
     X = rng.standard_normal((37, 6))
