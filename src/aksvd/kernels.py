@@ -15,35 +15,52 @@ bit-for-bit equal to the materialized one.
 
 Every kernel family needs the inner products <x_i, z_j>, and one routine,
 ``_fill``, computes them all: blocks, entries and kernel vectors alike.
-It is a tile engine: the rows of X and Z are zero-padded to a multiple of
-``_TILE`` and every pair of _TILE x d tiles is multiplied in one batched
-gemm.  The tile shape is fixed because a gemm's rounding depends on the
-shape of the call (its blocking, micro-kernel and edge handling), not
-only on the two vectors: ``x @ z.T`` on a sub-block can differ in the last
-bit from the same entry of the full product.  With one call shape every
-entry is computed by the same sequence of operations wherever it sits.
-A one-row block or a new point needs only one row of each tile product,
-so it takes a narrower call: the point fills row 0 of a zero-padded
-2 x d tile that multiplies the other side's d x _TILE transposed tiles.
-The gemm micro-kernel computes each entry by the same sequence of
-operations at either height, and products commute, so the same layout
-serves an x-side and a z-side point.  One row is not used because BLAS
-libraries hand a one-row product to gemv, which rounds differently.
-That still assumes the BLAS treats every position of a tile, and both
+It is a tile engine: the rows of a block are zero-padded to a multiple of
+``_TILE`` and cut into _TILE x d row tiles, the columns are zero-padded to
+a multiple of a panel width w and kept as d x w panels, and every pair of
+a row tile and a panel is multiplied in one batched gemm.  The call shape
+is fixed because a gemm's rounding depends on the shape of the call (its
+blocking, micro-kernel and edge handling), not only on the two vectors:
+``x @ z.T`` on a sub-block can differ in the last bit from the same entry
+of the full product.  With one call shape every entry is computed by the
+same sequence of operations wherever it sits.
+A one-row block or a new point needs only one row of each product, so it
+takes a narrower call: the point fills row 0 of a zero-padded 2 x d tile
+that multiplies the other side's panels.  The gemm micro-kernel computes
+each entry by the same sequence of operations at either height, and
+products commute, so the same panels serve an x-side and a z-side point.
+One row is not used because BLAS libraries hand a one-row product to
+gemv, which rounds differently.
+
+The panel width depends on d alone (:func:`_panel_width`): _TILE times
+256 // d, clamped to 1..16 tiles, so a panel spans 16 tiles up to d = 16,
+holds at most 4096 entries (32 KB) up to d = 256, and is one 16-column
+tile from d = 256 up.  At d = 16 a kernel vector over 4000 columns is 16
+gemm calls where 16-column tiles take 250, and a side has one layout
+that blocks and kernel vectors share.  Only call shapes fixed per d are
+ones the per-d self-check below can certify, and both ways out of the
+rule failed on OpenBLAS 0.3.31 (Haswell kernels): a panel as wide as its
+side's unpadded length gave kernel vectors other bits than the block
+product at most lengths tried, for every d from 16 to 2000, and panels
+wider than the rule's failed the self-check at large d (from 160 columns
+at d = 400, 64 at d = 1000 and 32 at d = 2000).
+
+That still assumes the BLAS treats every position of a panel, and both
 call heights, alike, so a self-check runs ``_fill`` itself on a few pairs
-placed at different tile positions, partial edge tiles among them, once
-per process and feature dimension.  If any result differs, the column
-side of every product is kept as raw rows instead of tiles, a choice made
-once when a side is built and cached, and ``_fill`` computes from them by
-a broadcast multiply-and-sum, which is exact at any shape but much slower.
+placed at different tile and panel positions, partial last ones among
+them, once per process and feature dimension.  If any result differs,
+the column side of every product is kept as raw rows instead of panels, a
+choice made once when a side is built and cached, and ``_fill`` computes
+from them by a broadcast multiply-and-sum, which is exact at any shape
+but much slower.
 
 A block is streamed: its n x m result is allocated once and filled one
-chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries or
-one row tile, whichever is more.
-The chunk's tile gemms write straight into its slice of the result, and
+chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries
+over the padded columns or one row tile, whichever is more.
+The chunk's gemms write straight into its slice of the result, and
 the family formula, the sne normalization and the scaling then run in
 place while the chunk is still in cache.  A block therefore needs its
-own 8*n*m bytes plus one chunk and the tiles of its columns, however
+own 8*n*m bytes plus one chunk and the panels of its columns, however
 large it is; the Nystrom fit holds G[rows, :] and then G[comp_rows,
 cols], and little else.  Chunk boundaries do not change a value: every entry still
 takes the same gemm call and the same elementwise operations.
@@ -62,7 +79,7 @@ from .errors import NumericalError
 
 FAMILIES = ("linear", "rbf", "poly", "sne")
 
-# rows per gemm tile
+# rows per gemm tile, and the unit of a panel's width
 _TILE = 16
 
 # rows of the tile that holds one point of a kernel vector: a one-row
@@ -148,6 +165,25 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     return out
 
 
+def _index_array(idx, size: int, name: str) -> np.ndarray:
+    """``idx`` as a 1-D intp array of indices into range(size).
+
+    Negative or out-of-range values, fractions and bools are a ValueError
+    that names the range, never wrapped, truncated or read as 0 and 1.  An
+    array is checked by its dtype; anything else item by item, since an
+    int array would already have turned True into 1.
+    """
+    if isinstance(idx, np.ndarray):
+        a = np.atleast_1d(idx)
+        ok = a.dtype.kind in "iu" or a.size == 0
+    else:
+        a = np.atleast_1d(np.asarray(idx, dtype=object))
+        ok = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in a.flat)
+    if not (ok and a.ndim == 1 and (a.size == 0 or (a.min() >= 0 and a.max() < size))):
+        raise ValueError(f"{name} indices must be integers in [0, {size})")
+    return a.astype(np.intp, copy=False)
+
+
 def _pair_products(xb: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """Inner products <x_i, z_j> for all pairs by broadcast multiply-and-sum.
 
@@ -172,6 +208,21 @@ def _chunk_rows(m: int) -> int:
     return max(_TILE, _BLOCK_BUDGET // max(1, m) // _TILE * _TILE)
 
 
+def _panel_width(d: int) -> int:
+    """Columns of a panel at feature dimension d: _TILE times 256 // d,
+    clamped to 1..16 tiles, so 256 up to d = 16 and one 16-column tile
+    from d = 256 up; in between a panel's d x width entries stay within
+    4096 (32 KB).
+
+    It depends on d alone, never on how many columns a side has: a gemm's
+    rounding follows its call shape, and only shapes fixed per d are ones
+    the per-d self-check :func:`_tiles_exact` certifies.  It stays narrow
+    at large d, where wider panels failed that check (see the module
+    docstring).
+    """
+    return _TILE * min(max(256 // d, 1), 16)
+
+
 def _x_tiles(a: np.ndarray) -> np.ndarray:
     """Rows of ``a`` zero-padded to a multiple of _TILE, as (tiles, _TILE, d)."""
     n, d = a.shape
@@ -181,34 +232,37 @@ def _x_tiles(a: np.ndarray) -> np.ndarray:
 
 
 def _z_tiles(a: np.ndarray) -> np.ndarray:
-    """Padded tiles of ``a`` transposed to (tiles, d, _TILE), the layout of
+    """Rows of ``a`` zero-padded to a multiple of the panel width w of
+    :func:`_panel_width` and transposed to (panels, d, w), the layout of
     the right-hand gemm operand: a plain NN call, about 2.5 times faster
-    at this size than multiplying by a transposed view.  Written in one
-    pass, with no padded copy in between."""
+    than multiplying by a transposed view.  Written in one pass, with no
+    padded copy in between."""
     n, d = a.shape
-    full = n // _TILE * _TILE
-    tiles = np.zeros((-(-n // _TILE), d, _TILE))
-    tiles[: full // _TILE] = a[:full].reshape(-1, _TILE, d).transpose(0, 2, 1)
+    w = _panel_width(d)
+    full = n // w * w
+    panels = np.zeros((-(-n // w), d, w))
+    panels[: full // w] = a[:full].reshape(-1, w, d).transpose(0, 2, 1)
     if full < n:
-        tiles[-1, :, : n - full] = a[full:].T
-    return tiles
+        panels[-1, :, : n - full] = a[full:].T
+    return panels
 
 
 def _tile_gemm(xt: np.ndarray, zt: np.ndarray, out=None) -> np.ndarray:
-    """out[a, b] = xt[a] @ zt[b] for every pair of x tiles and transposed z
-    tiles, in one batched matmul, into ``out`` when given.
+    """out[a, b] = xt[a] @ zt[b] for every pair of x tiles and column
+    panels, in one batched matmul, into ``out`` when given.
 
     Each of the p*q gemm calls has the same shape and operand layout,
-    whatever the number of tiles on either side and wherever it writes.
+    whatever the number of tiles or panels and wherever it writes.
     """
     return np.matmul(xt[:, None], zt[None], out=out)
 
 
 def _side(a: np.ndarray) -> np.ndarray:
     """The column side of :func:`_fill` for the rows of ``a``: their
-    :func:`_z_tiles`, or ``a`` itself when the self-check
-    :func:`_tiles_exact` fails for this feature dimension.  Chosen once,
-    when a side is built and cached."""
+    panels (:func:`_z_tiles`), one layout that blocks and kernel vectors
+    share, or ``a`` itself when the self-check :func:`_tiles_exact` fails
+    for this feature dimension.  Chosen once, when a side is built and
+    cached."""
     return _z_tiles(a) if _tiles_exact(a.shape[1]) else a
 
 
@@ -217,32 +271,34 @@ def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
     takes: ``x`` holds the rows of ``dest``, and ``side`` its columns as
     :func:`_side` built them.
 
-    Raw rows (the fallback) go to :func:`_pair_products`.  A one-row
-    ``dest`` is a kernel vector: the point fills row 0 of a zero-padded
-    _VEC_ROWS x d tile, and one :func:`_tile_gemm` multiplies it by every
-    column tile; row 0 of each product holds the same bits as the entries
-    of a full tile product.  Otherwise the rows are tiled and the gemms of
-    whole tiles write straight into ``dest``, seen as (row tiles, _TILE,
-    column tiles, _TILE); a partial last row or column tile goes through a
-    temporary of one tile row or column, with gemm calls of the same shape.
+    Raw rows (the fallback) go to :func:`_pair_products`.  Panels have the
+    width w = ``side.shape[2]``.  A one-row ``dest`` is a kernel vector:
+    the point fills row 0 of a zero-padded _VEC_ROWS x d tile, and one
+    :func:`_tile_gemm` multiplies it by every panel; row 0 of each product
+    holds the same bits as the entries of a full tile product.  Otherwise
+    the rows are tiled and the gemms of whole tiles and panels write
+    straight into ``dest``, seen as (row tiles, _TILE, panels, w); a
+    partial last row tile or panel goes through a temporary of one tile
+    row or panel column, with gemm calls of the same shape.
     """
     k, m = dest.shape
     if side.ndim == 2:
         dest[...] = _pair_products(x, side)
         return
+    w = side.shape[2]
     if k == 1:
         vt = np.zeros((1, _VEC_ROWS, x.shape[1]))
         vt[0, 0] = x[0]
         dest[0] = _tile_gemm(vt, side)[0, :, 0, :].reshape(-1)[:m]
         return
     xt = _x_tiles(x)
-    p, q = k // _TILE, m // _TILE
-    kf, mf = p * _TILE, q * _TILE
+    p, q = k // _TILE, m // w
+    kf, mf = p * _TILE, q * w
     if p and q:
-        tiles = dest[:kf, :mf].reshape(p, _TILE, q, _TILE)
+        tiles = dest[:kf, :mf].reshape(p, _TILE, q, w)
         _tile_gemm(xt[:p], side[:q], out=tiles.transpose(0, 2, 1, 3))
     if mf < m:
-        dest[:, mf:] = _tile_gemm(xt, side[q:])[:, 0].reshape(-1, _TILE)[:k, : m - mf]
+        dest[:, mf:] = _tile_gemm(xt, side[q:])[:, 0].reshape(-1, w)[:k, : m - mf]
     if kf < k:
         edge = _tile_gemm(xt[p:], side[:q])[0].transpose(1, 0, 2)
         dest[kf:, :mf] = edge.reshape(_TILE, mf)[: k - kf]
@@ -251,34 +307,46 @@ def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
 def _tiles_exact(d: int) -> bool:
     """Whether :func:`_fill` gives an entry the same bits wherever it sits.
 
-    Three pairs of random vectors each fill four rows of X and of Z, in
-    different tiles and at different positions within a tile, the last
-    one in a partial last tile, among random filler rows.  Every copy of a
-    pair's product must agree across the full product, whose partial
-    tiles go through the edge temporaries, and the kernel-vector path in
-    both roles: x in the narrow tile against Z's tiles, and z in it
-    against X's.  The result is cached per feature dimension for the life
-    of the process.
+    X and Z each span two full panels of :func:`_panel_width` and a
+    partial last one, so both cover every call shape in both roles.  Three
+    pairs of random vectors each fill four rows of X and of Z, in
+    different tiles and panels and at different positions within them,
+    the last one in a partial last tile and panel, among random filler
+    rows.  Every copy of a pair's product must agree across the product
+    of X and Z, filled chunk by chunk as a block over all of Z fills it
+    (its partial tiles and panels go through the edge temporaries), and the
+    kernel-vector path in both roles: x in the narrow tile against Z's
+    panels, and z in it against X's.  Only the slots' columns of the
+    product are kept, so the probes hold well under 1 MB up to d = 256.
+    The result is cached per feature dimension for the life of the
+    process.
     """
     ok = _TILE_EXACT.get(d)
     if ok is None:
         rng = np.random.default_rng(d)
-        X = rng.standard_normal((2 * _TILE + 3, d))
-        Z = rng.standard_normal((3 * _TILE + 5, d))
+        w = _panel_width(d)
+        X = rng.standard_normal((2 * w + 3, d))
+        Z = rng.standard_normal((2 * w + 5, d))
         half = _TILE // 2
-        slots = [([k, half + k, 2 * _TILE - 1 - k, 2 * _TILE + k],
-                  [k, _TILE + half + k, 3 * _TILE - 1 - k, 3 * _TILE + 2 + k])
+        slots = [([k, half + k, 2 * w - 1 - k, 2 * w + k],
+                  [k, w + half + k, 2 * w - 1 - k, 2 * w + 2 + k])
                  for k in range(3)]
         for xs, zs in slots:
             X[xs] = rng.standard_normal(d)
             Z[zs] = rng.standard_normal(d)
         x_side, z_side = _z_tiles(X), _z_tiles(Z)
-        full = np.empty((len(X), len(Z)))
-        _fill(full, X, z_side)
+        cols = np.concatenate([zs for _, zs in slots])
+        full = np.empty((len(X), cols.size))
+        step = _chunk_rows(z_side.shape[0] * z_side.shape[2])
+        chunk = np.empty((step, len(Z)))
+        for s in range(0, len(X), step):
+            rows = X[s : s + step]
+            _fill(chunk[: len(rows)], rows, z_side)
+            full[s : s + len(rows)] = chunk[: len(rows), cols]
         row, col = np.empty((1, len(Z))), np.empty((1, len(X)))
         ok = True
-        for xs, zs in slots:
-            got = [full[np.ix_(xs, zs)].ravel()]
+        for k, (xs, zs) in enumerate(slots):
+            got = [full[xs, 4 * k : 4 * k + 4].ravel()]
             for i in xs:
                 _fill(row, X[i : i + 1], z_side)
                 got.append(row[0, zs])
@@ -386,7 +454,9 @@ class KernelOperator:
 
         Yields each chunk's rows and values, a slice of ``out`` when given
         and else a new array, while they are still in cache.  A chunk holds
-        at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`);
+        at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`),
+        counted over the side's padded columns, which bounds the temporary
+        of a partial last panel too;
         :func:`_fill` writes its inner products into it and the family
         formula runs on it in place.  A one-row block is a kernel vector
         against the same column side as any other block: ``_z_side`` when
@@ -398,7 +468,7 @@ class KernelOperator:
         else:
             side, z_sq = _side(self.z_data[cols]), self._z_sq[cols]
         m = z_sq.size
-        step = _chunk_rows(m)
+        step = _chunk_rows(m if side.ndim == 2 else side.shape[0] * side.shape[2])
         for s in range(0, rows.size, step):
             r = rows[s : s + step]
             vals = np.empty((r.size, m)) if out is None else out[s : s + step]
@@ -408,16 +478,18 @@ class KernelOperator:
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
 
-        The result is allocated once and filled chunk by chunk, each
-        normalized (sne) and scaled while in cache.  For sne, a block whose
+        ``rows`` and ``cols`` are integer indices into range(n) and
+        range(m); anything else is a ValueError, raised before the request
+        is counted in ``eval_count``.  The result is allocated once and
+        filled chunk by chunk, each normalized (sne) and scaled while in cache.  For sne, a block whose
         columns are all of Z in order fills any missing softmax
         denominators from its own values.
         """
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.intp))
+        n, m = self.shape
+        rows = _index_array(rows, n, "row")
+        cols = _index_array(cols, m, "column")
         self._eval_count += rows.size * cols.size
         out = np.empty((rows.size, cols.size))
-        m = self.z_data.shape[0]
         every_col = cols.size == m and bool((cols == np.arange(m)).all())
         for r, vals in self._kernel_chunks(rows, None if every_col else cols, out):
             if self.spec.family == "sne":
@@ -479,7 +551,8 @@ class KernelOperator:
             den = vals.sum()
             _check_denominators(den)
             vals /= den
-        return vals * self.scale
+        vals *= self.scale
+        return vals
 
     def z_col(self, z_new) -> np.ndarray:
         """kappa(x_i, z_new) over the training X, in this operator's scaling.
@@ -490,7 +563,8 @@ class KernelOperator:
         vals = self._point_kernel(z_new, "z_new")
         if self.spec.family == "sne":
             vals /= self._sne_denominators(np.arange(self.x_data.shape[0]))
-        return vals * self.scale
+        vals *= self.scale
+        return vals
 
     # -- operator algebra (used by iterative solvers) -------------------
 

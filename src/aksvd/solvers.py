@@ -23,7 +23,6 @@ all Nystrom methods share one extension step, :func:`_nystrom_extend`.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -31,6 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import NumericalError
+from .kernels import _index_array
 
 # relative cutoff below which singular values count as numerically zero
 _RANK_RTOL = 1e-12
@@ -315,13 +315,10 @@ def _sample_indices(rng, total: int, count: int, given=None) -> np.ndarray:
         if not 1 <= count <= total:
             raise ValueError(f"subsample size {count} out of range [1, {total}]")
         return np.sort(rng.choice(total, size=count, replace=False))
-    # checked as objects: an int array would already have turned True into 1
-    items = np.asarray(given, dtype=object).ravel()
-    if all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in items):
-        idx = np.sort(items.astype(np.intp))
-        if idx.size and idx[0] >= 0 and idx[-1] < total and not np.any(idx[1:] == idx[:-1]):
-            return idx
-    raise ValueError(f"sample indices must be nonempty, distinct integers in [0, {total})")
+    idx = np.sort(_index_array(given, total, "sample"))
+    if idx.size == 0 or np.any(idx[1:] == idx[:-1]):
+        raise ValueError(f"sample indices must be nonempty, distinct integers in [0, {total})")
+    return idx
 
 
 def _nystrom_lambdas(s_sub: np.ndarray, r: int) -> np.ndarray:
@@ -384,13 +381,12 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
 
 def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
     """Flip each (u_s, v_s) pair, in place, so the largest-|entry| of u_s
-    is positive; with no V, flip the columns of U alone."""
-    for s in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, s])))
-        if U[i, s] < 0:
-            U[:, s] = -U[:, s]
-            if V is not None:
-                V[:, s] = -V[:, s]
+    is positive; with no V, flip the columns of U alone.  Among tied
+    largest entries the first decides, as argmax keeps the first."""
+    flip = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])] < 0
+    U[:, flip] = -U[:, flip]
+    if V is not None:
+        V[:, flip] = -V[:, flip]
 
 
 def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,

@@ -48,3 +48,14 @@ def c_gradient_fd(A, C, kernel, V, Y, W, b, h):
             C[p, q] = orig
             grad[p, q] = (lp - lm) / (2.0 * h)
     return grad
+
+
+def sign_fix_pairs_loop(U, V=None):
+    """Column by column, the oracle for :func:`aksvd.solvers._sign_fix_pairs`:
+    flip (u_s, v_s) in place when u_s's first largest-|entry| is negative."""
+    for s in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, s])))
+        if U[i, s] < 0:
+            U[:, s] = -U[:, s]
+            if V is not None:
+                V[:, s] = -V[:, s]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,44 @@ def test_eval_count():
     assert op.eval_count == 7
 
 
+_ROWS = r"row indices must be integers in \[0, 5\)"
+_COLS = r"column indices must be integers in \[0, 4\)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda op: op.entry(-1, 0), _ROWS),
+    (lambda op: op.entry(0, -1), _COLS),
+    (lambda op: op.block([2, -3], [0]), _ROWS),
+    (lambda op: op.entry(5, 0), _ROWS),
+    (lambda op: op.entry(0, 4), _COLS),
+    (lambda op: op.block(np.array([0, 5]), [0]), _ROWS),
+    (lambda op: op.block([1.7], [0]), _ROWS),
+    (lambda op: op.block([0], np.array([1.0])), _COLS),
+    (lambda op: op.entry(1.0, 0), _ROWS),
+    (lambda op: op.entry(True, 0), _ROWS),
+    (lambda op: op.block([True, 2], [0]), _ROWS),
+    (lambda op: op.block([0], np.array([True, False])), _COLS),
+], ids=["negative-row", "negative-column", "negative-in-block", "row-past-end",
+        "column-past-end", "past-end-array", "fractional", "float-array", "float-entry",
+        "bool-entry", "bool-among-ints", "bool-array"])
+def test_block_and_entry_reject_bad_indices_before_counting(call, message):
+    # on a 5 x 4 operator, G[4, 0] and row 1 used to come back for -1 and
+    # 1.7, and 5 gave a raw IndexError, each counted as evaluated
+    op = KernelOperator(np.ones((5, 2)), np.ones((4, 2)), KernelSpec.linear())
+    with pytest.raises(ValueError, match=message):
+        call(op)
+    assert op.eval_count == 0
+
+
+def test_block_takes_indices_of_any_integer_dtype():
+    op = KernelOperator(np.arange(10.0).reshape(5, 2), np.ones((4, 2)), KernelSpec.linear())
+    want = op.materialize()
+    for rows in (np.array([4, 0], dtype=np.int32), np.array([4, 0], dtype=np.uint8), [4, 0]):
+        assert np.array_equal(op.block(rows, np.int64(3)), want[[4, 0]][:, [3]])
+    assert op.entry(np.int64(4), np.uint16(3)) == want[4, 3]
+    assert op.block(np.array([]), [1]).shape == (0, 1)
+
+
 def test_center_all_ones():
     G = GramMatrix(np.ones((3, 4)))
     C = center(G)
@@ -317,7 +357,9 @@ def assert_lazy_matches_dense(spec, X, Z, rng):
     op = KernelOperator(X, Z, spec, scaled=True)
     n, m = dense.shape
     # contiguous sub-blocks at offsets that are not multiples of the tile
-    for r0, r1, c0, c1 in ((1, 18, 3, 20), (5, n, 0, 7), (17, 33, 15, m)):
+    # or of the panel width
+    for r0, r1, c0, c1 in ((1, 18, 3, 20), (5, n, 0, 7), (17, 33, 15, m),
+                           (n // 3 + 1, n - 2, m // 3 + 3, m - 1), (2, n, 1, m)):
         rows, cols = np.arange(r0, r1), np.arange(c0, c1)
         assert np.array_equal(op.block(rows, cols), dense[r0:r1, c0:c1])
     rows = rng.choice(n, 11, replace=False)
@@ -351,6 +393,29 @@ def test_lazy_exact_every_family_and_dimension_in_the_fallback(monkeypatch, fami
     # and every inner product comes from the broadcast fallback
     monkeypatch.setattr(kernels, "_tiles_exact", lambda d: False)
     test_lazy_exact_every_family_and_dimension(family, d)
+
+
+def _panel_inputs(d):
+    # X and Z each span two full panels and a partial third
+    w = kernels._panel_width(d)
+    rng = np.random.default_rng(100 + d)
+    return rng.standard_normal((2 * w + 37, d)), rng.standard_normal((2 * w + 29, d)), rng
+
+
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_lazy_exact_across_two_full_panels_and_a_partial_one(family, d):
+    X, Z, rng = _panel_inputs(d)
+    assert kernels._side(X).shape == kernels._side(Z).shape == (3, d, 256)
+    assert_lazy_matches_dense(family_spec(family, d), X, Z, rng)
+
+
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_lazy_exact_across_panels_in_the_fallback(monkeypatch, family, d):
+    monkeypatch.setattr(kernels, "_tiles_exact", lambda d: False)
+    X, Z, rng = _panel_inputs(d)
+    assert_lazy_matches_dense(family_spec(family, d), X, Z, rng)
 
 
 def test_sne_denominators_same_fused_or_partial_first():
@@ -466,6 +531,48 @@ def test_self_check_reaches_the_edge_tiles(monkeypatch):
     assert not kernels._tiles_exact(5)
 
 
+@pytest.mark.parametrize("d", [1, 16, 17, 255, 256, 2000])
+def test_self_check_probes_stay_small(monkeypatch, d):
+    # the probes span two full panels and a partial one in both roles
+    monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+    tracemalloc.start()
+    try:
+        kernels._tiles_exact(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_a_narrow_block_stays_within_one_chunk():
+    # one column of 4000 rows: chunks count the padded panel's 256 columns,
+    # so the partial panel's temporary stays one chunk, not 4000 x 256
+    rng = np.random.default_rng(26)
+    op = KernelOperator(rng.standard_normal((4000, 16)), rng.standard_normal((10, 16)),
+                        family_spec("rbf", 16))
+    op.block([0, 1], [3])
+    tracemalloc.start()
+    try:
+        op.block(np.arange(4000), [3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4000 + 8 * kernels._BLOCK_BUDGET * 3
+
+
+@pytest.mark.parametrize("d, width", [(1, 256), (15, 256), (16, 256), (17, 240), (100, 32),
+                                      (255, 16), (256, 16), (400, 16), (2000, 16)])
+def test_panel_width_follows_the_feature_dimension_alone(d, width):
+    assert kernels._panel_width(d) == width
+    rng = np.random.default_rng(d)
+    for m in (1, width - 1, width, width + 1, 4000):
+        a = rng.standard_normal((m, d))
+        panels = kernels._z_tiles(a)
+        assert panels.shape == (-(-m // width), d, width)
+        rows = panels.transpose(0, 2, 1).reshape(-1, d)
+        assert np.array_equal(rows[:m], a) and not rows[m:].any()
+
+
 def test_budget_chunking_is_exact(monkeypatch):
     rng = np.random.default_rng(23)
     X = rng.standard_normal((70, 9))
@@ -474,7 +581,7 @@ def test_budget_chunking_is_exact(monkeypatch):
     V = rng.standard_normal((70, 2))
     spec = family_spec("sne", 9)
     dense = gram(spec, X, Z).values
-    # two tile pairs per chunk: blocks, matmat/rmatmat and the sne
+    # one row tile per chunk: blocks, matmat/rmatmat and the sne
     # denominators chunk over rows
     monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
     assert np.array_equal(kernels._products(X, Z), gram(KernelSpec.linear(), X, Z, scaled=False).values)
@@ -514,8 +621,8 @@ def test_chunk_boundaries_do_not_change_values(monkeypatch, family):
         }
 
     want = evaluate()
-    # two tile pairs per chunk: 16-row chunks over all of Z, the last one
-    # partial, and a partial last column tile
+    # one row tile per chunk: 16-row chunks over all of Z, the last one
+    # partial, and a partial last panel
     monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
     got = evaluate()
     for key, arrays in want.items():

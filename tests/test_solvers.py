@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import sign_fix_pairs_loop
 
 import aksvd.kernels as kernels_module
 import aksvd.solvers as solvers_module
@@ -515,6 +516,38 @@ def test_asym_deterministic_given_seed():
     b = asym_nystrom(MatrixOperator(G), 9, 8, 3, seed=77)
     for f in ("u", "lambdas", "v"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+def _sign_fix_inputs():
+    rng = np.random.default_rng(18)
+    ties = np.array([[0.5, 2.0, 0.0, -1.0],
+                     [-2.0, -2.0, 0.0, 1.0],
+                     [2.0, 1.0, 0.0, -1.0],
+                     [1.0, -2.0, 0.0, 1.0]])
+    zeros = np.zeros((6, 3))
+    zeros[:, 1] = -0.0
+    zeros[:, 2] = rng.standard_normal(6)
+    return {"random": rng.standard_normal((40, 7)),
+            "ties": ties,
+            "integer-ties": rng.integers(-3, 4, size=(9, 12)).astype(float),
+            "zero-columns": zeros,
+            "one-column": rng.standard_normal((15, 1)),
+            "one-negative-column": -np.abs(rng.standard_normal((15, 1)))}
+
+
+@pytest.mark.parametrize("name", list(_sign_fix_inputs()))
+@pytest.mark.parametrize("with_v", [True, False], ids=["pairs", "u-alone"])
+def test_sign_fix_pairs_equals_the_column_loop(name, with_v):
+    U = _sign_fix_inputs()[name]
+    V = np.random.default_rng(19).standard_normal((11, U.shape[1])) if with_v else None
+    got_u, got_v = U.copy(), None if V is None else V.copy()
+    solvers_module._sign_fix_pairs(got_u, got_v)
+    want_u, want_v = U.copy(), None if V is None else V.copy()
+    sign_fix_pairs_loop(want_u, want_v)
+    # bit for bit, signed zeros included
+    assert got_u.tobytes() == want_u.tobytes()
+    if with_v:
+        assert got_v.tobytes() == want_v.tobytes()
 
 
 # ---------------------------------------------------------------------------
