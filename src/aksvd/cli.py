@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -106,6 +107,11 @@ def build_parser() -> _Parser:
                    help="comma-separated subsample escalation schedule")
     parser.commands = sub.choices
     return parser
+
+
+# main's parser, built on the first call: in-process callers run main many
+# times, and building a parser takes longer than most parses
+_parser = functools.cache(build_parser)
 
 
 def _accepts(action, value) -> bool:
@@ -353,7 +359,7 @@ _COMMANDS = {"embed": cmd_embed, "graph": cmd_graph,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -5,8 +5,12 @@ Formats are deliberately plain: dense matrices as headerless CSV with
 lists as tab-separated 0-indexed integer pairs, reports as line-delimited
 JSON.
 
-Every loader reads through one line reader, :func:`_lines`: UTF-8 text
-with or without a leading byte-order mark, blank and whitespace-only lines
+numpy's loadtxt parses dense CSV and edge lists, through :func:`_loadtxt`;
+a file it fails on, or one that only looks well formed to it, is read
+again by that format's line scanner, which is the reference for every
+accepted matrix and explains every rejection.  The scanners and the other
+loaders read through one line reader, :func:`_lines`: UTF-8 text with or
+without a leading byte-order mark, blank and whitespace-only lines
 skipped, lines numbered from 1.  Every writer writes through one line
 writer, :func:`_write_lines`: UTF-8 without a byte-order mark, and an
 unwritable output is a :class:`DataError` that names the file.
@@ -34,6 +38,22 @@ def _lines(path) -> List[Tuple[int, str]]:
                 if (text := line.strip())]
 
 
+def _loadtxt(path, **kwargs):
+    """numpy's parse of a UTF-8 text file, with or without a byte-order
+    mark, as a 2-D array; None where it fails, warns of a deprecated parse
+    or finds no data.  Some NumPy releases truncate a real such as ``1.7``
+    in an integer field with only a DeprecationWarning, which Python hides
+    by default; that warning is a failure here."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, comments=None, ndmin=2, encoding="utf-8-sig", **kwargs)
+    except (ValueError, DeprecationWarning):
+        return None
+    return values if values.size else None
+
+
 def load_dense_csv(path) -> np.ndarray:
     """Load a headerless comma-separated real matrix, preserving row order.
 
@@ -42,14 +62,8 @@ def load_dense_csv(path) -> np.ndarray:
     only the scanner accepts (whitespace-only lines, ``1_0``) still load
     and every rejected file gets the scanner's :class:`DataError`.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                dtype=np.float64, encoding="utf-8-sig")
-    except ValueError:
-        return _scan_dense_csv(path)
-    return values if values.size else _scan_dense_csv(path)
+    values = _loadtxt(path, delimiter=",", dtype=np.float64)
+    return _scan_dense_csv(path) if values is None else values
 
 
 def _scan_dense_csv(path) -> np.ndarray:
@@ -85,7 +99,41 @@ def load_edge_list(path) -> np.ndarray:
 
     An optional "# n=<N>" header fixes the node count; otherwise it is
     max index + 1.  Duplicate edges collapse; self-loops are preserved.
+
+    As for dense CSV, numpy's loadtxt parses the file, after an ``n=``
+    header on its first line.  Where it fails (on any other ``#``, too),
+    finds no edges, or finds a negative index or one at or past the node
+    count, the reference scanner :func:`_scan_edge_list` reads the file
+    again: inputs only the scanner accepts (``1_0``, comment lines) still
+    load, and every rejected file gets the scanner's :class:`DataError`.
     """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            first = f.readline().strip()
+        n_nodes = None
+        if first.startswith("#"):   # numpy skips only an "n=" header on line 1
+            header = first[1:].strip()
+            if not header.startswith("n="):
+                raise ValueError
+            n_nodes = int(header[2:])   # a negative count fails the bound below
+    except ValueError:   # undecodable text, another comment or a bad count
+        return _scan_edge_list(path)
+    E = _loadtxt(path, delimiter="\t", dtype=np.int64, skiprows=int(n_nodes is not None))
+    if E is None or E.shape[1] != 2 or E.min() < 0:
+        return _scan_edge_list(path)
+    if n_nodes is None:
+        n_nodes = int(E.max()) + 1
+    elif E.max() >= n_nodes:
+        return _scan_edge_list(path)
+    A = np.zeros((n_nodes, n_nodes))
+    A[E[:, 0], E[:, 1]] = 1.0
+    return A
+
+
+def _scan_edge_list(path) -> np.ndarray:
+    """Line-by-line reference parser of :func:`load_edge_list`: ``#`` lines
+    are comments, the first ``# n=<N>`` among them the node count, and each
+    other line two tab-separated fields that go through ``int``."""
     n_nodes = None
     edges = []
     for lineno, line in _lines(path):

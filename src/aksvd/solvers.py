@@ -55,8 +55,11 @@ class MatrixOperator:
         return self._eval_count
 
     def block(self, rows, cols) -> np.ndarray:
-        rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
-        cols = np.atleast_1d(np.asarray(cols, dtype=np.intp))
+        """Entries at rows x cols; indices as for ``KernelOperator.block``,
+        checked before the request is counted."""
+        n, m = self.shape
+        rows = _index_array(rows, n, "row")
+        cols = _index_array(cols, m, "column")
         self._eval_count += rows.size * cols.size
         return self.values[np.ix_(rows, cols)]
 

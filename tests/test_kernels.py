@@ -17,6 +17,7 @@ from aksvd.kernels import (
     gram,
     kernel_vector,
 )
+from aksvd.solvers import MatrixOperator
 
 
 def brute_kernel(spec, x, z, Z_all=None):
@@ -181,26 +182,45 @@ _ROWS = r"row indices must be integers in \[0, 5\)"
 _COLS = r"column indices must be integers in \[0, 4\)"
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda op: op.entry(-1, 0), _ROWS),
-    (lambda op: op.entry(0, -1), _COLS),
-    (lambda op: op.block([2, -3], [0]), _ROWS),
-    (lambda op: op.entry(5, 0), _ROWS),
-    (lambda op: op.entry(0, 4), _COLS),
-    (lambda op: op.block(np.array([0, 5]), [0]), _ROWS),
-    (lambda op: op.block([1.7], [0]), _ROWS),
-    (lambda op: op.block([0], np.array([1.0])), _COLS),
-    (lambda op: op.entry(1.0, 0), _ROWS),
-    (lambda op: op.entry(True, 0), _ROWS),
-    (lambda op: op.block([True, 2], [0]), _ROWS),
-    (lambda op: op.block([0], np.array([True, False])), _COLS),
+def _kernel_op():
+    return KernelOperator(np.ones((5, 2)), np.ones((4, 2)), KernelSpec.linear())
+
+
+def _matrix_op():
+    return MatrixOperator(np.arange(20.0).reshape(5, 4))
+
+
+@pytest.mark.parametrize("make, call, message", [
+    (_kernel_op, lambda op: op.entry(-1, 0), _ROWS),
+    (_kernel_op, lambda op: op.entry(0, -1), _COLS),
+    (_kernel_op, lambda op: op.block([2, -3], [0]), _ROWS),
+    (_kernel_op, lambda op: op.entry(5, 0), _ROWS),
+    (_kernel_op, lambda op: op.entry(0, 4), _COLS),
+    (_kernel_op, lambda op: op.block(np.array([0, 5]), [0]), _ROWS),
+    (_kernel_op, lambda op: op.block([1.7], [0]), _ROWS),
+    (_kernel_op, lambda op: op.block([0], np.array([1.0])), _COLS),
+    (_kernel_op, lambda op: op.entry(1.0, 0), _ROWS),
+    (_kernel_op, lambda op: op.entry(True, 0), _ROWS),
+    (_kernel_op, lambda op: op.block([True, 2], [0]), _ROWS),
+    (_kernel_op, lambda op: op.block([0], np.array([True, False])), _COLS),
+    (_matrix_op, lambda op: op.block([-1], [0]), _ROWS),
+    (_matrix_op, lambda op: op.block([0], [-1]), _COLS),
+    (_matrix_op, lambda op: op.block([5], [0]), _ROWS),
+    (_matrix_op, lambda op: op.block([0], np.array([0, 4])), _COLS),
+    (_matrix_op, lambda op: op.block([1.7], [0]), _ROWS),
+    (_matrix_op, lambda op: op.block(np.array([1.0]), [0]), _ROWS),
+    (_matrix_op, lambda op: op.block([True, 2], [0]), _ROWS),
+    (_matrix_op, lambda op: op.block([0], np.array([True, False])), _COLS),
 ], ids=["negative-row", "negative-column", "negative-in-block", "row-past-end",
         "column-past-end", "past-end-array", "fractional", "float-array", "float-entry",
-        "bool-entry", "bool-among-ints", "bool-array"])
-def test_block_and_entry_reject_bad_indices_before_counting(call, message):
+        "bool-entry", "bool-among-ints", "bool-array",
+        "matrix-negative-row", "matrix-negative-column", "matrix-row-past-end",
+        "matrix-past-end-array", "matrix-fractional", "matrix-float-array",
+        "matrix-bool-among-ints", "matrix-bool-array"])
+def test_block_and_entry_reject_bad_indices_before_counting(make, call, message):
     # on a 5 x 4 operator, G[4, 0] and row 1 used to come back for -1 and
     # 1.7, and 5 gave a raw IndexError, each counted as evaluated
-    op = KernelOperator(np.ones((5, 2)), np.ones((4, 2)), KernelSpec.linear())
+    op = make()
     with pytest.raises(ValueError, match=message):
         call(op)
     assert op.eval_count == 0
