@@ -141,14 +141,15 @@ def _config_from_file(parser, path) -> dict:
         given = json.loads("\n".join(text for _, text in aio._lines(path)))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(given, dict) or given.get("subcommand") not in _COMMANDS:
+    command = given.get("subcommand") if isinstance(given, dict) else None
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise UsageError(f"config file {path} lacks a valid subcommand")
-    actions = {a.dest: a for a in parser.commands[given["subcommand"]]._actions
+    actions = {a.dest: a for a in parser.commands[command]._actions
                if a.dest != "help"}
     unknown = sorted(set(given) - set(actions) - {"subcommand"})
     if unknown:
         raise UsageError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
-    cfg = {"subcommand": given["subcommand"]}
+    cfg = {"subcommand": command}
     for key, action in actions.items():
         if key in given:
             if not _accepts(action, given[key]):
@@ -271,11 +272,12 @@ def cmd_graph(cfg) -> int:
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1]:
         raise DataError("graph command requires a square adjacency matrix")
-    bad = np.argwhere((A != 0.0) & (A != 1.0))
-    if bad.size:
-        i, j = bad[0]
+    bad = (A != 0.0) & (A != 1.0)
+    if bad.any():   # argwhere only to name the first bad entry
+        i, j = np.argwhere(bad)[0]
         raise DataError(f"graph adjacency must be binary (0 or 1): entry at row {i}, "
                         f"column {j} (0-based) is {float(A[i, j])!r}")
+    del bad   # free the n x n mask before the fit rather than hold it through it
     labels = _load_labels(cfg, A.shape[0], "nodes")
     model = _fit_for_task(cfg, A, "classify nodes or reconstruct edges from")
     print(json.dumps(cfg, sort_keys=True))

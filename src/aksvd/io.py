@@ -2,18 +2,19 @@
 
 Formats are deliberately plain: dense matrices as headerless CSV with
 17-significant-digit reals (value-exact round trips for float64), edge
-lists as tab-separated 0-indexed integer pairs, reports as line-delimited
-JSON.
+lists as tab-separated 0-indexed integer pairs, labels as one integer per
+line, reports as line-delimited JSON.
 
-numpy's loadtxt parses dense CSV and edge lists, through :func:`_loadtxt`;
-a file it fails on, or one that only looks well formed to it, is read
-again by that format's line scanner, which is the reference for every
-accepted matrix and explains every rejection.  The scanners and the other
-loaders read through one line reader, :func:`_lines`: UTF-8 text with or
-without a leading byte-order mark, blank and whitespace-only lines
-skipped, lines numbered from 1.  Every writer writes through one line
-writer, :func:`_write_lines`: UTF-8 without a byte-order mark, and an
-unwritable output is a :class:`DataError` that names the file.
+numpy's loadtxt parses dense CSV, edge lists and labels, through
+:func:`_loadtxt`; a file it fails on, or one that only looks well formed
+to it, is read again by that format's line scanner, which is the
+reference for every accepted file and explains every rejection.  The
+scanners and the other loaders read through one line reader,
+:func:`_lines`: UTF-8 text with or without a leading byte-order mark,
+blank and whitespace-only lines skipped, lines numbered from 1.  Every
+writer writes through one line writer, :func:`_write_lines`: UTF-8
+without a byte-order mark, and an unwritable output is a
+:class:`DataError` that names the file.
 """
 
 from __future__ import annotations
@@ -171,7 +172,19 @@ def _scan_edge_list(path) -> np.ndarray:
 
 def load_labels(path) -> np.ndarray:
     """Load one integer label per line; an integral real such as ``2.0``
-    counts as an integer, a fraction, infinity or NaN does not."""
+    counts as an integer, a fraction, infinity or NaN does not.
+
+    numpy's loadtxt parses the file as int64; where it fails, finds no
+    data or finds more than one field on a line, the reference scanner
+    :func:`_scan_labels` reads it again and explains every rejection.
+    """
+    values = _loadtxt(path, dtype=np.int64)
+    return _scan_labels(path) if values is None or values.shape[1] != 1 else values[:, 0]
+
+
+def _scan_labels(path) -> np.ndarray:
+    """Line-by-line reference parser of :func:`load_labels`: each stripped
+    line goes through ``int``, or through ``float`` when it is a real."""
     labels = []
     for lineno, line in _lines(path):
         try:

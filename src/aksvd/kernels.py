@@ -50,19 +50,19 @@ call heights, alike, so a self-check runs ``_fill`` itself on a few pairs
 placed at different tile and panel positions, partial last ones among
 them, once per process and feature dimension.  If any result differs,
 the column side of every product is kept as raw rows instead of panels, a
-choice made once when a side is built and cached, and ``_fill`` computes
-from them by a broadcast multiply-and-sum, which is exact at any shape
-but much slower.
+choice each side record (:class:`_Side`) makes once, when its layout is
+built, and ``_fill`` computes from them by a broadcast multiply-and-sum,
+which is exact at any shape but much slower.
 
 A block is streamed: its n x m result is allocated once and filled one
 chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries
-over the padded columns or one row tile, whichever is more.
-The chunk's gemms write straight into its slice of the result, and
-the family formula, the sne normalization and the scaling then run in
-place while the chunk is still in cache.  A block therefore needs its
-own 8*n*m bytes plus one chunk and the panels of its columns, however
-large it is; the Nystrom fit holds G[rows, :] and then G[comp_rows,
-cols], and little else.  Chunk boundaries do not change a value: every entry still
+over the padded columns or one row tile, whichever is more.  The
+chunk's gemms write straight into its slice of the result, and the
+family formula, the sne normalization and the scaling then run in place
+while the chunk is still in cache.  A block therefore needs its own
+8*n*m bytes plus one chunk and the panels of its columns, however large
+it is; the Nystrom fit holds G[rows, :] and then G[comp_rows, cols], and
+little else.  Chunk boundaries do not change a value: every entry still
 takes the same gemm call and the same elementwise operations.
 """
 
@@ -124,6 +124,8 @@ class KernelSpec:
         if self.family == "poly" and (not isinstance(self.degree, numbers.Integral)
                                       or isinstance(self.degree, bool) or self.degree < 1):
             raise ValueError(f"poly kernel requires an integer degree >= 1, got {self.degree!r}")
+        if self.family == "poly" and not -np.inf < self.offset < np.inf:
+            raise ValueError(f"poly kernel requires a finite offset, got {self.offset}")
 
     @staticmethod
     def linear() -> "KernelSpec":
@@ -210,15 +212,11 @@ def _chunk_rows(m: int) -> int:
 
 def _panel_width(d: int) -> int:
     """Columns of a panel at feature dimension d: _TILE times 256 // d,
-    clamped to 1..16 tiles, so 256 up to d = 16 and one 16-column tile
-    from d = 256 up; in between a panel's d x width entries stay within
-    4096 (32 KB).
+    clamped to 1..16 tiles (see the module docstring).
 
     It depends on d alone, never on how many columns a side has: a gemm's
     rounding follows its call shape, and only shapes fixed per d are ones
-    the per-d self-check :func:`_tiles_exact` certifies.  It stays narrow
-    at large d, where wider panels failed that check (see the module
-    docstring).
+    the per-d self-check :func:`_tiles_exact` certifies.
     """
     return _TILE * min(max(256 // d, 1), 16)
 
@@ -382,47 +380,54 @@ def _check_denominators(den) -> None:
         )
 
 
+class _Side:
+    """One sample set as a kernel argument: its ``rows``, their squared
+    norms ``sq``, computed once, and ``layout``, the :func:`_side` of the
+    rows, built on first use and kept."""
+
+    def __init__(self, rows: np.ndarray, sq: Optional[np.ndarray] = None):
+        self.rows = rows
+        self.sq = (rows * rows).sum(axis=1) if sq is None else sq
+
+    @functools.cached_property
+    def layout(self) -> np.ndarray:
+        return _side(self.rows)
+
+    def sub(self, idx) -> "_Side":
+        """The rows ``idx`` and their norms, with a layout of their own."""
+        return _Side(self.rows[idx], self.sq[idx])
+
+
 class KernelOperator:
     """Entry-on-demand view of the (optionally scaled) Gram matrix.
 
-    Caches squared row norms at construction and, for the sne family, the
+    Holds X and Z as two :class:`_Side` records, ``_x`` and ``_z``, whose
+    rows are ``x_data`` and ``z_data``.  For the sne family it caches the
     per-row softmax denominators sum_{z' in Z} exp(-||x_i - z'||^2/gamma^2)
-    the first time a row is touched.  It builds ``_z_side`` and ``_x_side``,
-    the :func:`_side` of Z and of X, once each on first use, and keeps them.
-    ``eval_count`` tracks how many Gram entries have been requested through
-    :meth:`block` / :meth:`entry` (sne denominators are internal to the
-    kernel and not counted).
+    the first time a row is touched.  ``eval_count`` tracks how many Gram
+    entries have been requested through :meth:`block` / :meth:`entry` (sne
+    denominators are internal to the kernel and not counted).
     """
 
     def __init__(self, x_data, z_data, spec: KernelSpec, scaled: bool = True):
-        self.x_data = as_matrix(x_data, "x_data")
-        self.z_data = as_matrix(z_data, "z_data")
-        if self.x_data.shape[1] != self.z_data.shape[1]:
-            raise ValueError(
-                f"feature dimensions differ: X has {self.x_data.shape[1]}, "
-                f"Z has {self.z_data.shape[1]} (rows and columns of one matrix: "
-                "use fit_matrix(..., compat=...))"
-            )
+        x, z = as_matrix(x_data, "x_data"), as_matrix(z_data, "z_data")
+        if x.shape[1] != z.shape[1]:
+            raise ValueError(f"feature dimensions differ: X has {x.shape[1]}, Z has {z.shape[1]} "
+                             "(rows and columns of one matrix: use fit_matrix(..., compat=...))")
         self.spec = spec
-        n, m = self.x_data.shape[0], self.z_data.shape[0]
+        self._x, self._z = _Side(x), _Side(z)
+        n, m = self.shape
         self.scale = 1.0 / np.sqrt(n * m) if scaled else 1.0
         self._eval_count = 0
-        self._x_sq = (self.x_data * self.x_data).sum(axis=1)
-        self._z_sq = (self.z_data * self.z_data).sum(axis=1)
         if spec.family == "sne":
             self._sne_den = np.full(n, np.nan)
 
-    @functools.cached_property
-    def _z_side(self) -> np.ndarray:
-        return _side(self.z_data)
-
-    @functools.cached_property
-    def _x_side(self) -> np.ndarray:
-        return _side(self.x_data)
+    x_data = property(lambda self: self._x.rows)
+    z_data = property(lambda self: self._z.rows)
 
     @property
     def shape(self):
-        return (self.x_data.shape[0], self.z_data.shape[0])
+        return (self._x.sq.size, self._z.sq.size)
 
     @property
     def eval_count(self) -> int:
@@ -449,31 +454,24 @@ class KernelOperator:
 
     def _kernel_chunks(self, rows, cols=None, out=None):
         """kappa over ``rows`` x ``cols`` (all of Z in order when None),
-        before sne normalization and scaling, one chunk of whole row tiles
-        at a time.
+        before sne normalization and scaling, yielded with its rows one
+        chunk of whole row tiles at a time, in a slice of ``out`` when given
+        and else a new array, while still in cache.
 
-        Yields each chunk's rows and values, a slice of ``out`` when given
-        and else a new array, while they are still in cache.  A chunk holds
-        at most ``_BLOCK_BUDGET`` entries or one row tile (:func:`_chunk_rows`),
-        counted over the side's padded columns, which bounds the temporary
-        of a partial last panel too;
-        :func:`_fill` writes its inner products into it and the family
-        formula runs on it in place.  A one-row block is a kernel vector
-        against the same column side as any other block: ``_z_side`` when
-        it spans all of Z, else the :func:`_side` of Z[cols], built once
-        per call.
+        A chunk holds at most ``_BLOCK_BUDGET`` entries over the padded
+        columns, or one row tile (:func:`_chunk_rows`), which bounds the
+        temporary of a partial last panel too.  The columns are ``_z``, or
+        its sub-side Z[cols] with a layout built for this call; a one-row
+        block is a kernel vector against either layout.
         """
-        if cols is None:
-            side, z_sq = self._z_side, self._z_sq
-        else:
-            side, z_sq = _side(self.z_data[cols]), self._z_sq[cols]
-        m = z_sq.size
+        x, z = self._x, self._z if cols is None else self._z.sub(cols)
+        side, m = z.layout, z.sq.size
         step = _chunk_rows(m if side.ndim == 2 else side.shape[0] * side.shape[2])
         for s in range(0, rows.size, step):
             r = rows[s : s + step]
             vals = np.empty((r.size, m)) if out is None else out[s : s + step]
-            _fill(vals, self.x_data[r], side)
-            yield r, self._kernel(vals, self._x_sq[r], z_sq)
+            _fill(vals, x.rows[r], side)
+            yield r, self._kernel(vals, x.sq[r], z.sq)
 
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
@@ -481,9 +479,9 @@ class KernelOperator:
         ``rows`` and ``cols`` are integer indices into range(n) and
         range(m); anything else is a ValueError, raised before the request
         is counted in ``eval_count``.  The result is allocated once and
-        filled chunk by chunk, each normalized (sne) and scaled while in cache.  For sne, a block whose
-        columns are all of Z in order fills any missing softmax
-        denominators from its own values.
+        filled chunk by chunk, each normalized (sne) and scaled while in
+        cache.  For sne, a block whose columns are all of Z in order fills
+        any missing softmax denominators from its own values.
         """
         n, m = self.shape
         rows = _index_array(rows, n, "row")
@@ -510,7 +508,7 @@ class KernelOperator:
         ``num``, when given, holds the unnormalized sne values of ``rows``
         over all of Z in column order, and the missing denominators are
         summed from it rather than evaluated again.  Otherwise they are
-        evaluated in chunks against ``_z_side``.
+        evaluated in chunks against the layout of ``_z``.
         """
         missing = np.isnan(self._sne_den[rows])
         if missing.any():
@@ -525,20 +523,20 @@ class KernelOperator:
 
     # -- new-point kernel vectors --------------------------------------
 
-    def _point_kernel(self, v, name: str) -> np.ndarray:
-        """kappa between one new point and every training row of the other
-        side, before sne normalization and scaling: a new x (``name``
-        "x_new") against ``_z_side``, a new z ("z_new") against ``_x_side``."""
+    def _point_kernel(self, v, other: _Side, name: str) -> np.ndarray:
+        """kappa between one new point and every row of ``other``, the
+        training side the point is not on, before sne normalization and
+        scaling; ``name`` labels the point in error text."""
         v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-        if v.shape[1] != self.x_data.shape[1]:
-            raise ValueError(f"{name} has dimension {v.shape[1]}, expected {self.x_data.shape[1]}")
+        if v.shape[1] != other.rows.shape[1]:
+            raise ValueError(f"{name} has dimension {v.shape[1]}, expected {other.rows.shape[1]}")
         if not np.isfinite(v).all():
             raise ValueError(f"{name} contains non-finite values")
-        side, sq = (self._z_side, self._z_sq) if name == "x_new" else (self._x_side, self._x_sq)
-        pp = np.empty((1, sq.size))
-        _fill(pp, v, side)
+        point = _Side(v)
+        pp = np.empty((1, other.sq.size))
+        _fill(pp, point.rows, other.layout)
         # entrywise formulas: either argument order gives the same bits
-        return self._kernel(pp, (v * v).sum(axis=1), sq)[0]
+        return self._kernel(pp, point.sq, other.sq)[0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.
@@ -546,7 +544,7 @@ class KernelOperator:
         For sne the softmax denominator is computed for x_new over the
         training Z, matching how training rows are normalized.
         """
-        vals = self._point_kernel(x_new, "x_new")
+        vals = self._point_kernel(x_new, self._z, "x_new")
         if self.spec.family == "sne":
             den = vals.sum()
             _check_denominators(den)
@@ -560,9 +558,9 @@ class KernelOperator:
         For sne the denominators stay those of the training Z set: a new
         z does not alter how existing rows are normalized.
         """
-        vals = self._point_kernel(z_new, "z_new")
+        vals = self._point_kernel(z_new, self._x, "z_new")
         if self.spec.family == "sne":
-            vals /= self._sne_denominators(np.arange(self.x_data.shape[0]))
+            vals /= self._sne_denominators(np.arange(self.shape[0]))
         vals *= self.scale
         return vals
 

@@ -176,7 +176,22 @@ def _check_rank(r: int, shape) -> None:
         raise ValueError(f"rank {r} out of range for a {N}x{M} matrix")
 
 
+def _finite(M: np.ndarray) -> np.ndarray:
+    """``M``, whose entries must be finite before LAPACK decomposes it: an
+    SVD can loop forever on an infinite entry.  A non-finite one, as from a
+    kernel that overflowed, is a :class:`NumericalError`."""
+    if not np.isfinite(M).all():
+        raise NumericalError("matrix to decompose holds non-finite entries, "
+                             "as from a kernel that overflowed")
+    return M
+
+
 def _positive_rank(s: np.ndarray) -> int:
+    """How many of the nonincreasing singular values ``s`` are positive
+    beyond round-off; a value that is not finite is a
+    :class:`NumericalError`, never a rank of 0."""
+    if not np.isfinite(s).all():
+        raise NumericalError("singular values are not finite")
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.sum(s > _RANK_RTOL * s[0]))
@@ -186,7 +201,7 @@ def dense_svd(G, r: int) -> SvdResult:
     """Reference solver: full LAPACK SVD, truncated to rank r."""
     op = as_operator(G)
     _check_rank(r, op.shape)
-    u, s, vt = np.linalg.svd(op.materialize(), full_matrices=False)
+    u, s, vt = np.linalg.svd(_finite(op.materialize()), full_matrices=False)
     rr = min(r, _positive_rank(s))
     return SvdResult(u[:, :rr].copy(), s[:rr].copy(), vt[:rr].T.copy())
 
@@ -245,7 +260,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     V[:, 0] = v / np.linalg.norm(v)
 
     def ritz(k):
-        P, s, Qt = np.linalg.svd(np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1))
+        P, s, Qt = np.linalg.svd(_finite(np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1)))
         return P, s, Qt, min(r, _positive_rank(s))
 
     k, converged, norm_est = 0, False, 0.0
@@ -301,7 +316,7 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
         W, _ = np.linalg.qr(op.rmatmat(Q))
         Q, _ = np.linalg.qr(op.matmat(W))
     B = op.rmatmat(Q).T  # l x M
-    P, s, Vt = np.linalg.svd(B, full_matrices=False)
+    P, s, Vt = np.linalg.svd(_finite(B), full_matrices=False)
     rr = min(r, _positive_rank(s))
     return SvdResult((Q @ P)[:, :rr], s[:rr].copy(), Vt[:rr].T.copy(), iterations=power)
 
@@ -348,6 +363,9 @@ def _nystrom_extend(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
     v_norms = np.linalg.norm(v, axis=0)
     if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
         raise NumericalError("extended singular vector collapsed to zero")
+    if not (np.isfinite(u_norms).all() and np.isfinite(v_norms).all()):
+        raise NumericalError("extended singular vectors are not finite, "
+                             "as from a kernel that overflowed")
     u /= u_norms[None, :]
     v /= v_norms[None, :]
     _sign_fix_pairs(u, v)
@@ -358,7 +376,7 @@ def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> SvdResult:
     """The Nystrom step for the sampled columns C = K[:, idx] of a symmetric
     PSD matrix K: the eigenvectors of the submatrix K[idx][:, idx] serve as
     its left and right singular vectors alike, so both extensions are u."""
-    evals, evecs = np.linalg.eigh(C[idx])
+    evals, evecs = np.linalg.eigh(_finite(C[idx]))
     lam = _nystrom_lambdas(evals[::-1], r)
     u = C @ (evecs[:, ::-1][:, :r] / lam[None, :])
     return _nystrom_extend(u, u.copy(), lam, idx.size, idx.size)
@@ -413,7 +431,7 @@ def asym_nystrom(op, n_sub: int, m_sub: int, r: int, seed: int = 0,
 
     G_nM = op.block(rows, np.arange(M))   # G[rows, :], holding G_sub
     G_sub = G_nM[:, cols]
-    u_sub, s_sub, vt_sub = np.linalg.svd(G_sub, full_matrices=False)
+    u_sub, s_sub, vt_sub = np.linalg.svd(_finite(G_sub), full_matrices=False)
     lam = _nystrom_lambdas(s_sub, r)
     v = G_nM.T @ (u_sub[:, :r] / lam[None, :])
     del G_nM   # hold one large block at a time: a lower peak memory

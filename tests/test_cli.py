@@ -190,6 +190,16 @@ def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", [["embed"], {"embed": True}], ids=["list", "dict"])
+def test_unhashable_config_subcommand_is_a_usage_error(tmp_path, capsys, subcommand):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": subcommand, "input": "x", "out": "y"}))
+    assert main(["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: config file {cfg_path} lacks a valid subcommand\n"
+    assert captured.out == ""
+
+
 def test_config_with_byte_order_mark_loads(tmp_path, capsys):
     graph, _ = write_toy_graph(tmp_path)
     cfg = {"subcommand": "embed", "input": str(graph), "format": "edges",
@@ -409,6 +419,25 @@ def test_infinite_gamma_is_a_data_error(tmp_path, capsys):
     assert "finite gamma" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "e.left.csv").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--degree", "2000"], 3, "numerical failure: matrix to decompose holds non-finite entries"),
+    (["--offset", "inf"], 2, "data error: poly kernel requires a finite offset, got inf"),
+    (["--offset", "nan"], 2, "data error: poly kernel requires a finite offset, got nan"),
+], ids=["overflow", "inf-offset", "nan-offset"])
+@pytest.mark.parametrize("solver", ["dense", "asymnys"])
+def test_non_finite_poly_kernel_fails_and_writes_nothing(tmp_path, capsys, solver, flags,
+                                                         code, message):
+    # once a rank-0 fit with exit 0 and empty embedding files
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(2))
+    assert main(["embed", "--input", str(inp), "--kernel", "poly", *flags, "--rank", "1",
+                 "--solver", solver, "--out", str(tmp_path / "run")]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [inp]
 
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])

@@ -357,6 +357,66 @@ def test_labels_non_integer_rejected_with_line(tmp_path, bad):
         load_labels(p)
 
 
+# label files at the edges of numpy's int64 parse; as for CSV, the line
+# scanner's result (or its exact error) is the reference for each
+LABEL_CASES = {
+    "basic": b"0\n1\n2\n",
+    "no_final_newline": b"0\n1",
+    "crlf": b"0\r\n1\r\n",
+    "cr_only": b"0\r1\r",
+    "blank_lines": b"\n0\n\n1\n\n",
+    "whitespace_only_lines": b"0\n \t\n\x0c\n1\n",
+    "padded": b" 3 \n\t-1\t\n",
+    "nbsp_padded": "\u00a03\n".encode(),
+    "plus_sign": b"+3\n",
+    "leading_zeros": b"007\n",
+    "minus_zero": b"-0\n",
+    "underscore": b"1_0\n",
+    "fullwidth_digit": "\uff11\n".encode(),
+    "integral_real": b"2.0\n",
+    "exponent": b"1e2\n",
+    "fraction": b"1.5\n",
+    "inf": b"inf\n",
+    "nan": b"nan\n",
+    "hex": b"0x10\n",
+    "int64_bounds": b"9223372036854775807\n-9223372036854775808\n",
+    "beyond_int64": b"0\n9223372036854775808\n",
+    "below_int64": b"-9223372036854775809\n",
+    "two_columns": b"1 2\n3 4\n",
+    "ragged": b"0\n1 2\n",
+    "comma": b"1,2\n",
+    "hash_comment": b"# labels\n0\n",
+    "inline_comment": b"0 # a\n",
+    "byte_order_mark": b"\xef\xbb\xbf1\n0\n",
+    "empty": b"",
+    "blank_only": b"\n \n",
+    "nul": b"1\x00\n",
+    "bad_utf8": b"1\n\xff\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_CASES))
+def test_label_edge_cases_match_line_scanner(tmp_path, name):
+    p = tmp_path / f"{name}.txt"
+    p.write_bytes(LABEL_CASES[name])
+    got, want = _outcome(load_labels, p), _outcome(io._scan_labels, p)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype == np.int64 and got.ndim == 1
+        assert got.tolist() == want.tolist()
+
+
+def test_labels_clean_input_skips_line_scanner(tmp_path, monkeypatch):
+    def fail(path):
+        raise AssertionError("line scanner ran on a clean file")
+
+    monkeypatch.setattr(io, "_scan_labels", fail)
+    p = tmp_path / "y.txt"
+    p.write_text("0\n\n-1\n9223372036854775807\n")
+    assert load_labels(p).tolist() == [0, -1, 2 ** 63 - 1]
+
+
 def test_save_embeddings_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     emb = rng.standard_normal((6, 3))

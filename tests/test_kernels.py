@@ -58,6 +58,12 @@ def test_spec_rejects_what_it_cannot_evaluate(make):
         make()
 
 
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan])
+def test_poly_spec_rejects_a_non_finite_offset(offset):
+    with pytest.raises(ValueError, match="poly kernel requires a finite offset"):
+        KernelSpec.poly(2, offset)
+
+
 def test_spec_accepts_numpy_integer_degree():
     assert KernelSpec.poly(np.int64(3)).degree == 3
 

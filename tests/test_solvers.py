@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import sign_fix_pairs_loop
 
+import aksvd
 import aksvd.kernels as kernels_module
 import aksvd.solvers as solvers_module
 from aksvd.cli import main
@@ -499,6 +500,43 @@ def test_nystrom_sample_smaller_than_rank_is_numerical_error(method):
     with pytest.raises(NumericalError, match=r"2 positive singular values < requested 3: "
                                              r"increase the subsample \(n_sub, m_sub\)"):
         method(G)
+
+
+@pytest.mark.parametrize("choice", [
+    lambda seed: make_choice("dense"),
+    lambda seed: make_choice("tsvd"),
+    lambda seed: make_choice("rsvd", oversample=1, seed=seed),
+    lambda seed: make_choice("symnys", n_sub=1, seed=seed),
+    lambda seed: make_choice("asymnys", n_sub=1, m_sub=1, seed=seed),
+], ids=["dense", "tsvd", "rsvd", "symnys", "asymnys"])
+def test_an_overflowing_kernel_is_a_numerical_error(choice):
+    # (x'z + 1)^2000 is inf on the diagonal of a 2 x 2 identity, which was
+    # once reported as a rank-0 fit
+    for seed in range(4):
+        with pytest.raises(NumericalError, match="not finite|non-finite"):
+            aksvd.fit(np.eye(2), np.eye(2), KernelSpec.poly(2000), 1, solver=choice(seed))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda A: dense_svd(A, 1),
+    lambda A: truncated_svd(A, 1),
+    lambda A: randomized_svd(A, 1, oversample=1),
+    lambda A: asym_nystrom(MatrixOperator(A), 1, 1, 1, row_indices=[0], col_indices=[0]),
+    lambda A: asym_nystrom(MatrixOperator(A), 1, 1, 1, row_indices=[1], col_indices=[0]),
+], ids=["dense", "tsvd", "rsvd", "asym-sampled", "asym-extended"])
+def test_one_infinite_entry_is_a_numerical_error(solve):
+    # LAPACK's SVD of this matrix once looped forever; a Nystrom fit fails
+    # when the entry is in its sample or in the columns it extends by
+    A = np.ones((5, 5))
+    A[0, 0] = np.inf
+    with pytest.raises(NumericalError, match="not finite|non-finite"):
+        solve(A)
+
+
+@pytest.mark.parametrize("s", [[np.inf, 1.0], [1.0, np.nan], [np.nan]])
+def test_positive_rank_rejects_non_finite_singular_values(s):
+    with pytest.raises(NumericalError, match="singular values are not finite"):
+        solvers_module._positive_rank(np.array(s))
 
 
 def test_asym_rank_error_suggests_more_subsamples():
