@@ -173,17 +173,14 @@ def _load_matrix(cfg) -> np.ndarray:
 
 
 def _resolve_kernel(cfg, A) -> KernelSpec:
-    fam = cfg["kernel"]
-    if fam in ("rbf", "sne"):
-        if cfg["gamma"] == "auto":
-            cfg["gamma"] = auto_gamma(A)
-        elif cfg["gamma"] is not None:  # None: KernelSpec rejects it
-            cfg["gamma"] = float(cfg["gamma"])
-        return KernelSpec(fam, gamma=cfg["gamma"])
-    cfg["gamma"] = None
-    if fam == "poly":
-        return KernelSpec("poly", degree=cfg["degree"], offset=cfg["offset"])
-    return KernelSpec("linear")
+    if cfg["kernel"] not in ("rbf", "sne"):
+        cfg["gamma"] = None
+    elif cfg["gamma"] == "auto":
+        cfg["gamma"] = auto_gamma(A)
+    elif cfg["gamma"] is not None:  # None: KernelSpec rejects it
+        cfg["gamma"] = float(cfg["gamma"])
+    return KernelSpec(cfg["kernel"], gamma=cfg["gamma"], degree=cfg["degree"],
+                      offset=cfg["offset"])
 
 
 def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
@@ -360,16 +357,37 @@ _COMMANDS = {"embed": cmd_embed, "graph": cmd_graph,
              "bicluster": cmd_bicluster, "bench": cmd_bench}
 
 
+def _join_negative_values(argv) -> list:
+    """argv with each negative number that follows a ``--option`` joined to
+    it as ``--option=value``: argparse takes a token such as ``-1e3`` for
+    an option, and would then refuse it as the value of the one before."""
+    joined = []
+    for token in argv:
+        prev = joined[-1] if joined else ""
+        if token[:1] == "-" and prev[:2] == "--" and len(prev) > 2 and "=" not in prev:
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"{prev}={token}"
+                continue
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         if args.config is not None:
             cfg = _config_from_file(parser, args.config)
         else:
             if args.subcommand is None:
                 raise UsageError("a subcommand or --config is required")
             cfg = {k: v for k, v in vars(args).items() if k != "config"}
+        if cfg["seed"] < 0:  # numpy refuses it late, some solvers never read it
+            raise UsageError(f"--seed must be a non-negative integer, got {cfg['seed']}")
         return _COMMANDS[cfg["subcommand"]](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

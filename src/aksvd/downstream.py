@@ -18,29 +18,16 @@ from .kernels import _products, _sq_dists, as_matrix
 # least-squares SVM (one-vs-rest, linear kernel on the features)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LssvmModel:
-    """One-vs-rest LSSVM head in primal form: decision(X) = X W + b.
+class LssvmModel(LinearHead):
+    """The LSSVM head: a :class:`LinearHead` whose ``decision`` and
+    ``predict`` are bound in its own class body, because perfbench traces
+    ``LssvmModel.decision`` and ``predict`` by name."""
 
-    With the linear kernel the dual coefficients alpha enter only through
-    w = F' alpha, so the head stores w and not the training features.  It
-    computes what :class:`LinearHead` computes, and stays a class of its
-    own because perfbench traces ``LssvmModel.decision`` and ``predict``
-    by name.
-    """
-
-    weights: np.ndarray     # d x k, one column per class
-    biases: np.ndarray      # k
-    classes: np.ndarray
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.biases[None, :]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.classes[np.argmax(self.decision(X), axis=1)]
+    decision = LinearHead.decision
+    predict = LinearHead.predict
 
 
-def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LssvmModel:
+def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LinearHead:
     """Fit one-vs-rest LSSVM classifiers on linear-kernel features.
 
     Each class minimizes ||w||^2/2 + gamma/2 ||y - F w - b||^2 with

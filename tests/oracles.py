@@ -23,7 +23,7 @@ def lssvm_kkt_residual(model, features, labels, gamma_reg: float = 1.0) -> float
     worst = 0.0
     for c, cls in enumerate(model.classes):
         y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
-        b = model.biases[c]
+        b = model.bias[c]
         alpha = gamma_reg * (y - F @ model.weights[:, c] - b)
         r1 = abs(alpha.sum())
         r2 = np.abs(b + omega @ alpha - y).max()

@@ -463,6 +463,56 @@ def test_malformed_gamma_is_a_usage_error_naming_it(tmp_path, capsys, kernel, so
     assert not list(tmp_path.glob("e.*"))
 
 
+@pytest.mark.parametrize("value", ["-1e3", "-1E-2", "-.5e1"])
+def test_negative_real_in_exponent_form_is_a_value(tmp_path, capsys, value):
+    # argparse alone takes such a token for an option and refuses it
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(2) + 1.0)
+    code, cfg = run_cli(capsys, ["embed", "--input", str(inp), "--kernel", "poly",
+                                 "--offset", value, "--rank", "1", "--out", str(tmp_path / "e")])
+    assert code == 0 and cfg["offset"] == float(value)
+    assert (tmp_path / "e.fit.json").exists()
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--kernel", "rbf", "--gamma", "-1e3"], 2,
+     "data error: rbf kernel requires a finite gamma > 0, got -1000.0\n"),
+    (["--center", "-1e3"], 1,
+     "usage error: argument --center: ignored explicit argument '-1e3'\n"),
+], ids=["gamma", "flag"])
+def test_negative_real_in_exponent_form_is_checked_as_a_value(tmp_path, capsys, flags, code,
+                                                              message):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(2))
+    assert main(["embed", "--input", str(inp), *flags, "--out", str(tmp_path / "e")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+@pytest.mark.parametrize("subcommand", ["embed", "graph", "bicluster", "bench"])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_negative_seed_is_a_usage_error_before_any_output(tmp_path, capsys, subcommand,
+                                                          source):
+    # numpy refuses a negative seed late (bicluster after its files are
+    # written), and the dense solver never reads it
+    edges, labels = write_toy_graph(tmp_path)
+    opts = {"input": str(edges), "format": "edges", "seed": -1, "out": str(tmp_path / "run")}
+    if subcommand == "graph":
+        opts["labels"] = str(labels)
+    if source == "argv":
+        argv = [subcommand] + [t for key, v in opts.items() for t in (f"--{key}", str(v))]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"subcommand": subcommand, **opts}))
+        argv = ["--config", str(cfg_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+    assert not list(tmp_path.glob("run*"))
+
+
 @pytest.mark.parametrize("gamma", ["auto", 2, 0.5, None])
 def test_config_gamma_takes_auto_a_number_or_null(tmp_path, capsys, gamma):
     inp = tmp_path / "a.csv"

@@ -194,6 +194,17 @@ def test_learn_compat_diverging_learning_rate_is_a_numerical_error():
                 learn_compat(A, y, spec, cfg)
 
 
+def test_learn_compat_non_finite_loss_is_a_numerical_error():
+    # C stays finite through every step, but the head's loss overflows
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 5))
+    y = rng.standard_normal(8)
+    cfg = LearnableConfig(rank_r=2, steps=3, learning_rate=10, outer_iters=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="training loss diverged"):
+            learn_compat(A, y, KernelSpec.poly(3, 1.0), cfg)
+
+
 @pytest.mark.parametrize("learning_rate", [10.0, 1e6])
 def test_learn_compat_rolls_back_a_first_iteration_worse_than_the_untrained_head(
         learning_rate):

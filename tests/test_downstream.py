@@ -86,8 +86,22 @@ def test_lssvm_one_solve_for_every_class(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", spy)
     model = lssvm_fit(F, y)
     assert calls == [(4, 4)]
-    assert model.weights.shape == (3, 4) and model.biases.shape == (4,)
+    assert model.weights.shape == (3, 4) and model.bias.shape == (4,)
     assert lssvm_kkt_residual(model, F, y) <= 1e-8
+
+
+def test_lssvm_head_is_the_one_head_class():
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((12, 3))
+    y = rng.integers(0, 3, size=12)
+    y[:3] = [0, 1, 2]
+    model = lssvm_fit(F, y)
+    assert isinstance(model, LinearHead)  # shared with compat and linear_head
+    # the same functions, bound under the names perfbench traces
+    assert downstream.LssvmModel.decision is LinearHead.decision
+    assert downstream.LssvmModel.predict is LinearHead.predict
+    assert np.array_equal(model.decision(F), F @ model.weights + model.bias)
+    assert np.array_equal(model.predict(F), model.classes[np.argmax(model.decision(F), 1)])
 
 
 def test_lssvm_singular_system_is_numerical_error():
