@@ -276,6 +276,8 @@ def cmd_graph(cfg) -> int:
                         f"column {j} (0-based) is {float(A[i, j])!r}")
     del bad   # free the n x n mask before the fit rather than hold it through it
     labels = _load_labels(cfg, A.shape[0], "nodes")
+    if np.unique(labels).size < 2:
+        raise DataError("graph node classification needs labels of at least 2 classes")
     model = _fit_for_task(cfg, A, "classify nodes or reconstruct edges from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
@@ -315,7 +317,10 @@ def cmd_bicluster(cfg) -> int:
 
 
 def _bench_plan(cfg):
-    """The --solvers names and --m-schedule sizes; bad ones are usage errors."""
+    """The --solvers names and --m-schedule sizes; bad ones, and an --eps
+    that no trial can meet, are usage errors."""
+    if not cfg["eps"] >= 0:
+        raise UsageError(f"--eps must be a number >= 0, got {cfg['eps']}")
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
     unknown = [name for name in names if name not in solvers.SOLVERS]
     if unknown:

@@ -46,13 +46,14 @@ wider than the rule's failed the self-check at large d (from 160 columns
 at d = 400, 64 at d = 1000 and 32 at d = 2000).
 
 That still assumes the BLAS treats every position of a panel, and both
-call heights, alike, so a self-check runs ``_fill`` itself on a few pairs
-placed at different tile and panel positions, partial last ones among
-them, once per process and feature dimension.  If any result differs,
-the column side of every product is kept as raw rows instead of panels, a
-choice each side record (:class:`_Side`) makes once, when its layout is
-built, and ``_fill`` computes from them by a broadcast multiply-and-sum,
-which is exact at any shape but much slower.
+call heights, alike, so a self-check runs ``_fill`` itself, once per
+process and feature dimension, on sides whose rows are all one vector:
+every tile row and panel column, partial last ones among them, must give
+the same bits in both roles.  If any result differs, the column side of
+every product is kept as raw rows instead of panels, a choice each side
+record (:class:`_Side`) makes once, when its layout is built, and
+``_fill`` computes from them by a broadcast multiply-and-sum, which is
+exact at any shape but much slower.
 
 A block is streamed: its n x m result is allocated once and filled one
 chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries
@@ -306,53 +307,36 @@ def _tiles_exact(d: int) -> bool:
     """Whether :func:`_fill` gives an entry the same bits wherever it sits.
 
     X and Z each span two full panels of :func:`_panel_width` and a
-    partial last one, so both cover every call shape in both roles.  Three
-    pairs of random vectors each fill four rows of X and of Z, in
-    different tiles and panels and at different positions within them,
-    the last one in a partial last tile and panel, among random filler
-    rows.  Every copy of a pair's product must agree across the product
-    of X and Z, filled chunk by chunk as a block over all of Z fills it
-    (its partial tiles and panels go through the edge temporaries), and the
-    kernel-vector path in both roles: x in the narrow tile against Z's
-    panels, and z in it against X's.  Only the slots' columns of the
-    product are kept, so the probes hold well under 1 MB up to d = 256.
-    The result is cached per feature dimension for the life of the
-    process.
+    partial last one, so both cover every call shape in both roles.  In
+    each of three rounds every row of X is one random vector x and every
+    row of Z one random z, so every value computed must be the same: each
+    entry of the product of X and Z, filled chunk by chunk as a block over
+    all of Z fills it (its partial tiles and panels go through the edge
+    temporaries), and the kernel-vector path in both roles: x in the
+    narrow tile against Z's panels, and z in it against X's.  That covers
+    every tile row and every panel column.  The result is cached per
+    feature dimension for the life of the process.
     """
     ok = _TILE_EXACT.get(d)
     if ok is None:
         rng = np.random.default_rng(d)
         w = _panel_width(d)
-        X = rng.standard_normal((2 * w + 3, d))
-        Z = rng.standard_normal((2 * w + 5, d))
-        half = _TILE // 2
-        slots = [([k, half + k, 2 * w - 1 - k, 2 * w + k],
-                  [k, w + half + k, 2 * w - 1 - k, 2 * w + 2 + k])
-                 for k in range(3)]
-        for xs, zs in slots:
-            X[xs] = rng.standard_normal(d)
-            Z[zs] = rng.standard_normal(d)
-        x_side, z_side = _z_tiles(X), _z_tiles(Z)
-        cols = np.concatenate([zs for _, zs in slots])
-        full = np.empty((len(X), cols.size))
-        step = _chunk_rows(z_side.shape[0] * z_side.shape[2])
-        chunk = np.empty((step, len(Z)))
-        for s in range(0, len(X), step):
-            rows = X[s : s + step]
-            _fill(chunk[: len(rows)], rows, z_side)
-            full[s : s + len(rows)] = chunk[: len(rows), cols]
-        row, col = np.empty((1, len(Z))), np.empty((1, len(X)))
         ok = True
-        for k, (xs, zs) in enumerate(slots):
-            got = [full[xs, 4 * k : 4 * k + 4].ravel()]
-            for i in xs:
-                _fill(row, X[i : i + 1], z_side)
-                got.append(row[0, zs])
-            for j in zs:
-                _fill(col, Z[j : j + 1], x_side)
-                got.append(col[0, xs])
-            ok &= np.unique(np.concatenate(got)).size == 1
-        _TILE_EXACT[d] = bool(ok)
+        for _ in range(3):
+            X = np.tile(rng.standard_normal(d), (2 * w + 3, 1))
+            Z = np.tile(rng.standard_normal(d), (2 * w + 5, 1))
+            z_side = _z_tiles(Z)
+            row, col = np.empty((1, len(Z))), np.empty((1, len(X)))
+            _fill(row, X[:1], z_side)
+            _fill(col, Z[:1], _z_tiles(X))
+            ok &= bool((row == row[0, 0]).all() and (col == row[0, 0]).all())
+            step = _chunk_rows(z_side.shape[0] * w)
+            chunk = np.empty((step, len(Z)))
+            for s in range(0, len(X), step):
+                rows = X[s : s + step]
+                _fill(chunk[: len(rows)], rows, z_side)
+                ok &= bool((chunk[: len(rows)] == row[0, 0]).all())
+        _TILE_EXACT[d] = ok
     return _TILE_EXACT[d]
 
 

@@ -546,12 +546,17 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     of randomized SVD steps through ``oversample_schedule`` in its order;
     the Nystrom subsample counts step through ``m_schedule``, each capped
     by the side it samples, deduplicated and ordered by the number of
-    sampled entries; a solver without a knob runs once.  Trial t of a
-    solver uses seed ``seed + 1000 * t``.  Each trial records wall-clock
-    seconds and the literal eta against the rank-r reference SVD (computed
-    densely unless ``reference`` is supplied).  A schedule exhausted
-    without reaching epsilon is recorded as failure.
+    sampled entries (an empty one means max(r, k // 8), k // 4, k // 2 and
+    k for k = min(N, M), those below 1 left out); a solver without a knob
+    runs once.  Trial t of a solver uses seed ``seed + 1000 * t``.  Each
+    trial records wall-clock seconds and the literal eta against the
+    rank-r reference SVD (computed densely unless ``reference`` is
+    supplied).  A schedule exhausted without reaching epsilon is recorded
+    as failure.  A NaN or negative ``epsilon``, which no trial can meet,
+    is a ValueError.
     """
+    if not epsilon >= 0:
+        raise ValueError(f"bench epsilon must be >= 0, got {epsilon}")
     unknown = [name for name in solvers if name not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}")
@@ -566,7 +571,8 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
         raise NumericalError(f"reference rank {lam_ref.shape[0]} < requested {r}")
 
     if not m_schedule:
-        m_schedule = [max(r, min(N, M) // 8), min(N, M) // 4, min(N, M) // 2, min(N, M)]
+        k = min(N, M)
+        m_schedule = [s for s in (max(r, k // 8), k // 4, k // 2, k) if s >= 1]
     if oversample_schedule is None:
         oversample_schedule = []
         p = 5

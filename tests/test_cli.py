@@ -279,6 +279,19 @@ def test_graph_bad_label_is_a_data_error(tmp_path, capsys, bad):
     assert not (tmp_path / "g.metrics.json").exists()
 
 
+def test_graph_single_class_labels_are_a_data_error_before_any_output(tmp_path, capsys):
+    gpath, lpath = tmp_path / "g.tsv", tmp_path / "y.txt"
+    gpath.write_text("0\t1\n1\t0\n")
+    lpath.write_text("0\n0\n")
+    code = main(["graph", "--input", str(gpath), "--format", "edges", "--labels", str(lpath),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "labels of at least 2 classes" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("run.*"))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # constant gram loses rank
 def test_graph_zero_edge_reconstruction(tmp_path, capsys):
     # zero out-degrees reconstruct the empty graph exactly
@@ -636,6 +649,8 @@ def test_unset_nystrom_subsamples_are_echoed(tmp_path, capsys, solver, rank, nsu
     ["--m-schedule", "0,10"],
     ["--m-schedule", "-3"],
     ["--solvers", "tsvd,lanczos"],
+    ["--eps", "nan"],   # an epsilon that no trial can meet
+    ["--eps", "-1"],
 ])
 def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
     inp = tmp_path / "g.csv"

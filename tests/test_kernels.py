@@ -539,6 +539,24 @@ def test_self_check_rejects_position_dependent_gemm(monkeypatch):
     assert not kernels._tiles_exact(7)
     assert kernels._tiles_exact(5)         # cached per dimension
 
+    def skewed_at(r, c):
+        def gemm(xt, zt, out=None):
+            out = exact_gemm(xt, zt, out)
+            if xt.shape[1] > r:               # one tile row and one panel column differ
+                out[..., r, c] *= 1.0 + 2.0 ** -50
+            return out
+        return gemm
+
+    rng = np.random.default_rng(27)
+    X, Z = rng.standard_normal((20, 5)), rng.standard_normal((30, 5))
+    for r, c in [(4, 0), (0, 5)]:
+        monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+        monkeypatch.setattr(kernels, "_tile_gemm", skewed_at(r, c))
+        assert not kernels._tiles_exact(5)
+        # the fallback then gives the entry the same bits either way
+        op = KernelOperator(X, Z, KernelSpec.linear(), scaled=False)
+        assert op.entry(r, c) == op.materialize()[r, c]
+
 
 def test_self_check_reaches_the_edge_tiles(monkeypatch):
     # a gemm that rounds differently only in the temporaries of partial

@@ -759,6 +759,23 @@ def test_bench_empty_schedule_reports_no_trial(order):
     assert not any("speedup_vs_rsvd" in s for s in rep.summary.values())
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_bench_default_schedule_runs_on_a_small_matrix(n):
+    # k // 4 and k // 2 are 0 for k = min(N, M) <= 3: no trial samples 0
+    G = np.random.default_rng(29).standard_normal((n, n))
+    rep = bench(G, 1, 0.1)
+    assert set(rep.summary) == set(DEFAULT_BENCH_SOLVERS)
+    assert all(t.n_sub is None or t.n_sub >= 1 for t in rep.trials)
+    assert all(t.m_sub is None or t.m_sub >= 1 for t in rep.trials)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, -1.0])
+def test_bench_rejects_an_epsilon_no_trial_can_meet(epsilon):
+    G = np.random.default_rng(30).standard_normal((10, 10))
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        bench(G, 2, epsilon)
+
+
 def test_bench_ldjson_schema(tmp_path, capsys):
     rng = np.random.default_rng(24)
     G = random_matrix(rng, 20, 20, decay=0.5)
