@@ -269,12 +269,13 @@ def cmd_graph(cfg) -> int:
     A = _load_matrix(cfg)
     if A.shape[0] != A.shape[1]:
         raise DataError("graph command requires a square adjacency matrix")
-    bad = (A != 0.0) & (A != 1.0)
-    if bad.any():   # argwhere only to name the first bad entry
-        i, j = np.argwhere(bad)[0]
-        raise DataError(f"graph adjacency must be binary (0 or 1): entry at row {i}, "
-                        f"column {j} (0-based) is {float(A[i, j])!r}")
-    del bad   # free the n x n mask before the fit rather than hold it through it
+    if cfg["format"] == "csv":   # an edge list is binary by construction
+        bad = (A != 0.0) & (A != 1.0)
+        if bad.any():   # argwhere only to name the first bad entry
+            i, j = np.argwhere(bad)[0]
+            raise DataError(f"graph adjacency must be binary (0 or 1): entry at row {i}, "
+                            f"column {j} (0-based) is {float(A[i, j])!r}")
+        del bad   # free the n x n mask before the fit rather than hold it through it
     labels = _load_labels(cfg, A.shape[0], "nodes")
     if np.unique(labels).size < 2:
         raise DataError("graph node classification needs labels of at least 2 classes")
@@ -285,7 +286,8 @@ def cmd_graph(cfg) -> int:
     features = ksvd.embeddings(model, "concat")
     clf = downstream.lssvm_fit(features, labels, gamma_reg=1.0)
     micro, macro = downstream.f1_scores(clf.predict(features), labels)
-    out_degrees = A.sum(axis=1).astype(int)
+    # reconstruction never proposes a self-loop, so none counts in a degree
+    out_degrees = (A.sum(axis=1) - A.diagonal()).astype(int)
     A_hat = downstream.graph_reconstruct(model.b_phi, model.b_psi, out_degrees)
     l1, l2 = downstream.recon_error(A, A_hat)
     rows = _metric_rows(cfg, "node_classification",

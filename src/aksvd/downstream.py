@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .compat import LinearHead, _encode_targets
-from .kernels import _products, _sq_dists, as_matrix
+from .kernels import _Side, as_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     k = int(deg.max(initial=0))
     if k == 0:
         return np.zeros((N, N))
-    d2 = _sq_dists(_products(src, tgt), (src * src).sum(axis=1), (tgt * tgt).sum(axis=1))
+    d2 = _Side(tgt).sq_dists(src)
     np.fill_diagonal(d2, np.inf)
     A_hat = d2.copy()
     A_hat.partition(k - 1, axis=1)

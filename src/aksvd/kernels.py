@@ -49,22 +49,24 @@ That still assumes the BLAS treats every position of a panel, and both
 call heights, alike, so a self-check runs ``_fill`` itself, once per
 process and feature dimension, on sides whose rows are all one vector:
 every tile row and panel column, partial last ones among them, must give
-the same bits in both roles.  If any result differs, the column side of
-every product is kept as raw rows instead of panels, a choice each side
-record (:class:`_Side`) makes once, when its layout is built, and
-``_fill`` computes from them by a broadcast multiply-and-sum, which is
-exact at any shape but much slower.
+the same bits in both roles.  The one layout rule is "panels, or raw
+rows when the self-check fails", written once in :attr:`_Side.layout`:
+each side record applies it once, when its layout is built, and from raw
+rows ``_fill`` computes by a broadcast multiply-and-sum, which is exact
+at any shape but much slower.
 
 A block is streamed: its n x m result is allocated once and filled one
 chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries
-over the padded columns or one row tile, whichever is more.  The
-chunk's gemms write straight into its slice of the result, and the
-family formula, the sne normalization and the scaling then run in place
-while the chunk is still in cache.  A block therefore needs its own
-8*n*m bytes plus one chunk and the panels of its columns, however large
-it is; the Nystrom fit holds G[rows, :] and then G[comp_rows, cols], and
-little else.  Chunk boundaries do not change a value: every entry still
-takes the same gemm call and the same elementwise operations.
+over the padded columns or one row tile, whichever is more.  One walk,
+:func:`_fill_chunks`, cuts every block so, and the self-check replays
+that walk rather than a copy of it.  The chunk's gemms write straight
+into its slice of the result, and the family formula, the sne
+normalization and the scaling then run in place while the chunk is still
+in cache.  A block therefore needs its own 8*n*m bytes plus one chunk and
+the panels of its columns, however large it is; the Nystrom fit holds
+G[rows, :] and then G[comp_rows, cols], and little else.  Chunk
+boundaries do not change a value: every entry still takes the same gemm
+call and the same elementwise operations.
 """
 
 from __future__ import annotations
@@ -256,19 +258,10 @@ def _tile_gemm(xt: np.ndarray, zt: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(xt[:, None], zt[None], out=out)
 
 
-def _side(a: np.ndarray) -> np.ndarray:
-    """The column side of :func:`_fill` for the rows of ``a``: their
-    panels (:func:`_z_tiles`), one layout that blocks and kernel vectors
-    share, or ``a`` itself when the self-check :func:`_tiles_exact` fails
-    for this feature dimension.  Chosen once, when a side is built and
-    cached."""
-    return _z_tiles(a) if _tiles_exact(a.shape[1]) else a
-
-
 def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
     """Write <x_i, z_j> into ``dest``, the one routine every inner product
-    takes: ``x`` holds the rows of ``dest``, and ``side`` its columns as
-    :func:`_side` built them.
+    takes: ``x`` holds the rows of ``dest``, and ``side`` its columns in
+    the layout of a :class:`_Side`.
 
     Raw rows (the fallback) go to :func:`_pair_products`.  Panels have the
     width w = ``side.shape[2]``.  A one-row ``dest`` is a kernel vector:
@@ -310,9 +303,9 @@ def _tiles_exact(d: int) -> bool:
     partial last one, so both cover every call shape in both roles.  In
     each of three rounds every row of X is one random vector x and every
     row of Z one random z, so every value computed must be the same: each
-    entry of the product of X and Z, filled chunk by chunk as a block over
-    all of Z fills it (its partial tiles and panels go through the edge
-    temporaries), and the kernel-vector path in both roles: x in the
+    entry of the product of X and Z, filled along :func:`_fill_chunks` as
+    a block over all of Z is (its partial tiles and panels go through the
+    edge temporaries), and the kernel-vector path in both roles: x in the
     narrow tile against Z's panels, and z in it against X's.  That covers
     every tile row and every panel column.  The result is cached per
     feature dimension for the life of the process.
@@ -330,22 +323,24 @@ def _tiles_exact(d: int) -> bool:
             _fill(row, X[:1], z_side)
             _fill(col, Z[:1], _z_tiles(X))
             ok &= bool((row == row[0, 0]).all() and (col == row[0, 0]).all())
-            step = _chunk_rows(z_side.shape[0] * w)
-            chunk = np.empty((step, len(Z)))
-            for s in range(0, len(X), step):
-                rows = X[s : s + step]
-                _fill(chunk[: len(rows)], rows, z_side)
-                ok &= bool((chunk[: len(rows)] == row[0, 0]).all())
+            for _, pp in _fill_chunks(np.arange(len(X)), X, z_side, len(Z)):
+                ok &= bool((pp == row[0, 0]).all())
         _TILE_EXACT[d] = ok
     return _TILE_EXACT[d]
 
 
-def _products(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inner products <x_i, z_j> for all pairs, exact at any block shape:
-    :func:`_fill` into a new array, with the :func:`_side` of ``z``."""
-    out = np.empty((x.shape[0], z.shape[0]))
-    _fill(out, x, _side(z))
-    return out
+def _fill_chunks(rows, x: np.ndarray, layout: np.ndarray, m: int, out=None):
+    """<x_i, z_j> over the ``rows`` of ``x`` and the m columns in
+    ``layout``, filled by :func:`_fill` and yielded with its rows one chunk
+    of :func:`_chunk_rows` over the padded columns at a time, in a slice of
+    ``out`` when given and else a new array.  The one walk of a block,
+    which the self-check :func:`_tiles_exact` replays."""
+    step = _chunk_rows(m if layout.ndim == 2 else layout.shape[0] * layout.shape[2])
+    for s in range(0, rows.size, step):
+        r = rows[s : s + step]
+        pp = np.empty((r.size, m)) if out is None else out[s : s + step]
+        _fill(pp, x[r], layout)
+        yield r, pp
 
 
 def _sq_dists(pp: np.ndarray, x_sq: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
@@ -366,8 +361,10 @@ def _check_denominators(den) -> None:
 
 class _Side:
     """One sample set as a kernel argument: its ``rows``, their squared
-    norms ``sq``, computed once, and ``layout``, the :func:`_side` of the
-    rows, built on first use and kept."""
+    norms ``sq``, computed here only, and ``layout``, the column side of
+    :func:`_fill` by the one layout rule, built on first use and kept: the
+    panels of the rows (:func:`_z_tiles`), which blocks and kernel vectors
+    share, or the raw rows when the self-check :func:`_tiles_exact` fails."""
 
     def __init__(self, rows: np.ndarray, sq: Optional[np.ndarray] = None):
         self.rows = rows
@@ -375,11 +372,19 @@ class _Side:
 
     @functools.cached_property
     def layout(self) -> np.ndarray:
-        return _side(self.rows)
+        return _z_tiles(self.rows) if _tiles_exact(self.rows.shape[1]) else self.rows
 
     def sub(self, idx) -> "_Side":
         """The rows ``idx`` and their norms, with a layout of their own."""
         return _Side(self.rows[idx], self.sq[idx])
+
+    def sq_dists(self, x: np.ndarray) -> np.ndarray:
+        """||x_i - z_j||^2 from each row of ``x`` to each row here, exact at
+        any block shape: one :func:`_fill` on this layout, :func:`_sq_dists`."""
+        x = _Side(x)
+        pp = np.empty((x.sq.size, self.sq.size))
+        _fill(pp, x.rows, self.layout)
+        return _sq_dists(pp, x.sq, self.sq)
 
 
 class KernelOperator:
@@ -437,25 +442,13 @@ class KernelOperator:
         return pp
 
     def _kernel_chunks(self, rows, cols=None, out=None):
-        """kappa over ``rows`` x ``cols`` (all of Z in order when None),
-        before sne normalization and scaling, yielded with its rows one
-        chunk of whole row tiles at a time, in a slice of ``out`` when given
-        and else a new array, while still in cache.
-
-        A chunk holds at most ``_BLOCK_BUDGET`` entries over the padded
-        columns, or one row tile (:func:`_chunk_rows`), which bounds the
-        temporary of a partial last panel too.  The columns are ``_z``, or
-        its sub-side Z[cols] with a layout built for this call; a one-row
-        block is a kernel vector against either layout.
-        """
+        """kappa over ``rows`` x ``cols`` (all of Z in order when None, else
+        the sub-side Z[cols] with a layout built for this call), before sne
+        normalization and scaling, yielded with its rows chunk by chunk along
+        :func:`_fill_chunks`, while still in cache."""
         x, z = self._x, self._z if cols is None else self._z.sub(cols)
-        side, m = z.layout, z.sq.size
-        step = _chunk_rows(m if side.ndim == 2 else side.shape[0] * side.shape[2])
-        for s in range(0, rows.size, step):
-            r = rows[s : s + step]
-            vals = np.empty((r.size, m)) if out is None else out[s : s + step]
-            _fill(vals, x.rows[r], side)
-            yield r, self._kernel(vals, x.sq[r], z.sq)
+        for r, pp in _fill_chunks(rows, x.rows, z.layout, z.sq.size, out):
+            yield r, self._kernel(pp, x.sq[r], z.sq)
 
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
@@ -550,26 +543,25 @@ class KernelOperator:
 
     # -- operator algebra (used by iterative solvers) -------------------
 
-    def _row_chunks(self):
-        """Row ranges of at most _BLOCK_BUDGET Gram entries, in whole tiles."""
+    def _row_blocks(self):
+        """(rows, G[rows, :]) over row ranges of at most _BLOCK_BUDGET Gram
+        entries, in whole tiles: the one walk of matmat and rmatmat."""
         n, m = self.shape
-        step = _chunk_rows(m)
-        return (np.arange(s, min(s + step, n)) for s in range(0, n, step))
+        step, cols = _chunk_rows(m), np.arange(m)
+        for s in range(0, n, step):
+            rows = np.arange(s, min(s + step, n))
+            yield rows, self.block(rows, cols)
 
     def matmat(self, W: np.ndarray) -> np.ndarray:
-        n, m = self.shape
-        out = np.empty((n, W.shape[1]))
-        cols = np.arange(m)
-        for rows in self._row_chunks():
-            out[rows] = self.block(rows, cols) @ W
+        out = np.empty((self.shape[0], W.shape[1]))
+        for rows, g in self._row_blocks():
+            out[rows] = g @ W
         return out
 
     def rmatmat(self, W: np.ndarray) -> np.ndarray:
-        n, m = self.shape
-        out = np.zeros((m, W.shape[1]))
-        cols = np.arange(m)
-        for rows in self._row_chunks():
-            out += self.block(rows, cols).T @ W[rows]
+        out = np.zeros((self.shape[1], W.shape[1]))
+        for rows, g in self._row_blocks():
+            out += g.T @ W[rows]
         return out
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import aksvd
-from aksvd import solvers
+from aksvd import downstream, solvers
 from aksvd.ksvd import fit_matrix
 from aksvd.cli import build_parser, main
 from aksvd.compat import STRATEGIES
@@ -290,6 +290,26 @@ def test_graph_single_class_labels_are_a_data_error_before_any_output(tmp_path, 
     assert "labels of at least 2 classes" in captured.err
     assert captured.out == ""
     assert not list(tmp_path.glob("run.*"))
+
+
+def test_graph_self_loop_is_left_out_of_the_reconstruction(tmp_path, capsys, monkeypatch):
+    # node 0 points to itself and to every other node: its reconstruction
+    # degree is 2, not 3 > N - 1, and no node is given a self-loop
+    gpath, lpath = tmp_path / "g.tsv", tmp_path / "y.txt"
+    gpath.write_text("0\t0\n0\t1\n0\t2\n1\t2\n2\t0\n1\t0\n")
+    lpath.write_text("0\n1\n1\n")
+    rebuilt = []
+    real = downstream.graph_reconstruct
+    monkeypatch.setattr(downstream, "graph_reconstruct",
+                        lambda *args: rebuilt.append(real(*args)) or rebuilt[-1])
+    code, _ = run_cli(capsys, ["graph", "--input", str(gpath), "--format", "edges",
+                               "--labels", str(lpath), "--out", str(tmp_path / "run")])
+    assert code == 0
+    for suffix in (".left.csv", ".right.csv", ".concat.csv", ".fit.json", ".metrics.json"):
+        assert (tmp_path / ("run" + suffix)).is_file()
+    (A_hat,) = rebuilt
+    assert not A_hat.diagonal().any()
+    assert A_hat.sum(axis=1).tolist() == [2.0, 2.0, 1.0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # constant gram loses rank

@@ -18,6 +18,7 @@ from aksvd.downstream import (
     nmi,
     recon_error,
 )
+from aksvd.kernels import KernelSpec, gram
 from oracles import lssvm_kkt_residual
 
 
@@ -276,7 +277,7 @@ def loop_reconstruct(src, tgt, deg):
     src, tgt, deg = np.asarray(src, float), np.asarray(tgt, float), np.asarray(deg, int)
     N = src.shape[0]
     d2 = (src * src).sum(axis=1)[:, None] + (tgt * tgt).sum(axis=1)[None, :] \
-        - 2.0 * downstream._products(src, tgt)
+        - 2.0 * gram(KernelSpec.linear(), src, tgt, scaled=False).values
     np.maximum(d2, 0.0, out=d2)
     A_hat = np.zeros((N, N))
     idx = np.arange(N)

@@ -432,7 +432,7 @@ def _panel_inputs(d):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_lazy_exact_across_two_full_panels_and_a_partial_one(family, d):
     X, Z, rng = _panel_inputs(d)
-    assert kernels._side(X).shape == kernels._side(Z).shape == (3, d, 256)
+    assert kernels._Side(X).layout.shape == kernels._Side(Z).layout.shape == (3, d, 256)
     assert_lazy_matches_dense(family_spec(family, d), X, Z, rng)
 
 
@@ -482,13 +482,16 @@ def test_sne_entry_normalizes_its_row_on_cached_z_tiles(monkeypatch):
 
 def test_each_training_side_is_built_once(monkeypatch):
     # Z's side serves sne denominators, new x, blocks over all of Z and
-    # materialize, X's side serves new z; a column subset builds its own
+    # materialize, X's side serves new z; a column subset builds its own.
+    # The self-check for d = 17 runs first, so the spy sees layouts only,
+    # never the check's own probe panels
     rng = np.random.default_rng(24)
     X = rng.standard_normal((40, 17))
     Z = rng.standard_normal((35, 17))
+    assert kernels._tiles_exact(17)
     built = []
-    real = kernels._side
-    monkeypatch.setattr(kernels, "_side", lambda a: built.append(len(a)) or real(a))
+    real = kernels._z_tiles
+    monkeypatch.setattr(kernels, "_z_tiles", lambda a: built.append(len(a)) or real(a))
     op = KernelOperator(X, Z, family_spec("sne", 17))
     for k in range(3):
         op.z_col(Z[k] - 0.5)
@@ -508,7 +511,8 @@ def test_fallback_equals_broadcast_oracle(monkeypatch):
     engine = {f: gram(family_spec(f, 6), X, Z).values for f in ALL_FAMILIES}
     monkeypatch.setattr(kernels, "_tiles_exact", lambda d: False)
     want = kernels._pair_products(X, Z)
-    assert np.array_equal(kernels._products(X, Z), want)
+    assert np.array_equal(kernels._Side(Z).sq_dists(X), kernels._sq_dists(
+        want.copy(), kernels._Side(X).sq, kernels._Side(Z).sq))
     assert np.array_equal(gram(KernelSpec.linear(), X, Z, scaled=False).values, want)
     for family in ALL_FAMILIES:
         spec = family_spec(family, 6)
@@ -556,6 +560,33 @@ def test_self_check_rejects_position_dependent_gemm(monkeypatch):
         # the fallback then gives the entry the same bits either way
         op = KernelOperator(X, Z, KernelSpec.linear(), scaled=False)
         assert op.entry(r, c) == op.materialize()[r, c]
+
+
+def test_self_check_replays_the_block_walk(monkeypatch):
+    # the self-check's block and a real block over the same padded width
+    # (d = 100: 32-column panels, 69 columns padded to 96) go through the
+    # one walk, _fill_chunks, in the same chunks of rows
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
+    monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+    walks = []
+    real = kernels._fill_chunks
+
+    def spy(rows, x, layout, m, out=None):
+        walks.append((layout.shape, []))
+        for r, pp in real(rows, x, layout, m, out):
+            walks[-1][1].append(r.size)
+            yield r, pp
+
+    monkeypatch.setattr(kernels, "_fill_chunks", spy)
+    assert kernels._tiles_exact(100)
+    want = ((3, 100, 32), [16, 16, 16, 16, 3])
+    assert walks == [want] * 3            # one walk per round
+    walks.clear()
+    rng = np.random.default_rng(28)
+    op = KernelOperator(rng.standard_normal((67, 100)), rng.standard_normal((69, 100)),
+                        KernelSpec.linear())
+    op.materialize()
+    assert walks == [want]
 
 
 def test_self_check_reaches_the_edge_tiles(monkeypatch):
@@ -628,7 +659,9 @@ def test_budget_chunking_is_exact(monkeypatch):
     # one row tile per chunk: blocks, matmat/rmatmat and the sne
     # denominators chunk over rows
     monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 2 * kernels._TILE ** 2)
-    assert np.array_equal(kernels._products(X, Z), gram(KernelSpec.linear(), X, Z, scaled=False).values)
+    assert np.array_equal(kernels._Side(Z).sq_dists(X), kernels._sq_dists(
+        gram(KernelSpec.linear(), X, Z, scaled=False).values, kernels._Side(X).sq,
+        kernels._Side(Z).sq))
     assert np.array_equal(gram(spec, X, Z).values, dense)
     op = KernelOperator(X, Z, spec)
     assert np.array_equal(op.z_col(Z[0]), dense[:, 0])
