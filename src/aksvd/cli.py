@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -122,8 +123,8 @@ def _accepts(action, value) -> bool:
         return False
     if action.dest == "gamma":  # echoed resolved: a number, or null without bandwidth
         return value is None or value == "auto" or isinstance(value, (int, float))
-    if value is None:
-        return action.default is None
+    if value is None:   # a required option's default None is no value
+        return action.default is None and not action.required
     if action.choices is not None:
         return value in action.choices
     return isinstance(value, {int: int, float: (int, float)}.get(action.type, str))
@@ -205,7 +206,9 @@ def _load_labels(cfg, n, unit) -> np.ndarray:
     return labels
 
 
-def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
+def _fit_from_config(cfg, A, task=None) -> ksvd.KsvdModel:
+    """The model that cfg fits to A.  With a ``task``, the downstream work
+    that reads the embeddings, a rank-0 fit is a numerical failure."""
     if A.shape[0] != A.shape[1] and cfg["compat"] is None:
         raise DataError(f"a {A.shape[0]}x{A.shape[1]} input needs a compatibility matrix "
                         f"between its rows and columns: --compat {'|'.join(STRATEGIES)}")
@@ -214,15 +217,9 @@ def _fit_from_config(cfg, A) -> ksvd.KsvdModel:
     if cfg["compat"] is not None:
         compat = strategy_from_name(cfg["compat"], seed=cfg["seed"])
     solver = _resolve_solver(cfg, (A.shape[0], A.shape[1]))
-    return ksvd.fit_matrix(A, kernel, cfg["rank"], compat=compat,
-                          do_center=cfg["center"], solver=solver)
-
-
-def _fit_for_task(cfg, A, task) -> ksvd.KsvdModel:
-    """The fit of a command whose downstream task reads the embeddings:
-    a rank-0 fit leaves nothing to ``task``, a numerical failure."""
-    model = _fit_from_config(cfg, A)
-    if model.achieved_rank == 0:
+    model = ksvd.fit_matrix(A, kernel, cfg["rank"], compat=compat,
+                            do_center=cfg["center"], solver=solver)
+    if task is not None and model.achieved_rank == 0:
         raise NumericalError(f"{cfg['subcommand']} fit achieved rank 0: no embedding "
                              f"to {task}")
     return model
@@ -279,7 +276,7 @@ def cmd_graph(cfg) -> int:
     labels = _load_labels(cfg, A.shape[0], "nodes")
     if np.unique(labels).size < 2:
         raise DataError("graph node classification needs labels of at least 2 classes")
-    model = _fit_for_task(cfg, A, "classify nodes or reconstruct edges from")
+    model = _fit_from_config(cfg, A, "classify nodes or reconstruct edges from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 
@@ -305,7 +302,7 @@ def cmd_bicluster(cfg) -> int:
         if not 1 <= k <= n:
             raise DataError(f"{flag} must lie in [1, {n}] for {n} {side}, got {k}")
     truth = None if cfg["labels"] is None else _load_labels(cfg, A.shape[0], "rows")
-    model = _fit_for_task(cfg, A, "cluster rows and columns from")
+    model = _fit_from_config(cfg, A, "cluster rows and columns from")
     print(json.dumps(cfg, sort_keys=True))
     _write_embed_outputs(cfg, model)
 
@@ -324,6 +321,8 @@ def _bench_plan(cfg):
     if not cfg["eps"] >= 0:
         raise UsageError(f"--eps must be a number >= 0, got {cfg['eps']}")
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
+    if not names:
+        raise UsageError(f"--solvers names no solver: {cfg['solvers']!r}")
     unknown = [name for name in names if name not in solvers.SOLVERS]
     if unknown:
         raise UsageError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}; "
@@ -385,6 +384,8 @@ def _join_negative_values(argv) -> list:
 
 def main(argv=None) -> int:
     parser = _parser()
+    formatwarning = warnings.formatwarning   # one line per warning; restored below
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         if args.config is not None:
@@ -409,6 +410,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:   # an input too large to hold, e.g. an edge list's n=
         print(f"data error: out of memory: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

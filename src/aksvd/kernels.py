@@ -399,7 +399,7 @@ class KernelOperator:
     """
 
     def __init__(self, x_data, z_data, spec: KernelSpec, scaled: bool = True):
-        x, z = as_matrix(x_data, "x_data"), as_matrix(z_data, "z_data")
+        x, z = as_matrix(x_data, "X"), as_matrix(z_data, "Z")
         if x.shape[1] != z.shape[1]:
             raise ValueError(f"feature dimensions differ: X has {x.shape[1]}, Z has {z.shape[1]} "
                              "(rows and columns of one matrix: use fit_matrix(..., compat=...))")

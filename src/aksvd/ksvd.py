@@ -21,7 +21,7 @@ import numpy as np
 
 from . import solvers
 from .compat import CompatStrategy, compat_sets
-from .kernels import GramMatrix, KernelOperator, KernelSpec, as_matrix, center, center_vector
+from .kernels import GramMatrix, KernelOperator, KernelSpec, center, center_vector
 
 SIDES = ("left", "right", "concat")
 
@@ -53,11 +53,6 @@ class KsvdModel:
     def rank_deficient(self) -> bool:
         return self.achieved_rank < self.requested_rank
 
-    def gram_values(self) -> np.ndarray:
-        if self.gram is not None:
-            return self.gram.values
-        return self.operator.materialize()
-
 
 def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
         solver: Optional[solvers.SolverChoice] = None) -> KsvdModel:
@@ -69,31 +64,24 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
     achievable rank and a RuntimeWarning is issued; so is one when the
     solver reports that it did not converge.  With an AsymNystrom solver
     and no centering the Gram matrix is never materialized; centering
-    materializes it, with a RuntimeWarning.
+    materializes it, with a RuntimeWarning.  The model keeps the solver's
+    arrays, sign-fixed in place, not copies of them.
     """
-    X = as_matrix(X, "X")
-    Z = as_matrix(Z, "Z")
-    solvers._check_rank(rank, (X.shape[0], Z.shape[0]))   # before the Gram is built
+    op = KernelOperator(X, Z, kernel, scaled=True)
+    solvers._check_rank(rank, op.shape)   # before the Gram is built
     if solver is None:
         solver = solvers.Dense()
-
-    op = KernelOperator(X, Z, kernel, scaled=True)
-    nystrom = isinstance(solver, solvers.AsymNystrom)
-    if nystrom and do_center:
+    lazy = isinstance(solver, solvers.AsymNystrom)
+    if lazy and do_center:
         N, M = op.shape
         warnings.warn(
             f"centering evaluates all {N}*{M} = {N * M} Gram entries, so the Nystrom "
             "sample does not bound the cost", RuntimeWarning)
-    if nystrom and not do_center:
-        g = None
-        target = op
-    else:
-        g = GramMatrix(op.materialize())
-        if do_center:
-            g = center(g)
-        target = g.values
+    g = None if lazy and not do_center else GramMatrix(op.materialize())
+    if do_center:
+        g = center(g)
 
-    res = solvers.solve(target, rank, solver)
+    res = solvers.solve(op if g is None else g.values, rank, solver)
     if res.achieved_rank < rank:
         warnings.warn(
             f"requested rank {rank} but only {res.achieved_rank} positive singular "
@@ -102,10 +90,8 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
         warnings.warn(
             f"solver did not converge in {res.iterations} iterations; the factors "
             "are its best iterate", RuntimeWarning)
-    b_phi = res.u.copy()
-    b_psi = res.v.copy()
-    solvers._sign_fix_pairs(b_phi, b_psi)
-    return KsvdModel(b_phi=b_phi, b_psi=b_psi, lambdas=res.lambdas.copy(), operator=op,
+    solvers._sign_fix_pairs(res.u, res.v)
+    return KsvdModel(b_phi=res.u, b_psi=res.v, lambdas=res.lambdas, operator=op,
                      gram=g, requested_rank=rank)
 
 
@@ -128,7 +114,7 @@ def fit_matrix(A, kernel: KernelSpec, rank: int,
 def residuals(model: KsvdModel):
     """Frobenius residuals of the coupled system the factors must solve:
     r1 = ||G'G B_psi - G'B_phi L||_F, r2 = ||GG'B_phi - G B_psi L||_F."""
-    G = model.gram_values()
+    G = model.operator.materialize() if model.gram is None else model.gram.values
     lam = model.lambdas
     g_psi = G @ model.b_psi      # each product is formed once and used twice
     gt_phi = G.T @ model.b_phi

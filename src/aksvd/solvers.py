@@ -1,11 +1,11 @@
 """Low-rank SVD solvers and the subsample-escalation benchmark.
 
-All solvers accept either a dense ndarray or an operator (see
-:class:`MatrixOperator` and :class:`aksvd.kernels.KernelOperator`) and
-return a :class:`SvdResult` with columns sorted by nonincreasing positive
-singular value.  An operator exposes ``shape``, ``block(rows, cols)``,
-``materialize()`` and the block products ``matmat(W)`` = G W and
-``rmatmat(W)`` = G' W; the solvers use nothing else.
+All solvers accept a dense ndarray or an operator (:class:`MatrixOperator`,
+:class:`aksvd.kernels.KernelOperator`) and return a :class:`SvdResult`
+of fresh C-contiguous arrays, which a caller may keep, with columns
+sorted by nonincreasing positive singular value.  An operator exposes
+``shape``, ``block(rows, cols)``, ``materialize()`` and the products
+``matmat(W)`` = G W and ``rmatmat(W)`` = G' W; solvers use nothing else.
 
 The registry :data:`SOLVERS` names each solver's choice dataclass and
 function, and :func:`solve` calls the function its entry names, with the
@@ -318,7 +318,7 @@ def randomized_svd(G, r: int, oversample: int = 10, power: int = 2, seed: int = 
     B = op.rmatmat(Q).T  # l x M
     P, s, Vt = np.linalg.svd(_finite(B), full_matrices=False)
     rr = min(r, _positive_rank(s))
-    return SvdResult((Q @ P)[:, :rr], s[:rr].copy(), Vt[:rr].T.copy(), iterations=power)
+    return SvdResult((Q @ P)[:, :rr].copy(), s[:rr].copy(), Vt[:rr].T.copy(), iterations=power)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,37 @@ def test_invalid_config_is_usage_error(tmp_path, capsys, cfg):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["--config", str(cfg_path)]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, extra", [
+    ("embed", "input", {}),
+    ("embed", "out", {}),
+    ("graph", "labels", {"labels": "y.txt"}),
+])
+def test_null_for_a_required_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                         command, key, extra):
+    # only an optional option takes null: a required one has no value then
+    monkeypatch.chdir(tmp_path)
+    save_matrix_csv("a.csv", np.eye(4))
+    (tmp_path / "y.txt").write_text("0\n0\n1\n1\n")
+    cfg = {"subcommand": command, "input": "a.csv", "out": "ex", **extra, key: None}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", "cfg.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: config file cfg.json: invalid value None for {key!r}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_optional_config_keys_take_null(tmp_path, capsys):
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.eye(4))
+    cfg = {"subcommand": "bicluster", "input": str(inp), "out": str(tmp_path / "b"),
+           "labels": None, "nsub": None, "msub": None, "compat": None}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "b.metrics.json").exists()
 
 
 @pytest.mark.parametrize("subcommand", [["embed"], {"embed": True}], ids=["list", "dict"])
@@ -671,6 +703,7 @@ def test_unset_nystrom_subsamples_are_echoed(tmp_path, capsys, solver, rank, nsu
     ["--solvers", "tsvd,lanczos"],
     ["--eps", "nan"],   # an epsilon that no trial can meet
     ["--eps", "-1"],
+    ["--solvers", ","],   # names no solver
 ])
 def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
     inp = tmp_path / "g.csv"
@@ -838,6 +871,33 @@ def test_unwritable_embedding_is_a_data_error(tmp_path, capsys):
     (tmp_path / "x.left.csv").mkdir()   # a directory in the embedding's place
     assert main(["embed", "--rank", "2", "--input", str(inp), "--out", str(tmp_path / "x")]) == 2
     assert f"data error: cannot write {tmp_path / 'x.left.csv'}" in capsys.readouterr().err
+
+
+def test_each_warning_is_one_stderr_line(tmp_path):
+    # through a real process, since pytest records warnings in-process: a
+    # rank-1 input asked for rank 2 warns once, as one "warning:" line
+    inp = tmp_path / "r1.csv"
+    save_matrix_csv(inp, np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
+    src = str(Path(aksvd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "aksvd.cli", "embed", "--input", str(inp),
+                           "--rank", "2", "--out", str(tmp_path / "r1")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warning, fit_line = proc.stderr.splitlines()
+    assert warning == ("warning: requested rank 2 but only 1 positive singular values "
+                       "exist; model truncated")
+    assert fit_line.startswith("fit in ")
+
+
+def test_main_restores_the_warning_format(tmp_path, capsys):
+    formatwarning = warnings.formatwarning
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.zeros((4, 4)))
+    with pytest.warns(RuntimeWarning, match="only 0 positive"):
+        assert main(["embed", "--input", str(inp), "--out", str(tmp_path / "z")]) == 0
+    assert warnings.formatwarning is formatwarning
 
 
 def test_exit_codes_of_the_module_entry_point(tmp_path):

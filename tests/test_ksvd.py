@@ -6,7 +6,7 @@ import pytest
 from aksvd import solvers
 from aksvd.ksvd import embeddings, fit, fit_matrix, project_x, project_z, residuals
 from aksvd.compat import PcaProjection
-from aksvd.kernels import KernelSpec, center, gram
+from aksvd.kernels import KernelOperator, KernelSpec, center, gram
 from aksvd.solvers import AsymNystrom, Dense, Randomized, Truncated, dense_svd, eta_metric
 
 
@@ -217,6 +217,36 @@ def test_project_rejects_non_finite_point(spec, bad, project, name, monkeypatch)
     monkeypatch.setattr(type(m.operator), "_kernel", no_kernel)
     with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
         project(m, point)
+
+
+@pytest.mark.parametrize("do_center", [False, True], ids=["raw", "centered"])
+@pytest.mark.parametrize("name", sorted(solvers.SOLVERS))
+def test_fit_keeps_the_solvers_factors_sign_fixed(name, do_center):
+    # the model's factors are solve()'s on the Gram (the operator for a lazy
+    # fit), sign-fixed in pairs, bit for bit
+    rng = np.random.default_rng(31)
+    X, Z = rng.standard_normal((30, 5)), rng.standard_normal((28, 5))
+    spec = KernelSpec.rbf(2.0)
+    choice = solvers.make_choice(name, n_sub=12, m_sub=12, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # asymnys centering
+        m = fit(X, Z, spec, 3, do_center=do_center, solver=choice)
+    g = center(gram(spec, X, Z)) if do_center else gram(spec, X, Z)
+    lazy = name == "asymnys" and not do_center
+    res = solvers.solve(KernelOperator(X, Z, spec) if lazy else g.values, 3, choice)
+    solvers._sign_fix_pairs(res.u, res.v)
+    for got, want in ((m.b_phi, res.u), (m.b_psi, res.v), (m.lambdas, res.lambdas)):
+        assert np.array_equal(got, want)
+    assert (m.gram is None) == lazy
+
+
+@pytest.mark.parametrize("name", ["X", "Z"])
+def test_fit_names_the_non_finite_side(name):
+    rng = np.random.default_rng(32)
+    data = {"X": rng.standard_normal((6, 3)), "Z": rng.standard_normal((5, 3))}
+    data[name][2, 1] = np.nan
+    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+        fit(data["X"], data["Z"], KernelSpec.linear(), rank=2)
 
 
 def test_embeddings_sides():

@@ -901,6 +901,17 @@ def test_solvers_need_only_the_operator_protocol(name, shape):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(30, 24), (24, 30)], ids=str)
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solvers_return_fresh_c_contiguous_arrays(name, shape):
+    # fit keeps these arrays as its model's factors: no view, no strided layout
+    rng = np.random.default_rng(27)
+    G = random_matrix(rng, *shape, decay=0.7)
+    res = solvers_module.solve(G, 3, make_choice(name, n_sub=12, m_sub=12, seed=3))
+    for a in (res.u, res.lambdas, res.v):
+        assert a.flags.c_contiguous and a.flags.owndata
+
+
 @pytest.mark.parametrize("values", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
 def test_matrix_operator_rejects_a_non_matrix(values):
     with pytest.raises(ValueError, match="expects a 2-D array"):
