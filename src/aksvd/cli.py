@@ -316,8 +316,8 @@ def cmd_bicluster(cfg) -> int:
 
 
 def _bench_plan(cfg):
-    """The --solvers names and --m-schedule sizes; bad ones, and an --eps
-    that no trial can meet, are usage errors."""
+    """The --solvers names and --m-schedule sizes; bad ones, a name given
+    twice and an --eps that no trial can meet are usage errors."""
     if not cfg["eps"] >= 0:
         raise UsageError(f"--eps must be a number >= 0, got {cfg['eps']}")
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
@@ -327,6 +327,9 @@ def _bench_plan(cfg):
     if unknown:
         raise UsageError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}; "
                          f"expected names from {', '.join(solvers.SOLVERS)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise UsageError(f"--solvers names {', '.join(map(repr, repeated))} more than once")
     try:
         schedule = [int(t) for t in cfg["m_schedule"].split(",") if t]
         if min(schedule, default=1) < 1:

@@ -239,11 +239,14 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     top-r Ritz residuals satisfy ||G' u_s - lambda_s v_s|| <= tol*lambda_1,
     the subspace is exhausted (the factors are then exact) or max_iter steps
     were taken; on non-convergence the best iterate is returned with
-    ``converged=False``.
+    ``converged=False``.  A NaN or negative ``tol``, which no residual can
+    meet, is a ValueError.
     """
     op = as_operator(G)
     N, M = op.shape
     _check_rank(r, op.shape)
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
     # iterate on G' when G is wide, so that the right Krylov space lies on
     # the smaller side and can span it entirely (exact at exhaustion)
     fwd, back, wide = op.matmat, op.rmatmat, M > N
@@ -553,13 +556,18 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     rank-r reference SVD (computed densely unless ``reference`` is
     supplied).  A schedule exhausted without reaching epsilon is recorded
     as failure.  A NaN or negative ``epsilon``, which no trial can meet,
-    is a ValueError.
+    and a solver named twice, whose summary would keep only its second
+    run, are ValueErrors.
     """
     if not epsilon >= 0:
         raise ValueError(f"bench epsilon must be >= 0, got {epsilon}")
     unknown = [name for name in solvers if name not in SOLVERS]
     if unknown:
         raise ValueError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}")
+    repeated = sorted({name for name in solvers if solvers.count(name) > 1})
+    if repeated:
+        raise ValueError(f"bench solver(s) named more than once: "
+                         f"{', '.join(map(repr, repeated))}")
     op = as_operator(G)
     N, M = op.shape
     if reference is None:

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -704,6 +702,7 @@ def test_unset_nystrom_subsamples_are_echoed(tmp_path, capsys, solver, rank, nsu
     ["--eps", "nan"],   # an epsilon that no trial can meet
     ["--eps", "-1"],
     ["--solvers", ","],   # names no solver
+    ["--solvers", "tsvd,tsvd"],   # the summary would keep only the second run
 ])
 def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
     inp = tmp_path / "g.csv"
@@ -873,24 +872,6 @@ def test_unwritable_embedding_is_a_data_error(tmp_path, capsys):
     assert f"data error: cannot write {tmp_path / 'x.left.csv'}" in capsys.readouterr().err
 
 
-def test_each_warning_is_one_stderr_line(tmp_path):
-    # through a real process, since pytest records warnings in-process: a
-    # rank-1 input asked for rank 2 warns once, as one "warning:" line
-    inp = tmp_path / "r1.csv"
-    save_matrix_csv(inp, np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
-    src = str(Path(aksvd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "aksvd.cli", "embed", "--input", str(inp),
-                           "--rank", "2", "--out", str(tmp_path / "r1")], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    warning, fit_line = proc.stderr.splitlines()
-    assert warning == ("warning: requested rank 2 but only 1 positive singular values "
-                       "exist; model truncated")
-    assert fit_line.startswith("fit in ")
-
-
 def test_main_restores_the_warning_format(tmp_path, capsys):
     formatwarning = warnings.formatwarning
     inp = tmp_path / "a.csv"
@@ -898,24 +879,3 @@ def test_main_restores_the_warning_format(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="only 0 positive"):
         assert main(["embed", "--input", str(inp), "--out", str(tmp_path / "z")]) == 0
     assert warnings.formatwarning is formatwarning
-
-
-def test_exit_codes_of_the_module_entry_point(tmp_path):
-    # through a real process: `sys.exit(main())` must carry every code
-    inp = tmp_path / "a.csv"
-    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((8, 8)))
-    src = str(Path(aksvd.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = ["--out", str(tmp_path / "x")]
-    runs = [
-        (0, ["embed", "--input", str(inp), "--rank", "2"] + out),
-        (1, []),
-        (2, ["embed", "--input", str(tmp_path / "missing.csv"), "--rank", "2"] + out),
-        (3, ["embed", "--input", str(inp), "--solver", "asymnys", "--nsub", "2",
-             "--msub", "2", "--rank", "3"] + out),
-    ]
-    for code, argv in runs:
-        proc = subprocess.run([sys.executable, "-m", "aksvd.cli"] + argv, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == code, (argv, proc.stderr)

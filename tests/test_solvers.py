@@ -100,6 +100,14 @@ def test_tsvd_nonconvergence_returns_best_iterate():
     assert res.u.shape[1] >= 1
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-10])
+def test_tsvd_rejects_a_tol_no_residual_can_meet(tol):
+    # such a tol would run the Krylov space to exhaustion without a word
+    A = np.random.default_rng(5).standard_normal((12, 9))
+    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+        truncated_svd(A, r=2, tol=tol)
+
+
 def test_tsvd_on_lazy_operator():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((25, 4))
@@ -774,6 +782,13 @@ def test_bench_rejects_an_epsilon_no_trial_can_meet(epsilon):
     G = np.random.default_rng(30).standard_normal((10, 10))
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
         bench(G, 2, epsilon)
+
+
+def test_bench_rejects_a_solver_named_twice():
+    # a second run would replace the first in the summary
+    G = np.random.default_rng(30).standard_normal((10, 10))
+    with pytest.raises(ValueError, match="named more than once: 'tsvd'$"):
+        bench(G, 2, 0.1, solvers=("tsvd", "rsvd", "tsvd"))
 
 
 def test_bench_ldjson_schema(tmp_path, capsys):
