@@ -174,6 +174,10 @@ def _load_matrix(cfg) -> np.ndarray:
 
 
 def _resolve_kernel(cfg, A) -> KernelSpec:
+    # the offset is echoed whether or not the family reads it: a NaN or an
+    # infinity would make the echoed line other than standard JSON
+    if not -np.inf < cfg["offset"] < np.inf:
+        raise DataError(f"poly kernel requires a finite offset, got {cfg['offset']}")
     if cfg["kernel"] not in ("rbf", "sne"):
         cfg["gamma"] = None
     elif cfg["gamma"] == "auto":
@@ -185,6 +189,8 @@ def _resolve_kernel(cfg, A) -> KernelSpec:
 
 
 def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
+    if not cfg["tol"] >= 0:   # echoed whatever the solver, as --offset is
+        raise DataError(f"tol must be a number >= 0, got {cfg['tol']}")
     name = cfg["solver"]
     knobs = solvers.SOLVERS[name].knobs
     n, m = shape

@@ -23,14 +23,16 @@ is fixed because a gemm's rounding depends on the shape of the call (its
 blocking, micro-kernel and edge handling), not only on the two vectors:
 ``x @ z.T`` on a sub-block can differ in the last bit from the same entry
 of the full product.  With one call shape every entry is computed by the
-same sequence of operations wherever it sits.
-A one-row block or a new point needs only one row of each product, so it
-takes a narrower call: the point fills row 0 of a zero-padded 2 x d tile
-that multiplies the other side's panels.  The gemm micro-kernel computes
-each entry by the same sequence of operations at either height, and
-products commute, so the same panels serve an x-side and a z-side point.
-One row is not used because BLAS libraries hand a one-row product to
-gemv, which rounds differently.
+same sequence of operations wherever it sits.  The batched call writes a
+padded scratch of whole tiles and panels, and one copy takes the block's
+corner out of it, so partial tiles and panels take no call of their own.
+A one-row block or a new point needs only one row of each product, so its
+tiles are 2 x d: the point fills row 0 of a zero-padded tile that
+multiplies the other side's panels.  The gemm micro-kernel computes each
+entry by the same sequence of operations at either height, and products
+commute, so the same panels serve an x-side and a z-side point.  One row
+is not used because BLAS libraries hand a one-row product to gemv, which
+rounds differently.
 
 The panel width depends on d alone (:func:`_panel_width`): _TILE times
 256 // d, clamped to 1..16 tiles, so a panel spans 16 tiles up to d = 16,
@@ -59,12 +61,13 @@ A block is streamed: its n x m result is allocated once and filled one
 chunk of whole row tiles at a time, at most ``_BLOCK_BUDGET`` entries
 over the padded columns or one row tile, whichever is more.  One walk,
 :func:`_fill_chunks`, cuts every block so, and the self-check replays
-that walk rather than a copy of it.  The chunk's gemms write straight
-into its slice of the result, and the family formula, the sne
-normalization and the scaling then run in place while the chunk is still
-in cache.  A block therefore needs its own 8*n*m bytes plus one chunk and
-the panels of its columns, however large it is; the Nystrom fit holds
-G[rows, :] and then G[comp_rows, cols], and little else.  Chunk
+that walk rather than a copy of it.  The chunk's batched gemm fills a
+padded scratch of one chunk, which is copied into its slice of the
+result, and the family formula, the sne normalization and the scaling
+then run in place while the chunk is still in cache.  A block, and so
+:meth:`_Side.sq_dists`, therefore needs its own 8*n*m bytes plus one
+chunk and the panels of its columns, however large it is; the Nystrom fit
+holds G[rows, :] and then G[comp_rows, cols], and little else.  Chunk
 boundaries do not change a value: every entry still takes the same gemm
 call and the same elementwise operations.
 """
@@ -224,12 +227,12 @@ def _panel_width(d: int) -> int:
     return _TILE * min(max(256 // d, 1), 16)
 
 
-def _x_tiles(a: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` zero-padded to a multiple of _TILE, as (tiles, _TILE, d)."""
+def _x_tiles(a: np.ndarray, h: int) -> np.ndarray:
+    """Rows of ``a`` zero-padded to a multiple of h, as (tiles, h, d)."""
     n, d = a.shape
-    padded = np.zeros((-(-n // _TILE) * _TILE, d))
+    padded = np.zeros((-(-n // h) * h, d))
     padded[:n] = a
-    return padded.reshape(-1, _TILE, d)
+    return padded.reshape(-1, h, d)
 
 
 def _z_tiles(a: np.ndarray) -> np.ndarray:
@@ -264,36 +267,22 @@ def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
     the layout of a :class:`_Side`.
 
     Raw rows (the fallback) go to :func:`_pair_products`.  Panels have the
-    width w = ``side.shape[2]``.  A one-row ``dest`` is a kernel vector:
-    the point fills row 0 of a zero-padded _VEC_ROWS x d tile, and one
-    :func:`_tile_gemm` multiplies it by every panel; row 0 of each product
-    holds the same bits as the entries of a full tile product.  Otherwise
-    the rows are tiled and the gemms of whole tiles and panels write
-    straight into ``dest``, seen as (row tiles, _TILE, panels, w); a
-    partial last row tile or panel goes through a temporary of one tile
-    row or panel column, with gemm calls of the same shape.
+    width w = ``side.shape[2]``, and the rows are cut into tiles of height
+    h: _TILE, or _VEC_ROWS for a one-row ``dest`` (a kernel vector), whose
+    point then fills row 0 of a zero-padded tile.  One :func:`_tile_gemm`
+    multiplies every row tile by every panel into a padded scratch, seen as
+    (row tiles, h, panels, w), and its k x m corner is copied to ``dest``.
     """
     k, m = dest.shape
     if side.ndim == 2:
         dest[...] = _pair_products(x, side)
         return
-    w = side.shape[2]
-    if k == 1:
-        vt = np.zeros((1, _VEC_ROWS, x.shape[1]))
-        vt[0, 0] = x[0]
-        dest[0] = _tile_gemm(vt, side)[0, :, 0, :].reshape(-1)[:m]
-        return
-    xt = _x_tiles(x)
-    p, q = k // _TILE, m // w
-    kf, mf = p * _TILE, q * w
-    if p and q:
-        tiles = dest[:kf, :mf].reshape(p, _TILE, q, w)
-        _tile_gemm(xt[:p], side[:q], out=tiles.transpose(0, 2, 1, 3))
-    if mf < m:
-        dest[:, mf:] = _tile_gemm(xt, side[q:])[:, 0].reshape(-1, w)[:k, : m - mf]
-    if kf < k:
-        edge = _tile_gemm(xt[p:], side[:q])[0].transpose(1, 0, 2)
-        dest[kf:, :mf] = edge.reshape(_TILE, mf)[: k - kf]
+    h = _VEC_ROWS if k == 1 else _TILE
+    xt = _x_tiles(x, h)
+    p, q, w = len(xt), len(side), side.shape[2]
+    scratch = np.empty((p, h, q, w))
+    _tile_gemm(xt, side, out=scratch.transpose(0, 2, 1, 3))
+    dest[...] = scratch.reshape(p * h, q * w)[:k, :m]
 
 
 def _tiles_exact(d: int) -> bool:
@@ -304,11 +293,11 @@ def _tiles_exact(d: int) -> bool:
     each of three rounds every row of X is one random vector x and every
     row of Z one random z, so every value computed must be the same: each
     entry of the product of X and Z, filled along :func:`_fill_chunks` as
-    a block over all of Z is (its partial tiles and panels go through the
-    edge temporaries), and the kernel-vector path in both roles: x in the
-    narrow tile against Z's panels, and z in it against X's.  That covers
-    every tile row and every panel column.  The result is cached per
-    feature dimension for the life of the process.
+    a block over all of Z is (its last chunk ends in a partial row tile,
+    and every chunk in a partial panel), and the kernel-vector path in
+    both roles: x in the 2-row tile against Z's panels, and z in it
+    against X's.  That covers every tile row and every panel column.  The
+    result is cached per feature dimension for the life of the process.
     """
     ok = _TILE_EXACT.get(d)
     if ok is None:
@@ -380,11 +369,13 @@ class _Side:
 
     def sq_dists(self, x: np.ndarray) -> np.ndarray:
         """||x_i - z_j||^2 from each row of ``x`` to each row here, exact at
-        any block shape: one :func:`_fill` on this layout, :func:`_sq_dists`."""
+        any block shape: filled on this layout along :func:`_fill_chunks`,
+        each chunk turned into distances by :func:`_sq_dists` in place."""
         x = _Side(x)
-        pp = np.empty((x.sq.size, self.sq.size))
-        _fill(pp, x.rows, self.layout)
-        return _sq_dists(pp, x.sq, self.sq)
+        out = np.empty((x.sq.size, self.sq.size))
+        for r, pp in _fill_chunks(np.arange(x.sq.size), x.rows, self.layout, self.sq.size, out):
+            _sq_dists(pp, x.sq[r], self.sq)
+        return out
 
 
 class KernelOperator:

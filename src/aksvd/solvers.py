@@ -361,28 +361,37 @@ def _nystrom_extend(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
     v_s = G[rows, :]' u_sub_s / lambda_s (M x r), unit-normalized and
     sign-fixed in pairs in place, and lambda~_s = sqrt(N*M/(n*m)) * lambda_s.
     """
-    N, M = u.shape[0], v.shape[0]
-    u_norms = np.linalg.norm(u, axis=0)
-    v_norms = np.linalg.norm(v, axis=0)
-    if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
+    _unit_columns(u, v)
+    _sign_fix_pairs(u, v)
+    return SvdResult(u, np.sqrt((u.shape[0] * v.shape[0]) / (n * m)) * lam, v)
+
+
+def _unit_columns(*factors: np.ndarray) -> None:
+    """Scale every column of each extended factor to unit norm, in place; a
+    column that collapsed to zero or is not finite is a NumericalError."""
+    norms = [np.linalg.norm(f, axis=0) for f in factors]
+    if any(np.any(nrm == 0.0) for nrm in norms):
         raise NumericalError("extended singular vector collapsed to zero")
-    if not (np.isfinite(u_norms).all() and np.isfinite(v_norms).all()):
+    if not all(np.isfinite(nrm).all() for nrm in norms):
         raise NumericalError("extended singular vectors are not finite, "
                              "as from a kernel that overflowed")
-    u /= u_norms[None, :]
-    v /= v_norms[None, :]
-    _sign_fix_pairs(u, v)
-    return SvdResult(u, np.sqrt((N * M) / (n * m)) * lam, v)
+    for f, nrm in zip(factors, norms):
+        f /= nrm[None, :]
 
 
-def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> SvdResult:
+def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> tuple:
     """The Nystrom step for the sampled columns C = K[:, idx] of a symmetric
-    PSD matrix K: the eigenvectors of the submatrix K[idx][:, idx] serve as
-    its left and right singular vectors alike, so both extensions are u."""
+    PSD matrix K, whose eigenvectors serve as left and right singular
+    vectors alike: the extension u = C evecs / lambda of the top r
+    eigenvectors of K[idx][:, idx], unit-normalized and sign-fixed, and
+    lambda~ = (N/n) * lambda, as :func:`_nystrom_extend` scales it."""
     evals, evecs = np.linalg.eigh(_finite(C[idx]))
     lam = _nystrom_lambdas(evals[::-1], r)
     u = C @ (evecs[:, ::-1][:, :r] / lam[None, :])
-    return _nystrom_extend(u, u.copy(), lam, idx.size, idx.size)
+    _unit_columns(u)
+    _sign_fix_pairs(u)
+    N, n = C.shape[0], idx.size
+    return u, np.sqrt((N * N) / (n * n)) * lam
 
 
 def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
@@ -399,8 +408,7 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
         raise ValueError("sym_nystrom_eig requires a square operator")
     _check_rank(r, op.shape)
     idx = _sample_indices(np.random.default_rng(seed), N, n_sub, indices)
-    res = _sym_nystrom_extend(op.block(np.arange(N), idx), idx, r)
-    return res.u, res.lambdas
+    return _sym_nystrom_extend(op.block(np.arange(N), idx), idx, r)
 
 
 def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
@@ -462,10 +470,10 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     _check_rank(r, A.shape)
     rows = _sample_indices(np.random.default_rng(seed), N, min(n_sub, N))
     cols = _sample_indices(np.random.default_rng(seed + 1), M, min(n_sub, M))
-    left = _sym_nystrom_extend(A @ A[rows].T, rows, r)
-    v = _sym_nystrom_extend(A.T @ A[:, cols], cols, r).u
-    v[:, np.sum(left.u * (A @ v), axis=0) < 0] *= -1.0
-    return SvdResult(left.u, np.sqrt(left.lambdas), v)
+    u, lam = _sym_nystrom_extend(A @ A[rows].T, rows, r)
+    v, _ = _sym_nystrom_extend(A.T @ A[:, cols], cols, r)
+    v[:, np.sum(u * (A @ v), axis=0) < 0] *= -1.0
+    return SvdResult(u, np.sqrt(lam), v)
 
 
 def solve(G, r: int, choice: SolverChoice) -> SvdResult:

@@ -222,6 +222,17 @@ def _cases():
                ["embed", "--input", "r20.csv", "--solver", "tsvd", "--tol", "nan",
                 "--out", "nantol"], 2, inputs=("r20.csv",), writes_none=("nantol",),
                stderr=("data error: tol must be a number >= 0, got nan",))
+    # options a run does not read are echoed too, so they are held to their
+    # ranges whatever the solver or kernel: a NaN never reaches the echo
+    yield Case("dense-nan-tol",
+               ["embed", "--input", "r20.csv", "--tol", "nan", "--out", "nantol"], 2,
+               inputs=("r20.csv",), stderr_lines=1, writes_none=("nantol",),
+               stderr=("data error: tol must be a number >= 0, got nan",))
+    yield Case("linear-nan-offset",
+               ["embed", "--input", "r20.csv", "--kernel", "linear", "--offset", "nan",
+                "--out", "nanoff"], 2, inputs=("r20.csv",), stderr_lines=1,
+               writes_none=("nanoff",),
+               stderr=("data error: poly kernel requires a finite offset, got nan",))
 
 
 CASES = list(_cases())

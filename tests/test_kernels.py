@@ -397,7 +397,7 @@ def assert_lazy_matches_dense(spec, X, Z, rng):
         assert np.array_equal(op.x_row(X[i]), dense[i])
     for j in range(0, m, 5):
         assert np.array_equal(op.z_col(Z[j]), dense[:, j])
-    # one-column blocks take the ordinary tile path, not the narrow tile
+    # one-column blocks take 16-row tiles, not the 2-row tile
     every_row = np.arange(n)
     for j in range(m):
         assert np.array_equal(op.block(every_row, [j]), dense[:, j : j + 1])
@@ -590,20 +590,20 @@ def test_self_check_replays_the_block_walk(monkeypatch):
 
 
 def test_self_check_reaches_the_edge_tiles(monkeypatch):
-    # a gemm that rounds differently only in the temporaries of partial
-    # last row and column tiles is caught too
-    monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+    # a gemm that rounds differently only in the last row tile of a 16-row
+    # batched call, or only in its last panel, where the partial tiles and
+    # panels sit, is caught too
     exact_gemm = kernels._tile_gemm
+    for edge in (np.s_[-1], np.s_[:, -1]):   # out is (row tiles, panels, 16, w)
+        def skewed_edge(xt, zt, out=None):
+            out = exact_gemm(xt, zt, out)
+            if xt.shape[1] == kernels._TILE:
+                out[edge] *= 1.0 + 2.0 ** -50
+            return out
 
-    def skewed_edges(xt, zt, out=None):
-        edge = out is None and xt.shape[1] == kernels._TILE
-        out = exact_gemm(xt, zt, out)
-        if edge:
-            out *= 1.0 + 2.0 ** -50
-        return out
-
-    monkeypatch.setattr(kernels, "_tile_gemm", skewed_edges)
-    assert not kernels._tiles_exact(5)
+        monkeypatch.setattr(kernels, "_TILE_EXACT", {})
+        monkeypatch.setattr(kernels, "_tile_gemm", skewed_edge)
+        assert not kernels._tiles_exact(5)
 
 
 @pytest.mark.parametrize("d", [1, 16, 17, 255, 256, 2000])
@@ -621,7 +621,7 @@ def test_self_check_probes_stay_small(monkeypatch, d):
 
 def test_a_narrow_block_stays_within_one_chunk():
     # one column of 4000 rows: chunks count the padded panel's 256 columns,
-    # so the partial panel's temporary stays one chunk, not 4000 x 256
+    # so the padded scratch stays one chunk, not 4000 x 256
     rng = np.random.default_rng(26)
     op = KernelOperator(rng.standard_normal((4000, 16)), rng.standard_normal((10, 16)),
                         family_spec("rbf", 16))
@@ -720,9 +720,9 @@ def test_kernel_vectors_multiply_a_two_row_tile(monkeypatch):
     heights = []
     exact_gemm = kernels._tile_gemm
 
-    def spy(xt, zt):
+    def spy(xt, zt, out=None):
         heights.append(xt.shape[1])
-        return exact_gemm(xt, zt)
+        return exact_gemm(xt, zt, out)
 
     monkeypatch.setattr(kernels, "_tile_gemm", spy)
     for call, want in ((lambda: op.x_row(X[3]), dense[3]),
@@ -732,6 +732,60 @@ def test_kernel_vectors_multiply_a_two_row_tile(monkeypatch):
         assert np.array_equal(call(), want)
         # one narrow call: the point and one zero row, never a 16-row tile
         assert heights == [2]
+
+
+def test_every_fill_is_one_batched_gemm(monkeypatch):
+    # one gemm call per chunk of a block and one per kernel vector, each
+    # writing every tile and panel through ``out``: 16-row tiles, or 2-row
+    # ones for a one-row block or a new point
+    rng = np.random.default_rng(27)
+    X = rng.standard_normal((150, 6))
+    Z = rng.standard_normal((300, 6))
+    op = KernelOperator(X, Z, family_spec("rbf", 6))
+    assert kernels._tiles_exact(6)
+    rows = np.sort(rng.choice(150, 100, replace=False))   # partial last tile
+    cols = np.sort(rng.choice(300, 290, replace=False))   # partial last panel
+    calls, chunks = [], []
+    exact_gemm, fill_chunks = kernels._tile_gemm, kernels._fill_chunks
+
+    def spy(xt, zt, out=None):
+        calls.append((xt.shape[1], out is not None))
+        return exact_gemm(xt, zt, out)
+
+    def counted(*args):
+        for r, pp in fill_chunks(*args):
+            chunks.append(r.size)
+            yield r, pp
+
+    monkeypatch.setattr(kernels, "_tile_gemm", spy)
+    monkeypatch.setattr(kernels, "_fill_chunks", counted)
+    for call, vectors in ((op.materialize, 0), (lambda: op.block(rows, cols), 0),
+                          (lambda: op.entry(3, 5), 0), (lambda: op.x_row(X[3]), 1),
+                          (lambda: op.z_col(Z[5]), 1)):
+        calls.clear()
+        chunks.clear()
+        call()
+        want = [(2 if size == 1 else 16, True) for size in chunks] + [(2, True)] * vectors
+        assert calls == want and want
+    op.materialize()
+    assert chunks == [64, 64, 22]
+
+
+def test_sq_dists_holds_one_chunk_of_scratch():
+    # the distances are filled and formed chunk by chunk, so beyond the
+    # 400 x 400 result only one chunk of padded scratch is held (plus
+    # numpy's ufunc buffers for the broadcast norms)
+    rng = np.random.default_rng(28)
+    E, F = rng.standard_normal((400, 16)), rng.standard_normal((400, 16))
+    side = kernels._Side(E)
+    assert side.layout.ndim == 3
+    tracemalloc.start()
+    try:
+        side.sq_dists(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 400 * 400 + 8 * kernels._BLOCK_BUDGET + 2 ** 17
 
 
 @settings(max_examples=40, deadline=None)
