@@ -194,9 +194,9 @@ def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
     name = cfg["solver"]
     knobs = solvers.SOLVERS[name].knobs
     n, m = shape
-    # unset subsample counts default to a quarter of each side, echoed
+    # unset counts: a quarter of each side, echoed; symnys's one count at most m, as in bench
     if "n_sub" in knobs and cfg["nsub"] is None:
-        cfg["nsub"] = max(cfg["rank"], n // 4)
+        cfg["nsub"] = max(cfg["rank"], n // 4 if "m_sub" in knobs else min(n // 4, m))
     if "m_sub" in knobs and cfg["msub"] is None:
         cfg["msub"] = max(cfg["rank"], m // 4)
     return solvers.make_choice(name, tol=cfg["tol"], oversample=cfg["oversample"],

@@ -101,13 +101,16 @@ def graph_reconstruct(src_emb, tgt_emb, out_degrees) -> np.ndarray:
     degree; v keeps every node nearer than t and, in index order, as many
     of the nodes at exactly t as places remain.  The output array is the
     partition's scratch, so no N x N array beyond the distances is made.
+    A degree is an integer in [0, N-1]; an integral real such as 2.0
+    counts, a fraction is a ValueError, never truncated.
     """
     src = np.asarray(src_emb, dtype=np.float64)
     tgt = np.asarray(tgt_emb, dtype=np.float64)
-    deg = np.asarray(out_degrees, dtype=int)
+    deg = np.asarray(out_degrees, dtype=np.float64)
     N = src.shape[0]
-    if np.any(deg > N - 1) or np.any(deg < 0):
-        raise ValueError("out-degrees must lie in [0, N-1]")
+    if not np.all((deg == np.floor(deg)) & (deg >= 0) & (deg <= N - 1)):
+        raise ValueError("out-degrees must be integers in [0, N-1]")
+    deg = deg.astype(int)
     k = int(deg.max(initial=0))
     if k == 0:
         return np.zeros((N, N))
@@ -190,13 +193,16 @@ def kmeans(X, k: int, seed: int = 0, max_iter: int = 300, restarts: int = 10) ->
     """k-means with k-means++ init, best of ``restarts`` by inertia.
 
     Deterministic given the seed; restart seeds derive from the master
-    seed so restarts could run independently.
+    seed so restarts could run independently.  ``max_iter`` and
+    ``restarts`` below 1 are ValueErrors.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or k < 1 or k > X.shape[0]:
         raise ValueError(f"need 2-D X with 1 <= k <= n, got shape {X.shape}, k={k}")
+    if not (max_iter >= 1 and restarts >= 1):
+        raise ValueError(f"need max_iter >= 1 and restarts >= 1, got {max_iter} and {restarts}")
     best = None
-    for rs in range(max(restarts, 1)):
+    for rs in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rs,)))
         labels, inertia = _kmeans_single(X, k, rng, max_iter)
         if best is None or inertia < best[1]:

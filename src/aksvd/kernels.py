@@ -161,16 +161,27 @@ def auto_gamma(X: np.ndarray, k: float = 1.0) -> float:
 
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Validate and convert to a C-contiguous float64 2-D array."""
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim == 1:
         out = out.reshape(1, -1)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite values")
     return out
+
+
+def as_point(v, d: int, name: str) -> np.ndarray:
+    """One new point, a (d,) or (1, d) array, as a (1, d) :func:`as_matrix`;
+    any other shape is a ValueError, never flattened into one point."""
+    p = as_matrix(v, name)
+    if p.shape[0] != 1:
+        raise ValueError(f"{name} must be one point, got shape {p.shape}")
+    if p.shape[1] != d:
+        raise ValueError(f"{name} has dimension {p.shape[1]}, expected {d}")
+    return p
 
 
 def _index_array(idx, size: int, name: str) -> np.ndarray:
@@ -420,12 +431,18 @@ class KernelOperator:
 
         The one place the family formulas live.  They overwrite ``pp``, the
         inner products <x_i, z_j>, and return it; ``x_sq``/``z_sq`` are the
-        squared row norms, which rbf and sne read (:func:`_sq_dists`).
+        squared row norms, which rbf and sne read (:func:`_sq_dists`).  A
+        poly value that overflows is a :class:`NumericalError`, for a block
+        and a kernel vector alike.
         """
         fam = self.spec.family
         if fam == "poly":
-            pp += self.spec.offset
-            pp **= self.spec.degree
+            with np.errstate(over="ignore"):   # an overflow is the error below
+                pp += self.spec.offset
+                pp **= self.spec.degree
+            if not np.isfinite(pp).all():
+                raise NumericalError("poly kernel values are not finite: "
+                                     "(x'z + offset)^degree overflowed")
         elif fam in ("rbf", "sne"):
             _sq_dists(pp, x_sq, z_sq)
             pp /= -self.spec.gamma ** 2
@@ -495,12 +512,7 @@ class KernelOperator:
         """kappa between one new point and every row of ``other``, the
         training side the point is not on, before sne normalization and
         scaling; ``name`` labels the point in error text."""
-        v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-        if v.shape[1] != other.rows.shape[1]:
-            raise ValueError(f"{name} has dimension {v.shape[1]}, expected {other.rows.shape[1]}")
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} contains non-finite values")
-        point = _Side(v)
+        point = _Side(as_point(v, other.rows.shape[1], name))
         pp = np.empty((1, other.sq.size))
         _fill(pp, point.rows, other.layout)
         # entrywise formulas: either argument order gives the same bits
@@ -607,5 +619,5 @@ def kernel_vector(spec: KernelSpec, x_new, Z) -> np.ndarray:
     """Raw kernel vector [kappa(x_new, z_j)]_j: :meth:`KernelOperator.x_row`
     of an unscaled operator on Z.  To center it, pass it to
     :func:`center_vector` with the statistics of a centered unscaled Gram."""
-    x = np.asarray(x_new, dtype=np.float64).reshape(1, -1)
-    return KernelOperator(x, Z, spec, scaled=False).x_row(x[0])
+    x = as_point(x_new, as_matrix(Z, "Z").shape[1], "x_new")
+    return KernelOperator(x, Z, spec, scaled=False).x_row(x)

@@ -13,6 +13,7 @@ vectors against the training samples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import solvers
 from .compat import CompatStrategy, compat_sets
-from .kernels import GramMatrix, KernelOperator, KernelSpec, center, center_vector
+from .kernels import GramMatrix, KernelOperator, KernelSpec, as_point, center, center_vector
 
 SIDES = ("left", "right", "concat")
 
@@ -124,15 +125,10 @@ def residuals(model: KsvdModel):
 
 
 def _maybe_transform(v, model, side):
-    """A new point on the projected side, as a point of A's row or column
-    space, multiplied by the stored C; any other point as it is."""
+    """A point on the side compat projected, in A's row or column space, times C; else ``v``."""
     if model.compat is None or model.compat_side != side:
         return v
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != model.compat.shape[0]:
-        raise ValueError(f"{side}_new has dimension {v.shape[0]}, "
-                         f"expected {model.compat.shape[0]}")
-    return v @ model.compat
+    return as_point(v, model.compat.shape[0], f"{side}_new")[0] @ model.compat
 
 
 def project_x(model: KsvdModel, x_new) -> np.ndarray:
@@ -143,21 +139,19 @@ def project_x(model: KsvdModel, x_new) -> np.ndarray:
     sqrt(n) * lambda_l * b_phi[i, l] coordinate-wise for an exact solver,
     but not for a Nystrom model, whose factors are not singular vectors.
     """
-    x = _maybe_transform(x_new, model, "x")
-    k = model.operator.x_row(x)
+    k = model.operator.x_row(_maybe_transform(x_new, model, "x"))
     if model.centered:
         k = center_vector(k, model.gram.row_means, model.gram.grand_mean)
-    return np.sqrt(model.operator.shape[0]) * (model.b_psi.T @ k)
+    return math.sqrt(model.operator.shape[0]) * (model.b_psi.T @ k)
 
 
 def project_z(model: KsvdModel, z_new) -> np.ndarray:
     """Mirror of project_x: sqrt(m) * B_phi' g with g the kernel vector
     of z_new against the training X (with the same training-point identity)."""
-    z = _maybe_transform(z_new, model, "z")
-    k = model.operator.z_col(z)
+    k = model.operator.z_col(_maybe_transform(z_new, model, "z"))
     if model.centered:
         k = center_vector(k, model.gram.col_means, model.gram.grand_mean)
-    return np.sqrt(model.operator.shape[1]) * (model.b_phi.T @ k)
+    return math.sqrt(model.operator.shape[1]) * (model.b_phi.T @ k)
 
 
 def embeddings(model: KsvdModel, side: str = "left") -> np.ndarray:

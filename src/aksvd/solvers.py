@@ -16,8 +16,11 @@ The asymmetric Nystrom method approximates the top singular triplets of an
 N x M matrix from an n x m submatrix: it takes the SVD of the submatrix
 and extends the singular vectors to all rows/columns through the sampled
 column and row blocks, touching only O(N*m + n*M) entries of the matrix.
-The symmetric Nystrom method is its special case on a symmetric submatrix;
-all Nystrom methods share one extension step, :func:`_nystrom_extend`.
+The symmetric Nystrom method is its special case on a symmetric submatrix.
+The asymmetric method extends through :func:`_nystrom_extend`, the
+symmetric ones through :func:`_sym_nystrom_extend`.  Every Nystrom method
+draws its sample through :func:`_sample_indices`, so a sample larger than
+the side it is drawn from is a ValueError, never capped.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ _RANK_RTOL = 1e-12
 
 class MatrixOperator:
     """Wrap a dense matrix behind the lazy-operator interface, counting
-    how many entries are read through block access."""
+    how many entries are read through block access.  A product that is not
+    finite, as from an infinite entry, is a :class:`NumericalError`."""
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
@@ -67,10 +71,12 @@ class MatrixOperator:
         return self.values
 
     def matmat(self, W):
-        return self.values @ W
+        with np.errstate(over="ignore", invalid="ignore"):   # _finite raises instead
+            return _finite(self.values @ W)
 
     def rmatmat(self, W):
-        return self.values.T @ W
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(self.values.T @ W)
 
 
 def as_operator(G):
@@ -240,19 +246,21 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     the subspace is exhausted (the factors are then exact) or max_iter steps
     were taken; on non-convergence the best iterate is returned with
     ``converged=False``.  A NaN or negative ``tol``, which no residual can
-    meet, is a ValueError.
+    meet, and a ``max_iter`` below 1 are ValueErrors.
     """
     op = as_operator(G)
     N, M = op.shape
     _check_rank(r, op.shape)
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if max_iter is not None and not max_iter >= 1:
+        raise ValueError(f"max_iter must be None or >= 1, got {max_iter}")
     # iterate on G' when G is wide, so that the right Krylov space lies on
     # the smaller side and can span it entirely (exact at exhaustion)
     fwd, back, wide = op.matmat, op.rmatmat, M > N
     if wide:
         fwd, back, N, M = back, fwd, M, N
-    kmax = M if max_iter is None else max(min(max_iter, M), 1)
+    kmax = M if max_iter is None else min(max_iter, M)
 
     rng = np.random.default_rng(0x5EED)  # fixed start; contract carries no seed
     U = np.empty((N, kmax), order="F")
@@ -468,8 +476,8 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     A = as_operator(G).materialize()
     N, M = A.shape
     _check_rank(r, A.shape)
-    rows = _sample_indices(np.random.default_rng(seed), N, min(n_sub, N))
-    cols = _sample_indices(np.random.default_rng(seed + 1), M, min(n_sub, M))
+    rows = _sample_indices(np.random.default_rng(seed), N, n_sub)
+    cols = _sample_indices(np.random.default_rng(seed + 1), M, n_sub)
     u, lam = _sym_nystrom_extend(A @ A[rows].T, rows, r)
     v, _ = _sym_nystrom_extend(A.T @ A[:, cols], cols, r)
     v[:, np.sum(u * (A @ v), axis=0) < 0] *= -1.0

@@ -485,7 +485,7 @@ def test_infinite_gamma_is_a_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, code, message", [
-    (["--degree", "2000"], 3, "numerical failure: matrix to decompose holds non-finite entries"),
+    (["--degree", "2000"], 3, "numerical failure: poly kernel values are not finite"),
     (["--offset", "inf"], 2, "data error: poly kernel requires a finite offset, got inf"),
     (["--offset", "nan"], 2, "data error: poly kernel requires a finite offset, got nan"),
 ], ids=["overflow", "inf-offset", "nan-offset"])
@@ -694,6 +694,20 @@ def test_unset_nystrom_subsamples_are_echoed(tmp_path, capsys, solver, rank, nsu
     assert code == 0
     assert (cfg["nsub"], cfg["msub"]) == (nsub, msub)
 
+
+def test_unset_symnys_subsample_fits_the_column_count(tmp_path, capsys):
+    # symnys draws its one count from rows and columns alike, and a quarter
+    # of 60 rows is more than the 12 columns: the default is 12, not a
+    # count that the solver would refuse
+    inp = tmp_path / "a.csv"
+    save_matrix_csv(inp, np.random.default_rng(0).standard_normal((60, 12)))
+    code, cfg = run_cli(capsys, ["embed", "--input", str(inp), "--compat", "a1",
+                                 "--solver", "symnys", "--rank", "2",
+                                 "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert cfg["nsub"] == 12
+
+
 @pytest.mark.parametrize("flags", [
     ["--m-schedule", "5,x"],
     ["--m-schedule", "0,10"],
@@ -758,6 +772,8 @@ def test_kernel_names_come_from_kernels():
 @pytest.mark.parametrize("argv, message", [
     (["bench", "--rank", "-1", "--solvers", "asymnys"], "rank -1 out of range"),
     (["embed", "--solver", "rsvd", "--rank", "3", "--oversample", "-1"], "nonnegative"),
+    # one count samples both sides: never capped by the side it exceeds
+    (["embed", "--solver", "symnys", "--nsub", "100"], "subsample size 100 out of range [1, 10]"),
 ])
 def test_out_of_range_solver_settings_are_data_errors(tmp_path, capsys, argv, message):
     inp = tmp_path / "a.csv"

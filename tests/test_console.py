@@ -170,8 +170,14 @@ def _cases():
     poly = ["embed", "--input", "eye2.csv", "--kernel", "poly", "--rank", "1"]
     yield Case("poly-infinite-offset", poly + ["--offset", "inf", "--out", "inf_run"], 2,
                inputs=("eye2.csv",), writes_none=("inf_run",))
+    # an overflowing kernel is one typed error, with no numpy warning before it
+    overflow = ("numerical failure: poly kernel values are not finite: "
+                "(x'z + offset)^degree overflowed")
     yield Case("poly-overflow", poly + ["--degree", "2000", "--out", "deg_run"], 3,
-               inputs=("eye2.csv",), writes_none=("deg_run",))
+               inputs=("eye2.csv",), writes_none=("deg_run",), stderr=(overflow,),
+               stderr_lines=1)
+    yield Case("poly-offset-overflow", poly + ["--offset", "1e200", "--degree", "3", "--out", "r"],
+               3, inputs=("eye2.csv",), writes_none=("r",), stderr=(overflow,), stderr_lines=1)
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",

@@ -360,6 +360,12 @@ def test_reconstruct_tie_prefers_lower_index():
 def test_reconstruct_degree_bound():
     with pytest.raises(ValueError):
         graph_reconstruct(np.zeros((3, 1)), np.zeros((3, 1)), [3, 0, 0])
+    # a fraction is no degree, never truncated; an integral real is one
+    with pytest.raises(ValueError, match="out-degrees must be integers in"):
+        graph_reconstruct(np.zeros((3, 1)), np.zeros((3, 1)), [1.9, 0, 0])
+    emb = np.arange(3.0)[:, None]
+    assert np.array_equal(graph_reconstruct(emb, emb, [2.0, 1.0, 0.0]),
+                          graph_reconstruct(emb, emb, [2, 1, 0]))
 
 
 def test_recon_error_cases():
@@ -436,6 +442,10 @@ def test_kmeans_deterministic():
 def test_kmeans_validates():
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 4)
+    # counts below 1 are refused, never clamped
+    for counts in ({"max_iter": 0}, {"restarts": 0}):
+        with pytest.raises(ValueError, match="need max_iter >= 1 and restarts >= 1"):
+            kmeans(np.eye(3), 2, **counts)
 
 
 def test_kmeans_duplicate_points_empty_cluster_repair():

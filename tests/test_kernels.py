@@ -283,6 +283,10 @@ def test_kernel_vector_matches_gram_row():
     for i in range(6):
         k = kernel_vector(spec, X[i], Z)
         assert np.array_equal(k, G.values[i])
+    with pytest.raises(ValueError, match=r"x_new must be one point, got shape \(2, 3\)"):
+        kernel_vector(spec, X[:2], Z)
+    with pytest.raises(ValueError, match="x_new has dimension 2, expected 3"):
+        kernel_vector(spec, X[0, :2], Z)
 
 
 def test_kernel_vector_centered_constant_gram():

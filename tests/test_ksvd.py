@@ -6,6 +6,7 @@ import pytest
 from aksvd import solvers
 from aksvd.ksvd import embeddings, fit, fit_matrix, project_x, project_z, residuals
 from aksvd.compat import PcaProjection
+from aksvd.errors import NumericalError
 from aksvd.kernels import KernelOperator, KernelSpec, center, gram
 from aksvd.solvers import AsymNystrom, Dense, Randomized, Truncated, dense_svd, eta_metric
 
@@ -200,6 +201,22 @@ def test_project_dimension_mismatch():
     m = fit(np.eye(3), np.eye(3), KernelSpec.linear(), rank=2)
     with pytest.raises(ValueError):
         project_x(m, np.ones(5))
+    # one point is a (d,) or a (1, d) array; no other shape of d entries is
+    # flattened into one
+    m = fit(np.eye(4), np.eye(4), KernelSpec.linear(), rank=2)
+    for project, name in ((project_x, "x_new"), (project_z, "z_new")):
+        assert np.array_equal(project(m, np.ones((1, 4))), project(m, np.ones(4)))
+        for shape in ((2, 2), (4, 1), (1, 1, 4)):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                project(m, np.ones(shape))
+
+
+@pytest.mark.parametrize("project", [project_x, project_z])
+def test_an_overflowing_poly_point_is_a_numerical_error(project):
+    # (x'z + 1)^3 at a point of norm 1e120 overflows
+    m = fit(np.eye(2), np.eye(2), KernelSpec.poly(3), rank=1)
+    with pytest.raises(NumericalError, match="poly kernel values are not finite"):
+        project(m, np.array([1e120, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -358,6 +375,8 @@ def test_compat_side_points_must_be_pre_projection():
     assert np.array_equal(project_z(m, z), project_z(m, z.reshape(1, -1)))
     with pytest.raises(ValueError, match="z_new has dimension 5, expected 9"):
         project_z(m, z @ m.compat)   # already projected
+    with pytest.raises(ValueError, match=r"z_new must be one point, got shape \(3, 3\)"):
+        project_z(m, z.reshape(3, 3))
     with pytest.raises(ValueError, match="x_new has dimension 9, expected 5"):
         project_x(m, z)              # x side is not projected
 

@@ -98,6 +98,9 @@ def test_tsvd_nonconvergence_returns_best_iterate():
     res = truncated_svd(A, r=5, tol=1e-14, max_iter=6)
     assert not res.converged
     assert res.u.shape[1] >= 1
+    # a budget of no step is refused, not run as one step
+    with pytest.raises(ValueError, match="max_iter must be None or >= 1, got 0"):
+        truncated_svd(A, r=5, max_iter=0)
 
 
 @pytest.mark.parametrize("tol", [np.nan, -1e-10])
@@ -437,6 +440,8 @@ def test_nystrom_rejects_a_subsample_count_outside_its_side(count):
         asym_nystrom(MatrixOperator(A), 3, count, 1)
     with pytest.raises(ValueError, match=f"subsample size {count} out of range"):
         sym_nystrom_eig(A @ A.T, count, 1)
+    with pytest.raises(ValueError, match=f"subsample size {count} out of range"):
+        sym_nystrom_svd(A, count, 1)
 
 
 def test_sym_nystrom_eig_rejects_a_non_square_operator():
@@ -534,7 +539,8 @@ def test_an_overflowing_kernel_is_a_numerical_error(choice):
 ], ids=["dense", "tsvd", "rsvd", "asym-sampled", "asym-extended"])
 def test_one_infinite_entry_is_a_numerical_error(solve):
     # LAPACK's SVD of this matrix once looped forever; a Nystrom fit fails
-    # when the entry is in its sample or in the columns it extends by
+    # when the entry is in its sample or in the columns it extends by, and
+    # an iterative solver at its first product, with no numpy warning
     A = np.ones((5, 5))
     A[0, 0] = np.inf
     with pytest.raises(NumericalError, match="not finite|non-finite"):
@@ -682,7 +688,12 @@ def test_eta_normalized_variant():
 def test_sym_nystrom_svd_full_sampling():
     rng = np.random.default_rng(20)
     A = random_matrix(rng, 16, 13, decay=0.6)
-    res = sym_nystrom_svd(A, n_sub=16, r=3, seed=0)
+    # one count samples both sides: above the smaller side it is refused,
+    # not capped, so only a square matrix can be sampled in full
+    with pytest.raises(ValueError, match=r"subsample size 16 out of range \[1, 13\]"):
+        sym_nystrom_svd(A, n_sub=16, r=3, seed=0)
+    A = A[:13]
+    res = sym_nystrom_svd(A, n_sub=13, r=3, seed=0)
     assert eta_vs_dense(A, res, 3) <= 1e-8
     # sign pairing: u' G v > 0 makes reconstruction positive
     for s in range(3):
