@@ -189,17 +189,13 @@ def _resolve_kernel(cfg, A) -> KernelSpec:
 
 
 def _resolve_solver(cfg, shape) -> solvers.SolverChoice:
-    if not cfg["tol"] >= 0:   # echoed whatever the solver, as --offset is
+    if not 0 <= cfg["tol"] < np.inf:   # echoed whatever the solver, as --offset is
         raise DataError(f"tol must be a number >= 0, got {cfg['tol']}")
-    name = cfg["solver"]
-    knobs = solvers.SOLVERS[name].knobs
-    n, m = shape
-    # unset counts: a quarter of each side, echoed; symnys's one count at most m, as in bench
-    if "n_sub" in knobs and cfg["nsub"] is None:
-        cfg["nsub"] = max(cfg["rank"], n // 4 if "m_sub" in knobs else min(n // 4, m))
-    if "m_sub" in knobs and cfg["msub"] is None:
-        cfg["msub"] = max(cfg["rank"], m // 4)
-    return solvers.make_choice(name, tol=cfg["tol"], oversample=cfg["oversample"],
+    knobs = solvers.SOLVERS[cfg["solver"]].knobs
+    quarters = solvers._sample_counts(knobs, (shape[0] // 4, shape[1] // 4), shape)
+    for key, count in zip(("nsub", "msub"), quarters):   # an unset count, at least r, is echoed
+        cfg[key] = max(cfg["rank"], count) if cfg[key] is None else cfg[key]
+    return solvers.make_choice(cfg["solver"], tol=cfg["tol"], oversample=cfg["oversample"],
                                power=cfg["power"], seed=cfg["seed"],
                                n_sub=cfg["nsub"], m_sub=cfg["msub"])
 
@@ -322,27 +318,20 @@ def cmd_bicluster(cfg) -> int:
 
 
 def _bench_plan(cfg):
-    """The --solvers names and --m-schedule sizes; bad ones, a name given
-    twice and an --eps that no trial can meet are usage errors."""
-    if not cfg["eps"] >= 0:
-        raise UsageError(f"--eps must be a number >= 0, got {cfg['eps']}")
+    """The --solvers names and --m-schedule sizes from their comma lists; no name, a
+    non-integer size and a plan that ``solvers._check_plan`` refuses are usage errors."""
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
     if not names:
         raise UsageError(f"--solvers names no solver: {cfg['solvers']!r}")
-    unknown = [name for name in names if name not in solvers.SOLVERS]
-    if unknown:
-        raise UsageError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}; "
-                         f"expected names from {', '.join(solvers.SOLVERS)}")
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise UsageError(f"--solvers names {', '.join(map(repr, repeated))} more than once")
     try:
         schedule = [int(t) for t in cfg["m_schedule"].split(",") if t]
-        if min(schedule, default=1) < 1:
-            raise ValueError
     except ValueError:
-        raise UsageError(f"--m-schedule must be comma-separated positive integers, "
+        raise UsageError(f"--m-schedule must be comma-separated integers, "
                          f"got {cfg['m_schedule']!r}") from None
+    try:
+        solvers._check_plan(names, cfg["eps"], schedule, None, cfg["power"], cfg["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return names, schedule
 
 

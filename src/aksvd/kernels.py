@@ -24,8 +24,9 @@ blocking, micro-kernel and edge handling), not only on the two vectors:
 ``x @ z.T`` on a sub-block can differ in the last bit from the same entry
 of the full product.  With one call shape every entry is computed by the
 same sequence of operations wherever it sits.  The batched call writes a
-padded scratch of whole tiles and panels, and one copy takes the block's
-corner out of it, so partial tiles and panels take no call of their own.
+padded scratch of whole tiles and panels, whose corner holds the block: a
+copy takes it out into a block's result, and a kernel vector is a view
+of it.  Partial tiles and panels take no call of their own.
 A one-row block or a new point needs only one row of each product, so its
 tiles are 2 x d: the point fills row 0 of a zero-padded tile that
 multiplies the other side's panels.  The gemm micro-kernel computes each
@@ -104,6 +105,10 @@ _BLOCK_BUDGET = 2 ** 15
 
 # feature dimension d -> result of the tile self-check in this process
 _TILE_EXACT: dict = {}
+
+# squared norms up to this bound keep x_sq + z_sq - 2 <x, z>, and every
+# partial sum of it, finite
+_SQ_MAX = np.finfo(np.float64).max / 4
 
 
 @dataclass(frozen=True)
@@ -272,28 +277,33 @@ def _tile_gemm(xt: np.ndarray, zt: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(xt[:, None], zt[None], out=out)
 
 
-def _fill(dest: np.ndarray, x: np.ndarray, side: np.ndarray) -> None:
-    """Write <x_i, z_j> into ``dest``, the one routine every inner product
-    takes: ``x`` holds the rows of ``dest``, and ``side`` its columns in
-    the layout of a :class:`_Side`.
+def _fill(x: np.ndarray, side: np.ndarray, m: int, out=None) -> np.ndarray:
+    """<x_i, z_j> for the k rows of ``x`` and the m columns that ``side``
+    holds in the layout of a :class:`_Side`, the one routine every inner
+    product takes: written into ``out`` when given, else returned as a
+    k x m array of its own, for panels a view of the gemm's scratch.
 
     Raw rows (the fallback) go to :func:`_pair_products`.  Panels have the
     width w = ``side.shape[2]``, and the rows are cut into tiles of height
-    h: _TILE, or _VEC_ROWS for a one-row ``dest`` (a kernel vector), whose
-    point then fills row 0 of a zero-padded tile.  One :func:`_tile_gemm`
-    multiplies every row tile by every panel into a padded scratch, seen as
-    (row tiles, h, panels, w), and its k x m corner is copied to ``dest``.
+    h: _TILE, or _VEC_ROWS for one row (a kernel vector), whose point then
+    fills row 0 of a zero-padded tile.  One :func:`_tile_gemm` multiplies
+    every row tile by every panel into a padded scratch, seen as (row
+    tiles, h, panels, w), whose k x m corner holds the products.
     """
-    k, m = dest.shape
     if side.ndim == 2:
-        dest[...] = _pair_products(x, side)
-        return
-    h = _VEC_ROWS if k == 1 else _TILE
-    xt = _x_tiles(x, h)
-    p, q, w = len(xt), len(side), side.shape[2]
-    scratch = np.empty((p, h, q, w))
-    _tile_gemm(xt, side, out=scratch.transpose(0, 2, 1, 3))
-    dest[...] = scratch.reshape(p * h, q * w)[:k, :m]
+        pp = _pair_products(x, side)
+    else:
+        k = len(x)
+        h = _VEC_ROWS if k == 1 else _TILE
+        xt = _x_tiles(x, h)
+        p, q, w = len(xt), len(side), side.shape[2]
+        scratch = np.empty((p, h, q, w))
+        _tile_gemm(xt, side, out=scratch.transpose(0, 2, 1, 3))
+        pp = scratch.reshape(p * h, q * w)[:k, :m]
+    if out is None:
+        return pp
+    out[...] = pp
+    return out
 
 
 def _tiles_exact(d: int) -> bool:
@@ -319,9 +329,7 @@ def _tiles_exact(d: int) -> bool:
             X = np.tile(rng.standard_normal(d), (2 * w + 3, 1))
             Z = np.tile(rng.standard_normal(d), (2 * w + 5, 1))
             z_side = _z_tiles(Z)
-            row, col = np.empty((1, len(Z))), np.empty((1, len(X)))
-            _fill(row, X[:1], z_side)
-            _fill(col, Z[:1], _z_tiles(X))
+            row, col = _fill(X[:1], z_side, len(Z)), _fill(Z[:1], _z_tiles(X), len(X))
             ok &= bool((row == row[0, 0]).all() and (col == row[0, 0]).all())
             for _, pp in _fill_chunks(np.arange(len(X)), X, z_side, len(Z)):
                 ok &= bool((pp == row[0, 0]).all())
@@ -333,14 +341,12 @@ def _fill_chunks(rows, x: np.ndarray, layout: np.ndarray, m: int, out=None):
     """<x_i, z_j> over the ``rows`` of ``x`` and the m columns in
     ``layout``, filled by :func:`_fill` and yielded with its rows one chunk
     of :func:`_chunk_rows` over the padded columns at a time, in a slice of
-    ``out`` when given and else a new array.  The one walk of a block,
-    which the self-check :func:`_tiles_exact` replays."""
+    ``out`` when given and else an array of its own.  The one walk of a
+    block, which the self-check :func:`_tiles_exact` replays."""
     step = _chunk_rows(m if layout.ndim == 2 else layout.shape[0] * layout.shape[2])
     for s in range(0, rows.size, step):
         r = rows[s : s + step]
-        pp = np.empty((r.size, m)) if out is None else out[s : s + step]
-        _fill(pp, x[r], layout)
-        yield r, pp
+        yield r, _fill(x[r], layout, m, None if out is None else out[s : s + step])
 
 
 def _sq_dists(pp: np.ndarray, x_sq: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
@@ -359,24 +365,46 @@ def _check_denominators(den) -> None:
         )
 
 
-class _Side:
-    """One sample set as a kernel argument: its ``rows``, their squared
-    norms ``sq``, computed here only, and ``layout``, the column side of
-    :func:`_fill` by the one layout rule, built on first use and kept: the
-    panels of the rows (:func:`_z_tiles`), which blocks and kernel vectors
-    share, or the raw rows when the self-check :func:`_tiles_exact` fails."""
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The squared norms of ``rows``, computed here only.  One above
+    ``_SQ_MAX``, which could overflow a distance, is a
+    :class:`NumericalError`, with no numpy warning.  One BLAS dot decides
+    first whether any norm could: the sum of all the squares bounds every
+    norm, and a dot that overflows returns inf without the warning an
+    elementwise square gives, so rows whose squares sum to at most
+    ``_SQ_MAX`` take no ``np.errstate``."""
+    if np.vdot(rows, rows) <= _SQ_MAX:
+        return (rows * rows).sum(axis=1)
+    with np.errstate(over="ignore"):   # an overflow is the error below
+        sq = (rows * rows).sum(axis=1)
+    if sq.max() > _SQ_MAX:   # rows with no row have a dot of 0
+        raise NumericalError("squared row norms are too large for a kernel distance: "
+                             f"{sq.max():.3g} > {_SQ_MAX:.3g}")
+    return sq
 
-    def __init__(self, rows: np.ndarray, sq: Optional[np.ndarray] = None):
+
+class _Side:
+    """One sample set as a kernel argument: its ``rows``, and two values
+    built on first use and kept: ``sq``, their squared norms by
+    :func:`_norms`, and ``layout``, the column side of :func:`_fill` by the
+    one layout rule: the panels of the rows (:func:`_z_tiles`), which blocks
+    and kernel vectors share, or the raw rows when the self-check
+    :func:`_tiles_exact` fails."""
+
+    def __init__(self, rows: np.ndarray):
         self.rows = rows
-        self.sq = (rows * rows).sum(axis=1) if sq is None else sq
+
+    @functools.cached_property
+    def sq(self) -> np.ndarray:
+        return _norms(self.rows)
 
     @functools.cached_property
     def layout(self) -> np.ndarray:
         return _z_tiles(self.rows) if _tiles_exact(self.rows.shape[1]) else self.rows
 
     def sub(self, idx) -> "_Side":
-        """The rows ``idx`` and their norms, with a layout of their own."""
-        return _Side(self.rows[idx], self.sq[idx])
+        """The rows ``idx``, with norms and a layout of their own."""
+        return _Side(self.rows[idx])
 
     def sq_dists(self, x: np.ndarray) -> np.ndarray:
         """||x_i - z_j||^2 from each row of ``x`` to each row here, exact at
@@ -407,6 +435,8 @@ class KernelOperator:
                              "(rows and columns of one matrix: use fit_matrix(..., compat=...))")
         self.spec = spec
         self._x, self._z = _Side(x), _Side(z)
+        if spec.family in ("rbf", "sne"):   # norms that could overflow fail before any product
+            self._x.sq, self._z.sq
         n, m = self.shape
         self.scale = 1.0 / np.sqrt(n * m) if scaled else 1.0
         self._eval_count = 0
@@ -418,7 +448,7 @@ class KernelOperator:
 
     @property
     def shape(self):
-        return (self._x.sq.size, self._z.sq.size)
+        return (len(self._x.rows), len(self._z.rows))
 
     @property
     def eval_count(self) -> int:
@@ -426,14 +456,15 @@ class KernelOperator:
 
     # -- evaluation ---------------------------------------------------
 
-    def _kernel(self, pp, x_sq, z_sq) -> np.ndarray:
-        """kappa(x_i, z_j) for all pairs, before sne normalization and scaling.
+    def _kernel(self, pp, x: _Side, z: _Side, rows=slice(None)) -> np.ndarray:
+        """kappa(x_i, z_j) over the ``rows`` of side ``x`` and every row of
+        side ``z``, before sne normalization and scaling.
 
         The one place the family formulas live.  They overwrite ``pp``, the
-        inner products <x_i, z_j>, and return it; ``x_sq``/``z_sq`` are the
-        squared row norms, which rbf and sne read (:func:`_sq_dists`).  A
-        poly value that overflows is a :class:`NumericalError`, for a block
-        and a kernel vector alike.
+        inner products <x_i, z_j>, and return it.  Only rbf and sne read the
+        sides' squared norms (:func:`_sq_dists`).  A poly value that
+        overflows is a :class:`NumericalError`, for a block and a kernel
+        vector alike.
         """
         fam = self.spec.family
         if fam == "poly":
@@ -444,7 +475,7 @@ class KernelOperator:
                 raise NumericalError("poly kernel values are not finite: "
                                      "(x'z + offset)^degree overflowed")
         elif fam in ("rbf", "sne"):
-            _sq_dists(pp, x_sq, z_sq)
+            _sq_dists(pp, x.sq[rows], z.sq)
             pp /= -self.spec.gamma ** 2
             np.exp(pp, out=pp)
         return pp
@@ -455,8 +486,8 @@ class KernelOperator:
         normalization and scaling, yielded with its rows chunk by chunk along
         :func:`_fill_chunks`, while still in cache."""
         x, z = self._x, self._z if cols is None else self._z.sub(cols)
-        for r, pp in _fill_chunks(rows, x.rows, z.layout, z.sq.size, out):
-            yield r, self._kernel(pp, x.sq[r], z.sq)
+        for r, pp in _fill_chunks(rows, x.rows, z.layout, len(z.rows), out):
+            yield r, self._kernel(pp, x, z, r)
 
     def block(self, rows, cols) -> np.ndarray:
         """Evaluate the sub-block G[rows][:, cols].
@@ -513,10 +544,11 @@ class KernelOperator:
         training side the point is not on, before sne normalization and
         scaling; ``name`` labels the point in error text."""
         point = _Side(as_point(v, other.rows.shape[1], name))
-        pp = np.empty((1, other.sq.size))
-        _fill(pp, point.rows, other.layout)
+        if self.spec.family in ("rbf", "sne"):   # set before the product, as in __init__
+            point.sq = _norms(point.rows)
+        pp = _fill(point.rows, other.layout, len(other.rows))
         # entrywise formulas: either argument order gives the same bits
-        return self._kernel(pp, point.sq, other.sq)[0]
+        return self._kernel(pp, point, other)[0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.

@@ -26,6 +26,7 @@ the side it is drawn from is a ValueError, never capped.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -555,6 +556,32 @@ class BenchReport:
 _BENCH_TSVD_TOL = 1e-12
 
 
+def _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed) -> None:
+    """The shape-free rules of a :func:`bench` plan: a ValueError names the first broken."""
+    if not epsilon >= 0:
+        raise ValueError(f"bench epsilon must be >= 0, got {epsilon}")
+    unknown = [name for name in solvers if name not in SOLVERS]
+    if unknown:
+        raise ValueError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}; "
+                         f"expected names from {', '.join(SOLVERS)}")
+    repeated = sorted({name for name in solvers if solvers.count(name) > 1})
+    if repeated:
+        raise ValueError(f"bench solver(s) named more than once: {', '.join(map(repr, repeated))}")
+    for what, values, low in (("m_schedule entry", m_schedule, 1),
+                              ("oversample_schedule entry", oversample_schedule or (), 0),
+                              ("power", (power,), 0), ("seed", (seed,), 0)):
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"bench {what} must be an integer >= {low}, got {v!r}")
+
+
+def _sample_counts(knobs, counts, shape) -> tuple:
+    """The Nystrom ``counts`` among the registry ``knobs``, each capped by what
+    it samples: n_sub by N, m_sub by M, a lone n_sub (both sides) by min(N, M)."""
+    cap = {"n_sub": shape[0] if "m_sub" in knobs else min(shape), "m_sub": shape[1]}
+    return tuple(min(k, cap[f]) for f, k in zip(knobs, counts) if f in cap)
+
+
 def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLVERS,
           m_schedule: Sequence[int] = (), seed: int = 0,
           reference=None, oversample_schedule: Optional[Sequence[int]] = None,
@@ -564,47 +591,38 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     The knobs are the registry's (:data:`SOLVERS`): the oversampling count
     of randomized SVD steps through ``oversample_schedule`` in its order;
     the Nystrom subsample counts step through ``m_schedule``, each capped
-    by the side it samples, deduplicated and ordered by the number of
+    by :func:`_sample_counts`, deduplicated and ordered by the number of
     sampled entries (an empty one means max(r, k // 8), k // 4, k // 2 and
     k for k = min(N, M), those below 1 left out); a solver without a knob
     runs once.  Trial t of a solver uses seed ``seed + 1000 * t``.  Each
     trial records wall-clock seconds and the literal eta against the
     rank-r reference SVD (computed densely unless ``reference`` is
     supplied).  A schedule exhausted without reaching epsilon is recorded
-    as failure.  A NaN or negative ``epsilon``, which no trial can meet,
-    and a solver named twice, whose summary would keep only its second
-    run, are ValueErrors.
+    as failure.  A bad plan is a ValueError raised before the reference
+    SVD: unregistered or repeated names (the summary keeps one run per
+    name), a NaN or negative ``epsilon``, an ``m_schedule`` count that is
+    not an integer >= 1, an oversample, ``power`` or ``seed`` that is not
+    an integer >= 0, r outside [1, min(N, M)], or r + p > min(N, M).
     """
-    if not epsilon >= 0:
-        raise ValueError(f"bench epsilon must be >= 0, got {epsilon}")
-    unknown = [name for name in solvers if name not in SOLVERS]
-    if unknown:
-        raise ValueError(f"unknown bench solver(s) {', '.join(map(repr, unknown))}")
-    repeated = sorted({name for name in solvers if solvers.count(name) > 1})
-    if repeated:
-        raise ValueError(f"bench solver(s) named more than once: "
-                         f"{', '.join(map(repr, repeated))}")
+    _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed)
     op = as_operator(G)
-    N, M = op.shape
+    k = min(op.shape)
+    _check_rank(r, op.shape)
+    for p in oversample_schedule or ():
+        if r + p > k:
+            raise ValueError(f"rank {r} + oversample {p} exceeds min(N, M) = {k}")
     if reference is None:
         ref = dense_svd(op.materialize(), r)
-        u_ref, lam_ref, v_ref = ref.u, ref.lambdas, ref.v
-    else:
-        u_ref, lam_ref, v_ref = reference
+        reference = ref.u, ref.lambdas, ref.v
+    u_ref, lam_ref, v_ref = reference
     if lam_ref.shape[0] < r:
         raise NumericalError(f"reference rank {lam_ref.shape[0]} < requested {r}")
 
     if not m_schedule:
-        k = min(N, M)
         m_schedule = [s for s in (max(r, k // 8), k // 4, k // 2, k) if s >= 1]
-    if oversample_schedule is None:
-        oversample_schedule = []
-        p = 5
-        while r + p <= min(N, M):
-            oversample_schedule.append(p)
-            p *= 2
-        if not oversample_schedule:
-            oversample_schedule = [min(N, M) - r]
+    if oversample_schedule is None:   # 5, 10, 20, ... while r + p <= k, else k - r
+        oversample_schedule = [p for p in (5 * 2 ** i for i in range(k.bit_length()))
+                               if r + p <= k] or [k - r]
 
     report = BenchReport()
     for name in solvers:
@@ -612,9 +630,7 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
         if knobs == ("oversample",):
             settings = [(p,) for p in oversample_schedule]
         else:
-            # a one-sided count samples both sides of a symmetric problem
-            cap = {"n_sub": N if "m_sub" in knobs else min(N, M), "m_sub": M}
-            settings = sorted({tuple(min(k, cap[f]) for f in knobs) for k in m_schedule},
+            settings = sorted({_sample_counts(knobs, (c, c), op.shape) for c in m_schedule},
                               key=math.prod)
         last = None
         for trial_no, setting in enumerate(settings):
@@ -625,19 +641,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
             try:
                 res = solve(op, r, choice)
                 seconds = time.perf_counter() - t0
-                if res.achieved_rank < r:
-                    eta = float("inf")
-                else:
-                    eta = eta_metric(u_ref, lam_ref, v_ref, res.u, res.v)
+                eta = (float("inf") if res.achieved_rank < r
+                       else eta_metric(u_ref, lam_ref, v_ref, res.u, res.v))
             except NumericalError:
-                seconds = time.perf_counter() - t0
-                eta = float("inf")
-            last = BenchTrial(
-                solver=name, n_sub=getattr(choice, "n_sub", None),
-                m_sub=getattr(choice, "m_sub", None),
-                oversample=getattr(choice, "oversample", None),
-                eta=eta, seconds=seconds, seed=trial_seed, success=eta <= epsilon,
-            )
+                seconds, eta = time.perf_counter() - t0, float("inf")
+            last = BenchTrial(solver=name, n_sub=getattr(choice, "n_sub", None),
+                              m_sub=getattr(choice, "m_sub", None),
+                              oversample=getattr(choice, "oversample", None), eta=eta,
+                              seconds=seconds, seed=trial_seed, success=eta <= epsilon)
             report.trials.append(last)
             if last.success:
                 break

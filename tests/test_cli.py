@@ -717,6 +717,9 @@ def test_unset_symnys_subsample_fits_the_column_count(tmp_path, capsys):
     ["--eps", "-1"],
     ["--solvers", ","],   # names no solver
     ["--solvers", "tsvd,tsvd"],   # the summary would keep only the second run
+    ["--power", "-1"],   # refused before the reference SVD, as every plan rule is
+    # a later --input replaces the first: the plan fails before any file is read
+    ["--input", "no-such-dir/g.csv", "--power", "-1"],
 ])
 def test_bad_bench_plan_is_usage_error(tmp_path, capsys, flags):
     inp = tmp_path / "g.csv"

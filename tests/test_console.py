@@ -97,6 +97,7 @@ INPUTS = {
     "zero.csv": _text("0,0,0,0,0,0\n" * 6),
     "rect.csv": _normal(0, (30, 40)),
     "e.csv": _text("1,0\n0,1\n"),
+    "big.csv": _text("1e200,0\n0,1\n"),
     "bom.json": _text('{"subcommand": "embed", "input": "e.csv", "out": "bom"}', "utf-8-sig"),
     "cfgdir": Path.mkdir,
     "list.json": _text('{"subcommand": ["embed"], "input": "x", "out": "y"}'),
@@ -178,6 +179,12 @@ def _cases():
                stderr_lines=1)
     yield Case("poly-offset-overflow", poly + ["--offset", "1e200", "--degree", "3", "--out", "r"],
                3, inputs=("eye2.csv",), writes_none=("r",), stderr=(overflow,), stderr_lines=1)
+    # a squared norm that overflows is one typed error too, before any kernel value
+    yield Case("rbf-norm-overflow",
+               ["embed", "--input", "big.csv", "--kernel", "rbf", "--gamma", "1", "--rank", "1",
+                "--out", "huge"], 3, inputs=("big.csv",), writes_none=("huge",), stderr_lines=1,
+               stderr=("numerical failure: squared row norms are too large for a kernel "
+                       "distance: inf > 4.49e+307",))
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",
@@ -234,6 +241,11 @@ def _cases():
                ["embed", "--input", "r20.csv", "--tol", "nan", "--out", "nantol"], 2,
                inputs=("r20.csv",), stderr_lines=1, writes_none=("nantol",),
                stderr=("data error: tol must be a number >= 0, got nan",))
+    # an infinite tol reads as no limit, but would echo as "Infinity", which is not JSON
+    yield Case("dense-inf-tol",
+               ["embed", "--input", "e.csv", "--rank", "1", "--tol", "inf", "--out", "inftol"], 2,
+               inputs=("e.csv",), stderr_lines=1, writes_none=("inftol",),
+               stderr=("data error: tol must be a number >= 0, got inf",))
     yield Case("linear-nan-offset",
                ["embed", "--input", "r20.csv", "--kernel", "linear", "--offset", "nan",
                 "--out", "nanoff"], 2, inputs=("r20.csv",), stderr_lines=1,

@@ -623,6 +623,63 @@ def test_self_check_probes_stay_small(monkeypatch, d):
     assert peak < 8e6
 
 
+# The kernel engine's per-d self-check on the BLAS the tests run on: a
+# False sends every product of that dimension to the ~60x slower broadcast
+# fallback, which stays correct, so no other test would notice.  The list
+# holds every perfbench workload's feature dimension: 16 (nystrom-rbf), 20
+# (compat-learn) and 400 (graph-sne).
+@pytest.mark.parametrize("d", [1, 15, 16, 17, 20, 100, 255, 256, 400, 2000])
+def test_tile_self_check_is_exact_on_this_blas(monkeypatch, d):
+    monkeypatch.setattr(kernels, "_TILE_EXACT", {})   # no verdict cached or planted before
+    assert kernels._tiles_exact(d)
+
+
+@pytest.mark.parametrize("family", ["rbf", "sne"])
+def test_a_norm_that_could_overflow_a_distance_fails_before_any_product(monkeypatch, family):
+    # squared norms overflow from entries of about 1.3e154; a training side,
+    # a new point or the rows of sq_dists with one is one NumericalError,
+    # raised with no numpy warning (pytest turns a RuntimeWarning into an
+    # error) and before any inner product is taken
+    spec, eye, big = family_spec(family, 2), np.eye(2), np.array([[1e200, 0.0], [0.0, 1.0]])
+    op = KernelOperator(eye, eye, spec)
+    op.x_row(eye[0])   # the training sides' norms and layouts are built
+    op.z_col(eye[0])
+
+    def no_fill(*args, **kwargs):
+        raise AssertionError("inner products taken")
+
+    monkeypatch.setattr(kernels, "_fill", no_fill)
+    for fails in (lambda: KernelOperator(big, eye, spec), lambda: KernelOperator(eye, big, spec),
+                  lambda: op.x_row(big[0]), lambda: op.z_col(big[0]),
+                  lambda: kernel_vector(spec, big[0], eye), lambda: kernel_vector(spec, eye[0], big),
+                  lambda: kernels._Side(big).sq_dists(eye)):
+        with pytest.raises(NumericalError, match="too large for a kernel distance"):
+            fails()
+    monkeypatch.undo()
+    if family == "rbf":   # a norm of 1e300 keeps every distance finite: its values are 0
+        assert not KernelOperator([[1e150, 0.0]], eye, spec).materialize().any()
+        assert not op.x_row([1e150, 0.0]).any()
+
+
+@pytest.mark.parametrize("family", ["linear", "poly"])
+def test_linear_and_poly_compute_no_norm(monkeypatch, family):
+    # only distances read squared norms; a block, a column subset and both
+    # kernel vectors under linear or poly never compute one
+    def no_norms(rows):
+        raise AssertionError("squared norms computed")
+
+    monkeypatch.setattr(kernels, "_norms", no_norms)
+    rng = np.random.default_rng(31)
+    X, Z = rng.standard_normal((20, 5)), rng.standard_normal((17, 5))
+    op = KernelOperator(X, Z, family_spec(family, 5))
+    assert op.shape == (20, 17)
+    op.materialize()
+    op.block([0, 3], [2, 5, 16])
+    op.x_row(X[0])
+    op.z_col(Z[0])
+    kernel_vector(family_spec(family, 5), X[1], Z)
+
+
 def test_a_narrow_block_stays_within_one_chunk():
     # one column of 4000 rows: chunks count the padded panel's 256 columns,
     # so the padded scratch stays one chunk, not 4000 x 256

@@ -219,6 +219,23 @@ def test_an_overflowing_poly_point_is_a_numerical_error(project):
         project(m, np.array([1e120, 0.0]))
 
 
+@pytest.mark.parametrize("project", [project_x, project_z])
+@pytest.mark.parametrize("family", ["linear", "rbf", "sne"])
+def test_a_huge_point_scores_or_fails_with_no_warning(project, family):
+    # the squared norm of [1e200, 0] overflows: linear reads no norm and
+    # scores the point, rbf and sne refuse it; neither warns (pytest turns
+    # a RuntimeWarning into an error)
+    spec = KernelSpec(family, gamma=None if family == "linear" else 1.0)
+    m = fit(np.eye(2), np.eye(2), spec, rank=1)
+    if family == "linear":
+        assert np.isfinite(project(m, np.array([1e200, 0.0]))).all()
+        return
+    with pytest.raises(NumericalError, match="too large for a kernel distance"):
+        project(m, np.array([1e200, 0.0]))
+    with pytest.raises(NumericalError, match="too large for a kernel distance"):
+        fit(np.array([[1e200, 0.0], [0.0, 1.0]]), np.eye(2), spec, rank=1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("spec", [KernelSpec.linear(), KernelSpec.poly(), KernelSpec.rbf(2.0),
                                   KernelSpec.sne(2.0)], ids=lambda s: s.family)

@@ -802,6 +802,31 @@ def test_bench_rejects_a_solver_named_twice():
         bench(G, 2, 0.1, solvers=("tsvd", "rsvd", "tsvd"))
 
 
+@pytest.mark.parametrize("plan, message", [
+    ({"m_schedule": [0]}, "m_schedule entry must be an integer >= 1, got 0"),
+    ({"m_schedule": [5, -3]}, "m_schedule entry must be an integer >= 1, got -3"),
+    ({"m_schedule": [2.5]}, "m_schedule entry must be an integer >= 1, got 2.5"),
+    ({"m_schedule": [True]}, "m_schedule entry must be an integer >= 1, got True"),
+    ({"oversample_schedule": [-2]}, "oversample_schedule entry must be an integer >= 0, got -2"),
+    ({"oversample_schedule": [5, 9]}, r"rank 2 \+ oversample 9 exceeds min\(N, M\) = 10"),
+    ({"power": -1}, "power must be an integer >= 0, got -1"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"epsilon": np.nan}, "epsilon must be >= 0"),
+    ({"solvers": ("tsvd", "lanczos")}, "unknown bench solver"),
+], ids=["m-zero", "m-negative", "m-fraction", "m-bool", "p-negative", "p-past-side", "power",
+        "seed", "eps-nan", "unknown"])
+def test_bench_checks_the_plan_before_the_reference(plan, message, monkeypatch):
+    # a bad plan fails before the dense reference SVD and any trial: no
+    # work is spent on a run that cannot finish
+    def spy(*args, **kwargs):
+        raise AssertionError("dense_svd called for a bad plan")
+
+    monkeypatch.setattr(solvers_module, "dense_svd", spy)
+    G = np.random.default_rng(30).standard_normal((10, 10))
+    with pytest.raises(ValueError, match=message):
+        bench(G, **{"r": 2, "epsilon": 0.1, **plan})
+
+
 def test_bench_ldjson_schema(tmp_path, capsys):
     rng = np.random.default_rng(24)
     G = random_matrix(rng, 20, 20, decay=0.5)
