@@ -319,7 +319,8 @@ def cmd_bicluster(cfg) -> int:
 
 def _bench_plan(cfg):
     """The --solvers names and --m-schedule sizes from their comma lists; no name, a
-    non-integer size and a plan that ``solvers._check_plan`` refuses are usage errors."""
+    non-integer size, an infinite --eps and a plan that ``solvers._check_plan``
+    refuses are usage errors."""
     names = [s.strip() for s in cfg["solvers"].split(",") if s.strip()]
     if not names:
         raise UsageError(f"--solvers names no solver: {cfg['solvers']!r}")
@@ -332,6 +333,8 @@ def _bench_plan(cfg):
         solvers._check_plan(names, cfg["eps"], schedule, None, cfg["power"], cfg["seed"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if not np.isfinite(cfg["eps"]):   # no trial fails it, but it would echo as "Infinity"
+        raise UsageError(f"--eps must be finite, got {cfg['eps']}")
     return names, schedule
 
 

@@ -99,14 +99,16 @@ def realize_compat(strategy: CompatStrategy, A) -> np.ndarray:
 
     if isinstance(strategy, PseudoInverse):
         AAt = A @ A.T
-        s = np.linalg.svd(AAt, compute_uv=False)
+        u, s, vt = np.linalg.svd(AAt, full_matrices=False)
         rcond = max(AAt.shape) * np.finfo(np.float64).eps
         if s[0] <= 0.0 or s[-1] <= rcond * s[0]:
             raise NumericalError(
                 "A A' is numerically singular beyond pseudo-inverse tolerance; "
                 "consider the PCA projection strategy (a1) instead"
             )
-        return ((np.linalg.pinv(AAt) @ A).T).copy()
+        # np.linalg.pinv's steps on this one SVD; the check above leaves no s
+        # at or below pinv's cutoff 1e-15 * s[0], so every s is inverted
+        return ((vt.T @ (1.0 / s[:, None] * u.T)) @ A).T.copy()
     if isinstance(strategy, PcaProjection):
         _, _, vt = np.linalg.svd(A, full_matrices=False)
         C = vt[:N].T.copy()

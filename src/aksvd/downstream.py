@@ -63,26 +63,33 @@ def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LinearHead:
     return LssvmModel(theta[:-1], theta[-1], classes)
 
 
+def _contingency(a, b) -> np.ndarray:
+    """The integer table of label pairs: entry (i, j) counts the positions
+    where ``a`` holds its i-th smallest class and ``b`` its j-th.  Empty
+    label vectors are a ValueError."""
+    if np.size(a) == 0:
+        raise ValueError("label vectors are empty")
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    kb = bi.max() + 1
+    return np.bincount(ai.ravel() * kb + bi.ravel(), minlength=(ai.max() + 1) * kb).reshape(-1, kb)
+
+
 def f1_scores(pred, truth) -> Tuple[float, float]:
-    """(micro, macro) F1.  Micro aggregates counts globally; macro averages
-    per-class F1 with absent classes contributing 0."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    """(micro, macro) F1 over the classes that pred or truth holds.
+
+    A class's F1 is 2 tp / (2 tp + fp + fn), counted from one table of
+    (pred, truth) and (truth, pred) pairs: over the shared class set its
+    diagonal holds 2 tp and its rows 2 tp + fp + fn.  Micro F1 sums the
+    counts over the classes, macro averages the per-class F1, a class
+    that only one side holds scoring 0.  Empty labels are a ValueError.
+    """
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError("pred and truth lengths differ")
-    classes = np.union1d(np.unique(pred), np.unique(truth))
-    tp_all = fp_all = fn_all = 0
-    per_class = []
-    for cls in classes:
-        tp = int(np.sum((pred == cls) & (truth == cls)))
-        fp = int(np.sum((pred == cls) & (truth != cls)))
-        fn = int(np.sum((pred != cls) & (truth == cls)))
-        tp_all, fp_all, fn_all = tp_all + tp, fp_all + fp, fn_all + fn
-        denom = 2 * tp + fp + fn
-        per_class.append(2 * tp / denom if denom else 0.0)
-    micro_denom = 2 * tp_all + fp_all + fn_all
-    micro = 2 * tp_all / micro_denom if micro_denom else 0.0
-    return float(micro), float(np.mean(per_class))
+    table = _contingency(np.append(pred, truth), np.append(truth, pred))
+    hits = np.diagonal(table)
+    return float(hits.sum() / table.sum()), float(np.mean(hits / table.sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +223,19 @@ def _entropy(counts, n):
 
 
 def nmi(labels_a, labels_b) -> float:
-    """Mutual information normalized by the mean of the two entropies.
+    """Mutual information normalized by the mean of the two entropies,
+    with the probabilities counted in the contingency table of the labels.
 
     1 for identical partitions up to relabeling; when either partition is
-    trivial (one cluster) the score is 0 unless both are trivial.
+    trivial (one cluster) the score is 0 unless both are trivial.  Empty
+    labels are a ValueError.
     """
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape:
         raise ValueError("label vectors must have equal length")
     n = a.size
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    ka, kb = ai.max() + 1, bi.max() + 1
-    cont = np.zeros((ka, kb))
-    np.add.at(cont, (ai, bi), 1.0)
+    cont = _contingency(a, b)
     ha = _entropy(cont.sum(axis=1), n)
     hb = _entropy(cont.sum(axis=0), n)
     if ha == 0.0 and hb == 0.0:
@@ -248,36 +253,34 @@ def nmi(labels_a, labels_b) -> float:
 def coherence(term_labels, doc_term) -> float:
     """Mean pairwise PMI coherence of term clusters.
 
-    Per cluster the 10 most document-frequent terms are taken and the
-    mean over pairs of PMI(a,b) = log((D(a,b)+1) * n_docs / (D(a) D(b)))
-    is computed, with D counting documents where the terms appear
-    (nonzero entries).  Clusters with fewer than two terms contribute 0;
-    the result averages over clusters.
+    Per cluster the 10 most document-frequent terms are taken, ties to the
+    lower index, and the mean over their pairs of PMI(a,b) =
+    log((D(a,b)+1) * n_docs / (D(a) D(b))) is computed.  D counts the
+    documents where a term appears (nonzero entries); D(a,b), read from
+    one co-occurrence product P'P of the top terms' presence columns, the
+    documents where both do.  Pairs with a term in no document are
+    skipped, and a cluster with no pair left (one with a single term, say)
+    scores 0; the result averages over clusters.  A doc_term with no terms
+    is a ValueError.
     """
     labels = np.asarray(term_labels)
     dt = np.asarray(doc_term, dtype=np.float64)
     if labels.size != dt.shape[1]:
         raise ValueError("term_labels length must match doc_term columns")
+    if labels.size == 0:
+        raise ValueError("term_labels is empty: coherence needs at least one term")
     presence = dt != 0
     n_docs = dt.shape[0]
     df = presence.sum(axis=0)
     scores = []
     for cls in np.unique(labels):
         terms = np.flatnonzero(labels == cls)
-        if terms.size < 2:
-            scores.append(0.0)
-            continue
-        order = np.lexsort((terms, -df[terms]))
-        top = terms[order][:10]
-        pmis = []
-        for i in range(top.size):
-            for j in range(i + 1, top.size):
-                a, b = top[i], top[j]
-                if df[a] == 0 or df[b] == 0:
-                    continue
-                co = int(np.sum(presence[:, a] & presence[:, b]))
-                pmis.append(np.log((co + 1.0) * n_docs / (df[a] * df[b])))
-        scores.append(float(np.mean(pmis)) if pmis else 0.0)
+        top = terms[np.lexsort((terms, -df[terms]))][:10]
+        top = top[df[top] > 0]      # skips each pair with a term in no document
+        P = presence[:, top].astype(np.int64)
+        i, j = np.triu_indices(top.size, 1)
+        pmis = np.log(((P.T @ P)[i, j] + 1.0) * n_docs / (df[top[i]] * df[top[j]]))
+        scores.append(float(np.mean(pmis)) if pmis.size else 0.0)
     return float(np.mean(scores))
 
 

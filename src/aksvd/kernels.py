@@ -156,12 +156,20 @@ class KernelSpec:
 
 
 def auto_gamma(X: np.ndarray, k: float = 1.0) -> float:
-    """Bandwidth heuristic gamma = k * sqrt(M * var(X)) with M the column count."""
+    """Bandwidth heuristic gamma = k * sqrt(M * var(X)) with M the column count.
+
+    A zero or overflowing variance, or a gamma that is not finite, is one
+    ``NumericalError`` with no numpy warning before it."""
     X = as_matrix(X, "X")
-    var = float(X.var())
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(X.var())
     if var == 0.0:
         raise NumericalError("auto gamma undefined: training data has zero variance")
-    return k * float(np.sqrt(X.shape[1] * var))
+    gamma = k * float(np.sqrt(X.shape[1] * var))
+    if not np.isfinite(gamma):
+        raise NumericalError(f"auto gamma undefined: gamma = k * sqrt(M * var(X)) = "
+                             f"{gamma} is not finite")
+    return gamma
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:

@@ -7,6 +7,7 @@ library itself does not take.
 import numpy as np
 
 from aksvd.compat import _gram_values, _loss
+from aksvd.downstream import _entropy
 
 
 def lssvm_kkt_residual(model, features, labels, gamma_reg: float = 1.0) -> float:
@@ -59,3 +60,75 @@ def sign_fix_pairs_loop(U, V=None):
             U[:, s] = -U[:, s]
             if V is not None:
                 V[:, s] = -V[:, s]
+
+
+def f1_scores_loop(pred, truth):
+    """One class at a time, the oracle for :func:`aksvd.downstream.f1_scores`:
+    tp, fp and fn from three boolean masks per class of the union."""
+    pred = np.asarray(pred)
+    truth = np.asarray(truth)
+    classes = np.union1d(np.unique(pred), np.unique(truth))
+    tp_all = fp_all = fn_all = 0
+    per_class = []
+    for cls in classes:
+        tp = int(np.sum((pred == cls) & (truth == cls)))
+        fp = int(np.sum((pred == cls) & (truth != cls)))
+        fn = int(np.sum((pred != cls) & (truth == cls)))
+        tp_all, fp_all, fn_all = tp_all + tp, fp_all + fp, fn_all + fn
+        denom = 2 * tp + fp + fn
+        per_class.append(2 * tp / denom if denom else 0.0)
+    micro_denom = 2 * tp_all + fp_all + fn_all
+    micro = 2 * tp_all / micro_denom if micro_denom else 0.0
+    return float(micro), float(np.mean(per_class))
+
+
+def nmi_loop(labels_a, labels_b):
+    """The oracle for :func:`aksvd.downstream.nmi`: its contingency table
+    is accumulated one label pair at a time with ``np.add.at``."""
+    a = np.asarray(labels_a)
+    b = np.asarray(labels_b)
+    n = a.size
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    cont = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(cont, (ai, bi), 1.0)
+    ha = _entropy(cont.sum(axis=1), n)
+    hb = _entropy(cont.sum(axis=0), n)
+    if ha == 0.0 and hb == 0.0:
+        return 1.0
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    pij = cont / n
+    pa = pij.sum(axis=1)
+    pb = pij.sum(axis=0)
+    mask = pij > 0
+    mi = float((pij[mask] * np.log(pij[mask] / np.outer(pa, pb)[mask])).sum())
+    return mi / ((ha + hb) / 2.0)
+
+
+def coherence_loop(term_labels, doc_term):
+    """Pair by pair, the oracle for :func:`aksvd.downstream.coherence`:
+    each co-occurrence count is its own boolean AND over the documents."""
+    labels = np.asarray(term_labels)
+    dt = np.asarray(doc_term, dtype=np.float64)
+    presence = dt != 0
+    n_docs = dt.shape[0]
+    df = presence.sum(axis=0)
+    scores = []
+    for cls in np.unique(labels):
+        terms = np.flatnonzero(labels == cls)
+        if terms.size < 2:
+            scores.append(0.0)
+            continue
+        order = np.lexsort((terms, -df[terms]))
+        top = terms[order][:10]
+        pmis = []
+        for i in range(top.size):
+            for j in range(i + 1, top.size):
+                a, b = top[i], top[j]
+                if df[a] == 0 or df[b] == 0:
+                    continue
+                co = int(np.sum(presence[:, a] & presence[:, b]))
+                pmis.append(np.log((co + 1.0) * n_docs / (df[a] * df[b])))
+        scores.append(float(np.mean(pmis)) if pmis else 0.0)
+    return float(np.mean(scores))

@@ -596,12 +596,12 @@ def test_bench_command(tmp_path, capsys):
     save_matrix_csv(inp, G)
     out = tmp_path / "bench"
     code, _ = run_cli(capsys, ["bench", "--input", str(inp), "--rank", "3",
-                               "--eps", "inf", "--solvers", "tsvd,rsvd,asymnys",
+                               "--eps", "1e300", "--solvers", "tsvd,rsvd,asymnys",
                                "--m-schedule", "5,10,30", "--out", str(out)])
     assert code == 0
     trials = load_report(str(out) + ".bench.ldjson")
     assert all(t["success"] for t in trials)
-    assert len(trials) == 3  # eps=inf: one trial per solver
+    assert len(trials) == 3  # an eps no trial misses: one trial per solver
     with open(str(out) + ".bench_summary.json") as f:
         summary = json.load(f)["summary"]
     assert set(summary) == {"tsvd", "rsvd", "asymnys"}

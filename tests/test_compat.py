@@ -63,6 +63,29 @@ def test_pseudo_inverse_matches_pinv_oracle():
     assert np.allclose(A @ C, np.eye(4), atol=1e-8)
 
 
+def test_pseudo_inverse_factors_a_a_transpose_once(monkeypatch):
+    # one SVD of A A' serves both the singularity check and the
+    # pseudo-inverse, whose steps it follows to pinv's own result
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 11))
+    svd, calls = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("pinv factors A A' a second time")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        m.setattr(np.linalg, "pinv", no_pinv)
+        C = realize_compat(PseudoInverse(), A)
+    assert len(calls) == 1
+    AAt = A @ A.T
+    assert np.array_equal(C, (np.linalg.pinv(AAt) @ A).T)
+
+
 def test_pseudo_inverse_singular_suggests_a1():
     A = np.zeros((3, 5))
     A[0, 0] = 1.0  # A A' has rank 1 < 3

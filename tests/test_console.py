@@ -185,6 +185,12 @@ def _cases():
                 "--out", "huge"], 3, inputs=("big.csv",), writes_none=("huge",), stderr_lines=1,
                stderr=("numerical failure: squared row norms are too large for a kernel "
                        "distance: inf > 4.49e+307",))
+    # so is a bandwidth heuristic that overflows, with no numpy warning first
+    yield Case("rbf-auto-gamma-overflow",
+               ["embed", "--input", "big.csv", "--kernel", "rbf", "--rank", "1", "--out", "huge"],
+               3, inputs=("big.csv",), writes_none=("huge",), stderr_lines=1,
+               stderr=("numerical failure: auto gamma undefined: gamma = k * sqrt(M * var(X)) "
+                       "= inf is not finite",))
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",
@@ -246,6 +252,11 @@ def _cases():
                ["embed", "--input", "e.csv", "--rank", "1", "--tol", "inf", "--out", "inftol"], 2,
                inputs=("e.csv",), stderr_lines=1, writes_none=("inftol",),
                stderr=("data error: tol must be a number >= 0, got inf",))
+    # no trial fails an infinite eps, but it too would echo as "Infinity"
+    yield Case("bench-inf-eps",
+               ["bench", "--input", "e.csv", "--rank", "1", "--eps", "inf", "--out", "infeps"], 1,
+               inputs=("e.csv",), stderr_lines=1, writes_none=("infeps",),
+               stderr=("usage error: --eps must be finite, got inf",))
     yield Case("linear-nan-offset",
                ["embed", "--input", "r20.csv", "--kernel", "linear", "--offset", "nan",
                 "--out", "nanoff"], 2, inputs=("r20.csv",), stderr_lines=1,
@@ -256,6 +267,10 @@ def _cases():
 CASES = list(_cases())
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
 def test_console(console, tmp_path, case):
     for name in case.inputs:
@@ -263,6 +278,9 @@ def test_console(console, tmp_path, case):
     proc = console(case.argv, tmp_path)
     context = (shlex.join(proc.args), proc.stderr)
     assert proc.returncode == case.code, context
+    for line in proc.stdout.splitlines():   # an echoed configuration is strict JSON
+        if line.startswith("{"):
+            json.loads(line, parse_constant=_not_json)
     err = proc.stderr.splitlines()
     for line in case.stderr:
         assert line in err, context

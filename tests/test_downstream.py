@@ -19,7 +19,7 @@ from aksvd.downstream import (
     recon_error,
 )
 from aksvd.kernels import KernelSpec, gram
-from oracles import lssvm_kkt_residual
+from oracles import coherence_loop, f1_scores_loop, lssvm_kkt_residual, nmi_loop
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +556,61 @@ def test_coherence_top10_selection():
         co = int(np.sum((dt[:, i] != 0) & (dt[:, j] != 0)))
         pmis.append(np.log((co + 1) * n_docs / (df[i] * df[j])))
     assert got == pytest.approx(np.mean(pmis))
+
+
+# ---------------------------------------------------------------------------
+# the counting metrics against their loop oracles, compared with ==
+# ---------------------------------------------------------------------------
+
+_CLASS_SETS = st.lists(st.integers(-40, 40), min_size=1, max_size=12, unique=True)
+
+
+@st.composite
+def _label_pairs(draw):
+    """Two label vectors of one length over non-contiguous classes, of one
+    class or several, the second over the first's classes or its own."""
+    n = draw(st.integers(1, 60))
+    classes_a = draw(_CLASS_SETS)
+    classes_b = draw(st.one_of(st.just(classes_a), _CLASS_SETS))
+    a = draw(st.lists(st.sampled_from(classes_a), min_size=n, max_size=n))
+    b = draw(st.lists(st.sampled_from(classes_b), min_size=n, max_size=n))
+    return np.array(a), np.array(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_pairs())
+def test_f1_matches_loop_property(labels):
+    assert f1_scores(*labels) == f1_scores_loop(*labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_pairs())
+def test_nmi_matches_loop_property(labels):
+    assert nmi(*labels) == nmi_loop(*labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_docs=st.integers(0, 30), n_terms=st.integers(1, 30),
+       density=st.floats(0.0, 1.0), n_clusters=st.integers(1, 12), singleton=st.booleans())
+def test_coherence_matches_loop_property(seed, n_docs, n_terms, density, n_clusters, singleton):
+    rng = np.random.default_rng(seed)
+    dt = (rng.random((n_docs, n_terms)) < density) * rng.integers(1, 4, (n_docs, n_terms))
+    dt[:, rng.random(n_terms) < 0.2] = 0                     # terms in no document
+    dt[:, rng.permutation(n_terms)[: n_terms // 3]] = dt[:, :1]   # tied document counts
+    labels = 3 * rng.integers(0, n_clusters, n_terms) - 5
+    if singleton:
+        labels[rng.integers(n_terms)] = 100
+    assert coherence(labels, dt) == coherence_loop(labels, dt)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: f1_scores([], []), "label vectors are empty"),
+    (lambda: nmi([], []), "label vectors are empty"),
+    (lambda: coherence([], np.ones((4, 0))), "term_labels is empty"),
+], ids=["f1_scores", "nmi", "coherence"])
+def test_metrics_reject_empty_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

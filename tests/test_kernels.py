@@ -354,6 +354,17 @@ def test_auto_gamma_rejects_constant_data():
         auto_gamma(np.full((5, 3), 2.5))
 
 
+@pytest.mark.parametrize("X, k", [
+    ([[1e200, 0.0], [0.0, 1.0]], 1.0),                     # the variance overflows
+    ([[1.7e308, 1.7e308, 0, 0], [-1.7e308, -1.7e308, 0, 0]], 1.0),   # the mean is nan
+    ([[1e154, 0.0], [0.0, 1.0]], 1e300),                   # finite variance, gamma overflows
+], ids=["var-inf", "var-nan", "gamma-inf"])
+def test_auto_gamma_that_is_not_finite_is_one_error(X, k):
+    # RuntimeWarnings are errors under this suite, so none is emitted first
+    with pytest.raises(NumericalError, match="auto gamma undefined: .* is not finite"):
+        auto_gamma(np.array(X), k=k)
+
+
 def test_as_matrix_takes_a_vector_as_one_row():
     out = as_matrix([1, 2, 3], "x")
     assert out.shape == (1, 3) and out.dtype == np.float64 and out.flags.c_contiguous
