@@ -229,13 +229,13 @@ def _fit_from_config(cfg, A, task=None) -> ksvd.KsvdModel:
 
 def _write_embed_outputs(cfg, model) -> None:
     out = cfg["out"]
+    r1, r2 = ksvd.residuals(model)   # a kernel that fails here writes no file
     # each embedding is formatted once; the concatenation reuses its rows
     left, right = aio.format_rows(model.b_phi), aio.format_rows(model.b_psi)
     aio.save_embeddings(out + ".left.csv", left)
     aio.save_embeddings(out + ".right.csv", right)
     if model.b_phi.shape[0] == model.b_psi.shape[0]:
         aio.save_embeddings(out + ".concat.csv", left, right)
-    r1, r2 = ksvd.residuals(model)
     report = {
         "lambdas": [float(v) for v in model.lambdas],
         "residual_r1": r1,

@@ -66,9 +66,13 @@ def lssvm_fit(features, labels, gamma_reg: float = 1.0) -> LinearHead:
 def _contingency(a, b) -> np.ndarray:
     """The integer table of label pairs: entry (i, j) counts the positions
     where ``a`` holds its i-th smallest class and ``b`` its j-th.  Empty
-    label vectors are a ValueError."""
+    label vectors, and a NaN label, which no class would match, are a
+    ValueError."""
     if np.size(a) == 0:
         raise ValueError("label vectors are empty")
+    for labels in (a, b):
+        if labels.dtype.kind in "fc" and np.isnan(labels).any():
+            raise ValueError("labels contain NaN")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     kb = bi.max() + 1

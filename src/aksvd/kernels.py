@@ -75,6 +75,7 @@ call and the same elementwise operations.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import numbers
 from dataclasses import dataclass, field
@@ -470,23 +471,33 @@ class KernelOperator:
 
         The one place the family formulas live.  They overwrite ``pp``, the
         inner products <x_i, z_j>, and return it.  Only rbf and sne read the
-        sides' squared norms (:func:`_sq_dists`).  A poly value that
-        overflows is a :class:`NumericalError`, for a block and a kernel
-        vector alike.
+        sides' squared norms (:func:`_sq_dists`).  A linear or poly value
+        that overflows is a :class:`NumericalError`, for a block and a
+        kernel vector alike; its callers run under :meth:`_quiet`, so numpy
+        prints no warning first.
         """
         fam = self.spec.family
-        if fam == "poly":
-            with np.errstate(over="ignore"):   # an overflow is the error below
-                pp += self.spec.offset
-                pp **= self.spec.degree
-            if not np.isfinite(pp).all():
-                raise NumericalError("poly kernel values are not finite: "
-                                     "(x'z + offset)^degree overflowed")
-        elif fam in ("rbf", "sne"):
+        if fam in ("rbf", "sne"):
             _sq_dists(pp, x.sq[rows], z.sq)
             pp /= -self.spec.gamma ** 2
             np.exp(pp, out=pp)
+            return pp
+        if fam == "poly":
+            pp += self.spec.offset
+            pp **= self.spec.degree
+        if not np.isfinite(pp).all():
+            formula = "(x'z + offset)^degree" if fam == "poly" else "x'z"
+            raise NumericalError(f"{fam} kernel values are not finite: {formula} overflowed")
         return pp
+
+    def _quiet(self):
+        """The numpy error state that products and kernel values run in:
+        linear and poly ones, whose overflow :meth:`_kernel` raises, with no
+        numpy warning; rbf and sne ones in the caller's, as the norm cap of
+        :func:`_norms` keeps every one of their products finite."""
+        if self.spec.family in ("linear", "poly"):
+            return np.errstate(over="ignore", invalid="ignore")
+        return contextlib.nullcontext()
 
     def _kernel_chunks(self, rows, cols=None, out=None):
         """kappa over ``rows`` x ``cols`` (all of Z in order when None, else
@@ -513,10 +524,11 @@ class KernelOperator:
         self._eval_count += rows.size * cols.size
         out = np.empty((rows.size, cols.size))
         every_col = cols.size == m and bool((cols == np.arange(m)).all())
-        for r, vals in self._kernel_chunks(rows, None if every_col else cols, out):
-            if self.spec.family == "sne":
-                vals /= self._sne_denominators(r, vals if every_col else None)[:, None]
-            vals *= self.scale
+        with self._quiet():
+            for r, vals in self._kernel_chunks(rows, None if every_col else cols, out):
+                if self.spec.family == "sne":
+                    vals /= self._sne_denominators(r, vals if every_col else None)[:, None]
+                vals *= self.scale
         return out
 
     def entry(self, i: int, j: int) -> float:
@@ -554,9 +566,10 @@ class KernelOperator:
         point = _Side(as_point(v, other.rows.shape[1], name))
         if self.spec.family in ("rbf", "sne"):   # set before the product, as in __init__
             point.sq = _norms(point.rows)
-        pp = _fill(point.rows, other.layout, len(other.rows))
-        # entrywise formulas: either argument order gives the same bits
-        return self._kernel(pp, point, other)[0]
+        with self._quiet():
+            pp = _fill(point.rows, other.layout, len(other.rows))
+            # entrywise formulas: either argument order gives the same bits
+            return self._kernel(pp, point, other)[0]
 
     def x_row(self, x_new) -> np.ndarray:
         """kappa(x_new, z_j) over the training Z, in this operator's scaling.

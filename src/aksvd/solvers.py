@@ -217,14 +217,14 @@ def dense_svd(G, r: int) -> SvdResult:
 # truncated SVD (Golub-Kahan bidiagonalization, full reorthogonalization)
 # ---------------------------------------------------------------------------
 
-def _append_orthonormal(Q: np.ndarray, j: int, w: np.ndarray, cutoff: float, rng):
+def _append_orthonormal(Q: np.ndarray, j: int, w: np.ndarray, cutoff: float, rng) -> float:
     """Orthogonalize ``w`` against Q[:, :j] and store it, normalized, in Q[:, j].
 
-    Classical Gram-Schmidt applied twice keeps the basis orthonormal to
-    working precision.  Returns the norm of the orthogonalized ``w``; a norm
-    at or below ``cutoff`` is a breakdown, where a random direction,
-    orthogonalized the same way, takes its place and 0.0 is returned.
-    Returns None when Q[:, :j] already spans the whole space.
+    Q[:, :j] must not span the whole space.  Classical Gram-Schmidt applied
+    twice keeps the basis orthonormal to working precision.  Returns the
+    norm of the orthogonalized ``w``; a norm at or below ``cutoff`` is a
+    breakdown, where a random direction, orthogonalized the same way, takes
+    its place and 0.0 is returned.
     """
     basis = Q[:, :j]
     for restart in (False, True):
@@ -233,21 +233,21 @@ def _append_orthonormal(Q: np.ndarray, j: int, w: np.ndarray, cutoff: float, rng
         for _ in range(2):
             w -= basis @ (basis.T @ w)
         norm = float(np.linalg.norm(w))
-        if norm > (1e-12 if restart else cutoff):
+        if restart or norm > cutoff:
             Q[:, j] = w / norm
             return 0.0 if restart else norm
-    return None
 
 
 def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None) -> SvdResult:
     """Iterative top-r SVD via Lanczos bidiagonalization.
 
-    Grows the Krylov subspace (with full reorthogonalization) until the
-    top-r Ritz residuals satisfy ||G' u_s - lambda_s v_s|| <= tol*lambda_1,
-    the subspace is exhausted (the factors are then exact) or max_iter steps
-    were taken; on non-convergence the best iterate is returned with
-    ``converged=False``.  A NaN or negative ``tol``, which no residual can
-    meet, and a ``max_iter`` below 1 are ValueErrors.
+    Grows the Krylov subspace, fully reorthogonalized, until one of three
+    rules stops it: the top-r Ritz residuals meet
+    ||G' u_s - lambda_s v_s|| <= tol*lambda_1; the space spans the smaller
+    side, where the factors are exact; or max_iter steps were taken, where
+    the best iterate is returned with ``converged=False``.  A NaN or
+    negative ``tol``, which no residual can meet, and a ``max_iter`` below
+    1 are ValueErrors.
     """
     op = as_operator(G)
     N, M = op.shape
@@ -261,7 +261,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     fwd, back, wide = op.matmat, op.rmatmat, M > N
     if wide:
         fwd, back, N, M = back, fwd, M, N
-    kmax = M if max_iter is None else min(max_iter, M)
+    kmax = min(max_iter or M, M)
 
     rng = np.random.default_rng(0x5EED)  # fixed start; contract carries no seed
     U = np.empty((N, kmax), order="F")
@@ -280,26 +280,18 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
         w = fwd(V[:, k : k + 1])[:, 0]
         if k > 0:
             w -= betas[k - 1] * U[:, k - 1]
-        alpha = _append_orthonormal(U, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
-        if alpha is None:
-            converged = True
-            break
-        alphas[k] = alpha
+        alpha = alphas[k] = _append_orthonormal(U, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
         norm_est = max(norm_est, alpha)
-        w = back(U[:, k : k + 1])[:, 0] - alpha * V[:, k]
-        beta = _append_orthonormal(V, k + 1, w, _RANK_RTOL * max(norm_est, 1.0), rng)
         k += 1
-        if beta is None:
+        if k == M:   # V[:, :M] spans the smaller side: G V = U B exactly
             converged = True
             break
-        betas[k - 1] = beta
+        w = back(U[:, k - 1 : k])[:, 0] - alpha * V[:, k - 1]
+        beta = betas[k - 1] = _append_orthonormal(V, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
         if k >= r:
             P, s, _, rr = ritz(k)
-            resid = beta * np.abs(P[k - 1, :rr])
-            converged = rr > 0 and (k == M or bool(np.all(resid <= tol * s[0])))
+            converged = rr > 0 and bool(np.all(beta * np.abs(P[k - 1, :rr]) <= tol * s[0]))
 
-    if k == 0:
-        raise NumericalError("bidiagonalization produced no iterates")
     P, s, Qt, rr = ritz(k)
     left, right = U[:, :k] @ P[:, :rr], V[:, :k] @ Qt[:rr].T
     if wide:

@@ -135,6 +135,10 @@ def _fit_line_follows(_, err):
     assert err[1].startswith("fit in ")
 
 
+def _no_warning_line(_, err):
+    assert not [line for line in err if line.startswith("warning:")]
+
+
 def _graph(edges, labels, out):
     return ["graph", "--input", edges, "--format", "edges", "--labels", labels, "--out", out]
 
@@ -191,6 +195,13 @@ def _cases():
                3, inputs=("big.csv",), writes_none=("huge",), stderr_lines=1,
                stderr=("numerical failure: auto gamma undefined: gamma = k * sqrt(M * var(X)) "
                        "= inf is not finite",))
+    # so are linear inner products that overflow, with no numpy warning, even
+    # where a Nystrom sample misses them: the residuals read them before any file
+    yield Case("linear-overflow",
+               ["embed", "--input", "big.csv", "--kernel", "linear", "--rank", "1",
+                "--solver", "asymnys", "--out", "lin"], 3, inputs=("big.csv",),
+               writes_none=("lin",), check=_no_warning_line,
+               stderr=("numerical failure: linear kernel values are not finite: x'z overflowed",))
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",
@@ -280,6 +291,10 @@ def test_console(console, tmp_path, case):
     assert proc.returncode == case.code, context
     for line in proc.stdout.splitlines():   # an echoed configuration is strict JSON
         if line.startswith("{"):
+            json.loads(line, parse_constant=_not_json)
+    # so is every report line written (bench files write a failed trial's eta as Infinity)
+    for path in [*tmp_path.glob("*.fit.json"), *tmp_path.glob("*.metrics.json")]:
+        for line in path.read_text(encoding="utf-8").splitlines():
             json.loads(line, parse_constant=_not_json)
     err = proc.stderr.splitlines()
     for line in case.stderr:

@@ -613,6 +613,18 @@ def test_metrics_reject_empty_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: f1_scores([np.nan, 1, np.nan, 2], [np.nan, 1, 2, 2]),
+    lambda: f1_scores([0.0, 1, 2, 2], [0.0, 1, np.nan, 2]),
+    lambda: nmi([np.nan, 0, 1, 1], [0, 0, 1, 1]),
+    lambda: nmi([0, 0, 1, 1], [0.0, 0, np.nan, 1]),
+], ids=["f1_scores", "f1_scores-truth", "nmi-a", "nmi-b"])
+def test_label_metrics_reject_a_nan_label(call):
+    # a NaN matches no class, NaN included: it was once counted as one
+    with pytest.raises(ValueError, match="labels contain NaN"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # linear head
 # ---------------------------------------------------------------------------

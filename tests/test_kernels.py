@@ -17,7 +17,7 @@ from aksvd.kernels import (
     gram,
     kernel_vector,
 )
-from aksvd.solvers import MatrixOperator
+from aksvd.solvers import MatrixOperator, truncated_svd
 
 
 def brute_kernel(spec, x, z, Z_all=None):
@@ -667,6 +667,11 @@ def test_a_norm_that_could_overflow_a_distance_fails_before_any_product(monkeypa
         with pytest.raises(NumericalError, match="too large for a kernel distance"):
             fails()
     monkeypatch.undo()
+    # rows whose squares sum past _SQ_MAX, each row's staying below it, take
+    # the guarded path and keep their norms, bit for bit
+    rows = np.sqrt(0.6 * kernels._SQ_MAX) * np.eye(2)
+    assert np.array_equal(kernels._norms(rows), (rows * rows).sum(axis=1))
+    assert KernelOperator(rows, eye, spec).shape == (2, 2)
     if family == "rbf":   # a norm of 1e300 keeps every distance finite: its values are 0
         assert not KernelOperator([[1e150, 0.0]], eye, spec).materialize().any()
         assert not op.x_row([1e150, 0.0]).any()
@@ -689,6 +694,19 @@ def test_linear_and_poly_compute_no_norm(monkeypatch, family):
     op.x_row(X[0])
     op.z_col(Z[0])
     kernel_vector(family_spec(family, 5), X[1], Z)
+
+
+def test_an_overflowing_linear_kernel_is_a_numerical_error():
+    # inner products of about 1e320 overflow: a block, both kernel vectors
+    # and a lazy solver's first product are one NumericalError, with no
+    # numpy warning (pytest turns a RuntimeWarning into an error); such a
+    # fit was once reported as converged at rank 0
+    X = 1e160 * np.random.default_rng(32).standard_normal((6, 3))
+    op = KernelOperator(X, X, KernelSpec.linear(), scaled=False)
+    for fails in (op.materialize, lambda: op.x_row(X[0]), lambda: op.z_col(X[0]),
+                  lambda: truncated_svd(op, 3)):
+        with pytest.raises(NumericalError, match="linear kernel values are not finite"):
+            fails()
 
 
 def test_a_narrow_block_stays_within_one_chunk():

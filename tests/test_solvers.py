@@ -189,6 +189,30 @@ def test_tsvd_edge_table(case):
         assert np.allclose(res.v.T @ res.v, np.eye(rr), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(9, 6), (6, 9)])
+def test_tsvd_exhaustion_ends_after_the_forward_product(shape):
+    # a Krylov space that spans the smaller side ends the loop: the last
+    # step takes no back product, so one side sees min(N, M) products and
+    # the other one fewer (tol 0 keeps the residual test from stopping it)
+    A = np.random.default_rng(11).standard_normal(shape)
+    calls = {"matmat": 0, "rmatmat": 0}
+
+    class Counting(MatrixOperator):
+        def matmat(self, W):
+            calls["matmat"] += 1
+            return super().matmat(W)
+
+        def rmatmat(self, W):
+            calls["rmatmat"] += 1
+            return super().rmatmat(W)
+
+    res = truncated_svd(Counting(A), r=2, tol=0.0)
+    assert res.converged and res.iterations == 6
+    assert np.allclose(res.lambdas, dense_svd(A, 2).lambdas, rtol=1e-12)
+    fwd, back = ("matmat", "rmatmat") if shape[0] >= shape[1] else ("rmatmat", "matmat")
+    assert (calls[fwd], calls[back]) == (6, 5)
+
+
 # ---------------------------------------------------------------------------
 # randomized SVD
 # ---------------------------------------------------------------------------
