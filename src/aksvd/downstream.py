@@ -157,7 +157,6 @@ def recon_error(A, A_hat) -> Tuple[float, float]:
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
-    k: int
     inertia: float
 
 
@@ -218,7 +217,7 @@ def kmeans(X, k: int, seed: int = 0, max_iter: int = 300, restarts: int = 10) ->
         labels, inertia = _kmeans_single(X, k, rng, max_iter)
         if best is None or inertia < best[1]:
             best = (labels, inertia)
-    return ClusterAssignment(labels=best[0], k=k, inertia=best[1])
+    return ClusterAssignment(labels=best[0], inertia=best[1])
 
 
 def _entropy(counts, n):

@@ -156,19 +156,19 @@ class KernelSpec:
         return KernelSpec("sne", gamma=gamma)
 
 
-def auto_gamma(X: np.ndarray, k: float = 1.0) -> float:
-    """Bandwidth heuristic gamma = k * sqrt(M * var(X)) with M the column count.
-
-    A zero or overflowing variance, or a gamma that is not finite, is one
-    ``NumericalError`` with no numpy warning before it."""
+def auto_gamma(X: np.ndarray) -> float:
+    """Bandwidth heuristic gamma = sqrt(M * var(X)) with M the column count;
+    ``k * auto_gamma(X)`` scales it.  A zero variance, or a gamma that is
+    not finite, as from an overflowing variance, is one ``NumericalError``
+    with no numpy warning before it."""
     X = as_matrix(X, "X")
     with np.errstate(over="ignore", invalid="ignore"):
         var = float(X.var())
     if var == 0.0:
         raise NumericalError("auto gamma undefined: training data has zero variance")
-    gamma = k * float(np.sqrt(X.shape[1] * var))
+    gamma = float(np.sqrt(X.shape[1] * var))
     if not np.isfinite(gamma):
-        raise NumericalError(f"auto gamma undefined: gamma = k * sqrt(M * var(X)) = "
+        raise NumericalError(f"auto gamma undefined: gamma = sqrt(M * var(X)) = "
                              f"{gamma} is not finite")
     return gamma
 

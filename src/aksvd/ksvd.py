@@ -40,7 +40,6 @@ class KsvdModel:
     gram: Optional[GramMatrix]   # None when fitted through a lazy solver
     compat: Optional[np.ndarray] = None
     compat_side: Optional[str] = None   # which side was projected: "x" or "z"
-    requested_rank: int = 0
 
     @property
     def achieved_rank(self) -> int:
@@ -49,10 +48,6 @@ class KsvdModel:
     @property
     def centered(self) -> bool:
         return self.gram is not None and self.gram.centered
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.achieved_rank < self.requested_rank
 
 
 def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
@@ -92,8 +87,7 @@ def fit(X, Z, kernel: KernelSpec, rank: int, do_center: bool = False,
             f"solver did not converge in {res.iterations} iterations; the factors "
             "are its best iterate", RuntimeWarning)
     solvers._sign_fix_pairs(res.u, res.v)
-    return KsvdModel(b_phi=res.u, b_psi=res.v, lambdas=res.lambdas, operator=op,
-                     gram=g, requested_rank=rank)
+    return KsvdModel(b_phi=res.u, b_psi=res.v, lambdas=res.lambdas, operator=op, gram=g)
 
 
 def fit_matrix(A, kernel: KernelSpec, rank: int,

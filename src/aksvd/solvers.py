@@ -199,7 +199,7 @@ def _positive_rank(s: np.ndarray) -> int:
     :class:`NumericalError`, never a rank of 0."""
     if not np.isfinite(s).all():
         raise NumericalError("singular values are not finite")
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return 0
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
@@ -232,7 +232,11 @@ def _append_orthonormal(Q: np.ndarray, j: int, w: np.ndarray, cutoff: float, rng
             w = rng.standard_normal(Q.shape[0])
         for _ in range(2):
             w -= basis @ (basis.T @ w)
-        norm = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(w))
+        if norm == np.inf:   # its squares overflowed: rescale by max|w|
+            scale = np.abs(w).max()
+            norm = scale * float(np.linalg.norm(w / scale))
         if restart or norm > cutoff:
             Q[:, j] = w / norm
             return 0.0 if restart else norm
@@ -369,10 +373,9 @@ def _nystrom_extend(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
 
 def _unit_columns(*factors: np.ndarray) -> None:
     """Scale every column of each extended factor to unit norm, in place; a
-    column that collapsed to zero or is not finite is a NumericalError."""
+    column that is not finite is a NumericalError.  No column is zero: an
+    extension's sampled rows are the sample's unit singular vectors."""
     norms = [np.linalg.norm(f, axis=0) for f in factors]
-    if any(np.any(nrm == 0.0) for nrm in norms):
-        raise NumericalError("extended singular vector collapsed to zero")
     if not all(np.isfinite(nrm).all() for nrm in norms):
         raise NumericalError("extended singular vectors are not finite, "
                              "as from a kernel that overflowed")
@@ -464,16 +467,17 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     (rows sampled with ``seed``, columns with ``seed + 1``; only the sampled
     columns of each product are formed), pairs factors by eigenvalue order,
     and sign-aligns each pair by u_s' G v_s >= 0 (the two eigenproblems
-    carry no joint sign information).
+    carry no joint sign information); an overflowing product is a NumericalError.
     """
-    A = as_operator(G).materialize()
+    op = MatrixOperator(as_operator(G).materialize())
+    A = op.values
     N, M = A.shape
     _check_rank(r, A.shape)
     rows = _sample_indices(np.random.default_rng(seed), N, n_sub)
     cols = _sample_indices(np.random.default_rng(seed + 1), M, n_sub)
-    u, lam = _sym_nystrom_extend(A @ A[rows].T, rows, r)
-    v, _ = _sym_nystrom_extend(A.T @ A[:, cols], cols, r)
-    v[:, np.sum(u * (A @ v), axis=0) < 0] *= -1.0
+    u, lam = _sym_nystrom_extend(op.matmat(A[rows].T), rows, r)
+    v, _ = _sym_nystrom_extend(op.rmatmat(A[:, cols]), cols, r)
+    v[:, np.sum(u * op.matmat(v), axis=0) < 0] *= -1.0
     return SvdResult(u, np.sqrt(lam), v)
 
 
@@ -497,16 +501,16 @@ def solve(G, r: int, choice: SolverChoice) -> SvdResult:
 # ---------------------------------------------------------------------------
 
 def eta_metric(u_ref: np.ndarray, lambdas_ref: np.ndarray, v_ref: np.ndarray,
-               u_approx: np.ndarray, v_approx: np.ndarray,
-               normalized: bool = False) -> float:
+               u_approx: np.ndarray, v_approx: np.ndarray) -> float:
     """Singular-value-weighted misalignment of approximated singular vectors.
 
     eta = (1/r) sum_i w_i (1 - |u_i' u~_i| / ||u~_i||)
         + (1/r) sum_i w_i (1 - |v_i' v~_i| / ||v~_i||),
 
-    with w_i the reference singular values (or, when ``normalized``,
-    w_i / sum(w)).  Zero iff every approximated column is collinear with
-    its reference; invariant to independent sign flips.
+    with w_i the weights ``lambdas_ref``, the reference singular values;
+    passing ``lambdas_ref / lambdas_ref.sum()`` gives normalized weights.
+    Zero iff every approximated column is collinear with its reference;
+    invariant to independent sign flips.
     """
     r = lambdas_ref.shape[0]
     if u_approx.shape != u_ref.shape or v_approx.shape != v_ref.shape:
@@ -515,11 +519,10 @@ def eta_metric(u_ref: np.ndarray, lambdas_ref: np.ndarray, v_ref: np.ndarray,
     v_norms = np.linalg.norm(v_approx, axis=0)
     if np.any(u_norms == 0.0) or np.any(v_norms == 0.0):
         raise NumericalError("approximated singular vector has zero norm")
-    w = lambdas_ref / lambdas_ref.sum() if normalized else lambdas_ref
     # clamp: round-off can push |cos| infinitesimally above 1
     cos_u = np.minimum(np.abs(np.sum(u_ref * u_approx, axis=0)) / u_norms, 1.0)
     cos_v = np.minimum(np.abs(np.sum(v_ref * v_approx, axis=0)) / v_norms, 1.0)
-    return float((w * (1.0 - cos_u)).sum() / r + (w * (1.0 - cos_v)).sum() / r)
+    return float((lambdas_ref * (1.0 - cos_u)).sum() / r + (lambdas_ref * (1.0 - cos_v)).sum() / r)
 
 
 # ---------------------------------------------------------------------------
@@ -580,27 +583,34 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
           power: int = 2) -> BenchReport:
     """Escalate each solver's fidelity knob until eta <= epsilon.
 
-    The knobs are the registry's (:data:`SOLVERS`): the oversampling count
-    of randomized SVD steps through ``oversample_schedule`` in its order;
-    the Nystrom subsample counts step through ``m_schedule``, each capped
-    by :func:`_sample_counts`, deduplicated and ordered by the number of
-    sampled entries (an empty one means max(r, k // 8), k // 4, k // 2 and
-    k for k = min(N, M), those below 1 left out); a solver without a knob
-    runs once.  Trial t of a solver uses seed ``seed + 1000 * t``.  Each
-    trial records wall-clock seconds and the literal eta against the
-    rank-r reference SVD (computed densely unless ``reference`` is
-    supplied).  A schedule exhausted without reaching epsilon is recorded
-    as failure.  A bad plan is a ValueError raised before the reference
-    SVD: unregistered or repeated names (the summary keeps one run per
-    name), a NaN or negative ``epsilon``, an ``m_schedule`` count that is
-    not an integer >= 1, an oversample, ``power`` or ``seed`` that is not
-    an integer >= 0, r outside [1, min(N, M)], or r + p > min(N, M).
+    The knobs are the registry's (:data:`SOLVERS`), with k = min(N, M): the
+    oversampling count of randomized SVD steps through
+    ``oversample_schedule`` in its order (an empty one or None means 5, 10,
+    20, ... while r + p <= k, else k - r); the Nystrom subsample counts
+    step through ``m_schedule``, each capped by :func:`_sample_counts`,
+    deduplicated and ordered by the number of sampled entries (an empty one
+    means max(r, k // 8), k // 4, k // 2 and k, those below 1 left out); a
+    solver without a knob runs once, so every solver runs a trial.  Trial t
+    of a solver uses seed ``seed + 1000 * t``.  Each trial records
+    wall-clock seconds and the literal eta against the rank-r reference SVD
+    (computed densely unless ``reference`` is supplied).  A schedule
+    exhausted without reaching epsilon is recorded as failure.  A bad plan
+    is a ValueError raised before the reference SVD: unregistered or
+    repeated names (the summary keeps one run per name), a NaN or negative
+    ``epsilon``, an ``m_schedule`` count that is not an integer >= 1, an
+    oversample, ``power`` or ``seed`` that is not an integer >= 0, r outside
+    [1, min(N, M)], or r + p > min(N, M).
     """
     _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed)
     op = as_operator(G)
     k = min(op.shape)
     _check_rank(r, op.shape)
-    for p in oversample_schedule or ():
+    if not m_schedule:
+        m_schedule = [s for s in (max(r, k // 8), k // 4, k // 2, k) if s >= 1]
+    if not oversample_schedule:   # 5, 10, 20, ... while r + p <= k, else k - r
+        oversample_schedule = [p for p in (5 * 2 ** i for i in range(k.bit_length()))
+                               if r + p <= k] or [k - r]
+    for p in oversample_schedule:
         if r + p > k:
             raise ValueError(f"rank {r} + oversample {p} exceeds min(N, M) = {k}")
     if reference is None:
@@ -610,12 +620,6 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     if lam_ref.shape[0] < r:
         raise NumericalError(f"reference rank {lam_ref.shape[0]} < requested {r}")
 
-    if not m_schedule:
-        m_schedule = [s for s in (max(r, k // 8), k // 4, k // 2, k) if s >= 1]
-    if oversample_schedule is None:   # 5, 10, 20, ... while r + p <= k, else k - r
-        oversample_schedule = [p for p in (5 * 2 ** i for i in range(k.bit_length()))
-                               if r + p <= k] or [k - r]
-
     report = BenchReport()
     for name in solvers:
         knobs = SOLVERS[name].knobs
@@ -624,7 +628,6 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
         else:
             settings = sorted({_sample_counts(knobs, (c, c), op.shape) for c in m_schedule},
                               key=math.prod)
-        last = None
         for trial_no, setting in enumerate(settings):
             trial_seed = seed + 1000 * trial_no
             choice = make_choice(name, tol=_BENCH_TSVD_TOL, power=power, seed=trial_seed,
@@ -644,12 +647,11 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
             report.trials.append(last)
             if last.success:
                 break
-        solved = last if last is not None and last.success else None
         report.summary[name] = {
-            "success": solved is not None,
-            "eta": last.eta if last is not None else None,   # None: empty schedule
-            "seconds": solved.seconds if solved else None,
-            "knob": (solved.n_sub or solved.oversample) if solved else None,
+            "success": last.success,
+            "eta": last.eta,
+            "seconds": last.seconds if last.success else None,
+            "knob": (last.n_sub or last.oversample) if last.success else None,
         }
     rsvd = report.summary.get("rsvd")
     if rsvd and rsvd["success"]:

@@ -139,6 +139,12 @@ def _no_warning_line(_, err):
     assert not [line for line in err if line.startswith("warning:")]
 
 
+def _tsvd_solved_symnys_overflowed(d, err):
+    _no_warning_line(d, err)
+    summary = json.loads((d / "bo.bench_summary.json").read_text())["summary"]
+    assert summary["tsvd"]["success"] and summary["symnys"]["eta"] == float("inf")
+
+
 def _graph(edges, labels, out):
     return ["graph", "--input", edges, "--format", "edges", "--labels", labels, "--out", out]
 
@@ -193,7 +199,7 @@ def _cases():
     yield Case("rbf-auto-gamma-overflow",
                ["embed", "--input", "big.csv", "--kernel", "rbf", "--rank", "1", "--out", "huge"],
                3, inputs=("big.csv",), writes_none=("huge",), stderr_lines=1,
-               stderr=("numerical failure: auto gamma undefined: gamma = k * sqrt(M * var(X)) "
+               stderr=("numerical failure: auto gamma undefined: gamma = sqrt(M * var(X)) "
                        "= inf is not finite",))
     # so are linear inner products that overflow, with no numpy warning, even
     # where a Nystrom sample misses them: the residuals read them before any file
@@ -202,6 +208,11 @@ def _cases():
                 "--solver", "asymnys", "--out", "lin"], 3, inputs=("big.csv",),
                writes_none=("lin",), check=_no_warning_line,
                stderr=("numerical failure: linear kernel values are not finite: x'z overflowed",))
+    # a linear bench reads the matrix itself: sigma_1 = 1e200 is finite, so tsvd
+    # finds it, and the symnys products that overflow are failed trials, not warnings
+    yield Case("bench-linear-overflow",
+               ["bench", "--input", "big.csv", "--kernel", "linear", "--rank", "1",
+                "--out", "bo"], 0, inputs=("big.csv",), check=_tsvd_solved_symnys_overflowed)
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",

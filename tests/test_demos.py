@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, with every warning an
+error, as the in-process tests treat RuntimeWarnings."""
 
 import os
 import subprocess
@@ -16,6 +17,6 @@ def test_demo_runs(script):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -213,6 +213,23 @@ def test_tsvd_exhaustion_ends_after_the_forward_product(shape):
     assert (calls[fwd], calls[back]) == (6, 5)
 
 
+def test_tsvd_finds_a_singular_value_whose_square_overflows():
+    # sigma_1 = 1e200 is a finite double, its square is not: the Lanczos
+    # norm rescales instead of overflowing, with no numpy warning
+    res = truncated_svd(np.array([[1e200, 0.0], [0.0, 1.0]]), 2, tol=1e-12)
+    assert res.converged
+    assert res.lambdas.shape == (1,)   # 1 is round-off beside 1e200
+    assert res.lambdas[0] == pytest.approx(1e200, rel=1e-12)
+    assert np.allclose(np.abs(res.u[:, 0]), [1.0, 0.0])
+    assert np.allclose(np.abs(res.v[:, 0]), [1.0, 0.0])
+
+
+def test_sym_nystrom_svd_product_that_overflows_is_a_numerical_error():
+    # sym_nystrom_svd forms A A' and A' A, whose 1e400 overflows
+    with pytest.raises(NumericalError, match="non-finite"):
+        sym_nystrom_svd(np.array([[1e200, 0.0], [0.0, 1.0]]), 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # randomized SVD
 # ---------------------------------------------------------------------------
@@ -315,9 +332,45 @@ def test_asym_full_sampling_equals_dense_property(seed, n, m, data):
     ref = dense_svd(A, r)
     # the sampled block is all of A and the lambda scale is sqrt(1)
     assert np.array_equal(res.lambdas, ref.lambdas)
-    for normalized in (False, True):
-        eta = eta_metric(ref.u, ref.lambdas, ref.v, res.u, res.v, normalized=normalized)
+    for w in (ref.lambdas, ref.lambdas / ref.lambdas.sum()):   # raw and normalized
+        eta = eta_metric(ref.u, w, ref.v, res.u, res.v)
         assert eta <= _FULL_SAMPLING_ETA_BOUND * ref.lambdas[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 30), m=st.integers(2, 30),
+       kind=st.sampled_from(["full", "low-1e-150", "low-1e150", "0/1"]), data=st.data())
+def test_nystrom_extensions_never_reach_unit_columns_with_a_short_column(seed, n, m, kind,
+                                                                         data):
+    # an extension's sampled rows are the sample's unit singular vectors, so
+    # every column reaching _unit_columns has norm about 1 or more, never 0
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        A = rng.standard_normal((n, m))
+    elif kind == "0/1":
+        A = (rng.random((n, m)) < 0.5).astype(float)
+    else:
+        k = int(rng.integers(1, min(n, m) + 1))
+        A = rng.standard_normal((n, k)) @ rng.standard_normal((k, m)) * float(kind[4:])
+    r = data.draw(st.integers(1, min(n, m)))
+    n_sub, m_sub = data.draw(st.integers(r, n)), data.draw(st.integers(r, m))
+    norms = []
+    real = solvers_module._unit_columns
+
+    def spy(*factors):
+        norms.extend(np.linalg.norm(f, axis=0).min() for f in factors)
+        return real(*factors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers_module, "_unit_columns", spy)
+        for run in (lambda: asym_nystrom(MatrixOperator(A), n_sub, m_sub, r, seed=seed),
+                    lambda: sym_nystrom_eig(A @ A.T, n_sub, r, seed=seed),
+                    lambda: sym_nystrom_svd(A, min(n_sub, m_sub), r, seed=seed)):
+            try:
+                run()
+            except NumericalError:   # a sample of rank < r: no extension to check
+                pass
+    assert all(nrm >= 1 - 1e-6 for nrm in norms if np.isfinite(nrm))
 
 
 def test_asym_rank_one_from_single_row_and_column():
@@ -650,9 +703,9 @@ def test_eta_invariant_under_sign_flips_property(seed, n, m, data):
     ref = dense_svd(rng.standard_normal((n, m)), r)
     u, v = rng.standard_normal((n, r)), rng.standard_normal((m, r))
     su, sv = (rng.choice([-1.0, 1.0], size=r) for _ in range(2))
-    for normalized in (False, True):
-        want = eta_metric(ref.u, ref.lambdas, ref.v, u, v, normalized=normalized)
-        got = eta_metric(ref.u, ref.lambdas, ref.v, u * su, v * sv, normalized=normalized)
+    for w in (ref.lambdas, ref.lambdas / ref.lambdas.sum()):   # raw and normalized
+        want = eta_metric(ref.u, w, ref.v, u, v)
+        got = eta_metric(ref.u, w, ref.v, u * su, v * sv)
         assert got == want     # bit-identical: a flip negates each product exactly
 
 
@@ -701,7 +754,7 @@ def test_eta_normalized_variant():
     u_bad = ref.u.copy()
     full = dense_svd(A, 6)
     u_bad[:, 0] = full.u[:, 5]
-    eta_hat = eta_metric(ref.u, ref.lambdas, ref.v, u_bad, ref.v, normalized=True)
+    eta_hat = eta_metric(ref.u, ref.lambdas / ref.lambdas.sum(), ref.v, u_bad, ref.v)
     assert eta_hat == pytest.approx(ref.lambdas[0] / ref.lambdas.sum() / 3, rel=1e-9)
 
 
@@ -789,17 +842,18 @@ def test_bench_rejects_a_reference_below_the_rank():
 
 
 @pytest.mark.parametrize("order", [("tsvd", "rsvd"), ("rsvd", "tsvd")])
-def test_bench_empty_schedule_reports_no_trial(order):
-    # an empty oversample schedule runs no rsvd trial: its summary must not
-    # borrow another solver's eta, whichever solver ran before it
+def test_bench_empty_schedule_means_the_default(order):
+    # an empty oversample schedule, like an empty m_schedule, takes the
+    # default, so every named solver runs at least one trial
     G = np.random.default_rng(24).standard_normal((20, 20))
-    rep = bench(G, 2, 0.1, solvers=order, oversample_schedule=())
-    assert [t.solver for t in rep.trials] == ["tsvd"]
-    assert rep.summary["rsvd"] == {"success": False, "eta": None, "seconds": None,
-                                   "knob": None}
-    assert rep.summary["tsvd"]["success"]
-    assert rep.summary["tsvd"]["eta"] == rep.trials[0].eta
-    assert not any("speedup_vs_rsvd" in s for s in rep.summary.values())
+    empty = bench(G, 2, 0.1, solvers=order, oversample_schedule=())
+    default = bench(G, 2, 0.1, solvers=order)
+
+    def trials(rep):   # all but the wall-clock seconds
+        return [(t.solver, t.oversample, t.seed, t.eta, t.success) for t in rep.trials]
+    assert trials(empty) == trials(default)
+    assert {t.solver for t in empty.trials} == set(order)
+    assert all(s["eta"] is not None for s in empty.summary.values())
 
 
 @pytest.mark.parametrize("n", [2, 3])
