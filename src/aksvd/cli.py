@@ -356,7 +356,8 @@ def cmd_bench(cfg) -> int:
                            m_schedule=schedule, seed=cfg["seed"], power=cfg["power"])
     aio.save_report(cfg["out"] + ".bench.ldjson", [asdict(t) for t in report.trials])
     aio.save_report(cfg["out"] + ".bench_summary.json",
-                    [{"summary": report.summary, "config_hash": _config_hash(cfg)}])
+                    [{"summary": report.summary, "reference": report.reference,
+                      "config_hash": _config_hash(cfg)}])
     return 0
 
 

@@ -205,7 +205,8 @@ def _positive_rank(s: np.ndarray) -> int:
 
 
 def dense_svd(G, r: int) -> SvdResult:
-    """Reference solver: full LAPACK SVD, truncated to rank r."""
+    """Full LAPACK SVD, truncated to rank r: exact to working precision,
+    and ``bench``'s reference wherever a truncated SVD cannot certify one."""
     op = as_operator(G)
     _check_rank(r, op.shape)
     u, s, vt = np.linalg.svd(_finite(op.materialize()), full_matrices=False)
@@ -249,8 +250,11 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     rules stops it: the top-r Ritz residuals meet
     ||G' u_s - lambda_s v_s|| <= tol*lambda_1; the space spans the smaller
     side, where the factors are exact; or max_iter steps were taken, where
-    the best iterate is returned with ``converged=False``.  A NaN or
-    negative ``tol``, which no residual can meet, and a ``max_iter`` below
+    the best iterate is returned with ``converged=False``.  The residual
+    test runs every max(1, r // 4) steps from step r, and at max_iter; its
+    pass counts only if :func:`_missed_none` finds no value above lambda_r
+    missed, as one start vector can miss a copy of a repeated value.  A NaN
+    or negative ``tol``, which no residual can meet, and a ``max_iter`` below
     1 are ValueErrors.
     """
     op = as_operator(G)
@@ -279,7 +283,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
         P, s, Qt = np.linalg.svd(_finite(np.diag(alphas[:k]) + np.diag(betas[: k - 1], 1)))
         return P, s, Qt, min(r, _positive_rank(s))
 
-    k, converged, norm_est = 0, False, 0.0
+    k, converged, norm_est, every = 0, False, 0.0, max(1, r // 4)
     while k < kmax and not converged:
         w = fwd(V[:, k : k + 1])[:, 0]
         if k > 0:
@@ -292,15 +296,29 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
             break
         w = back(U[:, k - 1 : k])[:, 0] - alpha * V[:, k - 1]
         beta = betas[k - 1] = _append_orthonormal(V, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
-        if k >= r:
+        if k >= r and ((k - r) % every == 0 or k == kmax):
             P, s, _, rr = ritz(k)
             converged = rr > 0 and bool(np.all(beta * np.abs(P[k - 1, :rr]) <= tol * s[0]))
 
     P, s, Qt, rr = ritz(k)
     left, right = U[:, :k] @ P[:, :rr], V[:, :k] @ Qt[:rr].T
+    if converged and k < M:   # the residual test stopped it, not an exhausted space
+        converged = _missed_none(fwd, back, left, s[:rr], right,
+                                 (s[r - 1] if rr == r else 0.0) + max(tol, _RANK_RTOL) * s[0])
     if wide:
         left, right = right, left
     return SvdResult(left, s[:rr].copy(), right, converged=converged, iterations=k)
+
+
+def _missed_none(fwd, back, U, lam, V, bound: float) -> bool:
+    """Whether three block power steps on G - U diag(lam) V', from a fixed
+    start of their own, find no singular value above ``bound``: the
+    a-posteriori check of Halko, Martinsson and Tropp (2011, sec. 4.3)."""
+    Q = np.random.default_rng(0xC4EC).standard_normal((V.shape[0], 4))
+    for _ in range(3):
+        Y = np.linalg.qr(fwd(Q) - U @ (lam[:, None] * (V.T @ Q)))[0]
+        Q = np.linalg.qr(back(Y) - V @ (lam[:, None] * (U.T @ Y)))[0]
+    return bool(np.linalg.norm(fwd(Q) - U @ (lam[:, None] * (V.T @ Q)), 2) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +563,23 @@ class BenchTrial:
 class BenchReport:
     trials: List[BenchTrial] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    reference: str = "given"   # what eta was measured against: "tsvd", "dense" or "given"
 
 
-# truncated SVD runs once, at machine-precision tolerance
+# machine-precision tolerance of bench's tsvd trial, which runs once, and of a
+# tsvd reference, certified by its residual test and missed-value check
 _BENCH_TSVD_TOL = 1e-12
+
+
+def _bench_reference(op, r: int) -> Tuple[SvdResult, str]:
+    """bench's reference and its name: a truncated SVD that converges within
+    min(N, M) // 8 > r Krylov steps, a fraction of a dense SVD's cost, else dense."""
+    budget = min(op.shape) // 8
+    if budget > r:
+        res = truncated_svd(op, r, tol=_BENCH_TSVD_TOL, max_iter=budget)
+        if res.converged:
+            return res, "tsvd"
+    return dense_svd(op.materialize(), r), "dense"
 
 
 def _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed) -> None:
@@ -592,14 +623,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     means max(r, k // 8), k // 4, k // 2 and k, those below 1 left out); a
     solver without a knob runs once, so every solver runs a trial.  Trial t
     of a solver uses seed ``seed + 1000 * t``.  Each trial records
-    wall-clock seconds and the literal eta against the rank-r reference SVD
-    (computed densely unless ``reference`` is supplied).  A schedule
-    exhausted without reaching epsilon is recorded as failure.  A bad plan
-    is a ValueError raised before the reference SVD: unregistered or
-    repeated names (the summary keeps one run per name), a NaN or negative
-    ``epsilon``, an ``m_schedule`` count that is not an integer >= 1, an
-    oversample, ``power`` or ``seed`` that is not an integer >= 0, r outside
-    [1, min(N, M)], or r + p > min(N, M).
+    wall-clock seconds and the literal eta against the rank-r reference SVD:
+    the ``reference`` supplied, else :func:`_bench_reference`'s, whose name
+    the report records.  A schedule exhausted without reaching epsilon is
+    recorded as failure.  A bad plan is a ValueError raised before the
+    reference SVD: unregistered or repeated names (the summary keeps one
+    run per name), a NaN or negative ``epsilon``, an ``m_schedule`` count
+    that is not an integer >= 1, an oversample, ``power`` or ``seed`` that
+    is not an integer >= 0, r outside [1, min(N, M)], or r + p > min(N, M).
     """
     _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed)
     op = as_operator(G)
@@ -613,14 +644,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     for p in oversample_schedule:
         if r + p > k:
             raise ValueError(f"rank {r} + oversample {p} exceeds min(N, M) = {k}")
+    report = BenchReport()
     if reference is None:
-        ref = dense_svd(op.materialize(), r)
+        ref, report.reference = _bench_reference(op, r)
         reference = ref.u, ref.lambdas, ref.v
     u_ref, lam_ref, v_ref = reference
     if lam_ref.shape[0] < r:
         raise NumericalError(f"reference rank {lam_ref.shape[0]} < requested {r}")
 
-    report = BenchReport()
     for name in solvers:
         knobs = SOLVERS[name].knobs
         if knobs == ("oversample",):

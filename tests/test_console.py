@@ -78,6 +78,15 @@ def _normal(seed, shape):
                                    delimiter=",", fmt="%.17g")
 
 
+def _repeated_top(path):
+    # U diag(1, 1, 1, 0.5, 0.25, ...) V': single-vector Lanczos finds two of
+    # the three copies of 1 well within bench's Krylov budget for tsvd
+    rng = np.random.default_rng(0)
+    U, V = (np.linalg.qr(rng.standard_normal((120, 120)))[0] for _ in range(2))
+    s = np.concatenate([[1.0, 1.0], 0.5 ** np.arange(118)])
+    np.savetxt(path, (U * s) @ V.T, delimiter=",", fmt="%.17g")
+
+
 def _graph40(path):
     A = np.random.default_rng(0).random((40, 40)) < 0.1
     np.fill_diagonal(A, False)
@@ -98,6 +107,7 @@ INPUTS = {
     "rect.csv": _normal(0, (30, 40)),
     "e.csv": _text("1,0\n0,1\n"),
     "big.csv": _text("1e200,0\n0,1\n"),
+    "repeated.csv": _repeated_top,
     "bom.json": _text('{"subcommand": "embed", "input": "e.csv", "out": "bom"}', "utf-8-sig"),
     "cfgdir": Path.mkdir,
     "list.json": _text('{"subcommand": ["embed"], "input": "x", "out": "y"}'),
@@ -143,6 +153,11 @@ def _tsvd_solved_symnys_overflowed(d, err):
     _no_warning_line(d, err)
     summary = json.loads((d / "bo.bench_summary.json").read_text())["summary"]
     assert summary["tsvd"]["success"] and summary["symnys"]["eta"] == float("inf")
+
+
+def _dense_reference_and_tsvd_failed(d, _):
+    report = json.loads((d / "rep.bench_summary.json").read_text())
+    assert report["reference"] == "dense" and not report["summary"]["tsvd"]["success"]
 
 
 def _graph(edges, labels, out):
@@ -213,6 +228,12 @@ def _cases():
     yield Case("bench-linear-overflow",
                ["bench", "--input", "big.csv", "--kernel", "linear", "--rank", "1",
                 "--out", "bo"], 0, inputs=("big.csv",), check=_tsvd_solved_symnys_overflowed)
+    # a tsvd that missed a copy of the repeated top value is no reference:
+    # bench falls back to dense, and the tsvd trial fails against it
+    yield Case("bench-repeated-top",
+               ["bench", "--input", "repeated.csv", "--kernel", "linear", "--rank", "3",
+                "--out", "rep"], 0, inputs=("repeated.csv",),
+               check=_dense_reference_and_tsvd_failed)
     for k in FAMILIES:
         for s in ("dense", "asymnys"):
             yield Case(f"embed-{k}-{s}",

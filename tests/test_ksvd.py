@@ -85,6 +85,16 @@ def test_fit_warns_when_solver_did_not_converge():
     assert m.lambdas.shape == (4,)
 
 
+def test_fit_warns_when_tsvd_missed_a_copy_of_a_repeated_value():
+    # G = U diag(1, 1, 1, 0.9, ...) V' / 48: tsvd meets its residual test with
+    # two of the three copies of the top value, which its missed-value check refuses
+    rng = np.random.default_rng(0)
+    U, V = (np.linalg.qr(rng.standard_normal((48, 48)))[0] for _ in range(2))
+    s = np.concatenate([[1.0, 1.0], 0.9 ** np.arange(46)])
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        fit(U * s, V, KernelSpec.linear(), 3, solver=Truncated(tol=1e-12))
+
+
 def test_centered_nystrom_fit_warns_that_it_materializes_the_gram():
     rng = np.random.default_rng(13)
     X, Z = rng.standard_normal((60, 3)), rng.standard_normal((50, 3))

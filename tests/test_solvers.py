@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import dataclass, fields
@@ -222,6 +223,42 @@ def test_tsvd_finds_a_singular_value_whose_square_overflows():
     assert res.lambdas[0] == pytest.approx(1e200, rel=1e-12)
     assert np.allclose(np.abs(res.u[:, 0]), [1.0, 0.0])
     assert np.allclose(np.abs(res.v[:, 0]), [1.0, 0.0])
+
+
+def repeated_top(n, decay, seed=0):
+    """U diag(1, 1, 1, decay, decay^2, ...) V' with Haar-random U and V: a
+    top singular value repeated three times."""
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return (U * np.concatenate([[1.0, 1.0], decay ** np.arange(n - 2)])) @ V.T
+
+
+@pytest.mark.parametrize("n, decay", [(48, 0.9), (120, 0.5)])
+def test_tsvd_does_not_certify_a_missed_copy_of_a_repeated_value(n, decay):
+    # single-vector Lanczos finds two of the three copies of 1 and meets its
+    # residual test with lambda = [1, 1, decay]; the missed-value check
+    # finds the third copy in G - U diag(lambda) V'
+    A = repeated_top(n, decay)
+    res = truncated_svd(A, 3, tol=1e-12)
+    assert not res.converged or np.allclose(res.lambdas, 1.0)
+
+
+def test_tsvd_runs_its_ritz_test_every_r_over_4_steps(monkeypatch):
+    # each Ritz test is one SVD of the k x k bidiagonal; the last iterate
+    # and a test at max_iter may add one each
+    A = random_matrix(np.random.default_rng(31), 200, 200, decay=0.9)
+    real_svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    res = truncated_svd(A, 20, tol=1e-12)
+    monkeypatch.undo()
+    assert res.converged and res.iterations > 20
+    assert len(shapes) <= math.ceil((res.iterations - 20) / 5) + 2
+    assert eta_vs_dense(A, res, 20) <= 1e-10
 
 
 def test_sym_nystrom_svd_product_that_overflows_is_a_numerical_error():
@@ -832,6 +869,7 @@ def test_bench_records_a_result_below_the_rank_as_failed_trial(name):
                 oversample_schedule=(5,))
     assert [(t.eta, t.success) for t in rep.trials] == [(np.inf, False)]
     assert rep.summary[name]["success"] is False and rep.summary[name]["eta"] == np.inf
+    assert rep.reference == "given"
 
 
 def test_bench_rejects_a_reference_below_the_rank():
@@ -866,6 +904,35 @@ def test_bench_default_schedule_runs_on_a_small_matrix(n):
     assert all(t.m_sub is None or t.m_sub >= 1 for t in rep.trials)
 
 
+def bench_spectrum(seed, n=600):
+    """The input of the bench-spectrum benchmark workload: U diag(0.9^k) V'."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * 0.9 ** np.arange(n)) @ V.T
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_reference_is_a_tsvd_on_a_decaying_spectrum(seed):
+    # tsvd certifies itself within its Krylov budget, so no dense SVD runs;
+    # bench's tsvd trial repeats the reference's run, so its eta is round-off
+    rep = bench(bench_spectrum(seed), 20, 0.1, solvers=("tsvd",), seed=seed)
+    assert rep.reference == "tsvd"
+    assert rep.summary["tsvd"]["success"] and rep.trials[0].eta <= 1e-14
+
+
+@pytest.mark.parametrize("A, r", [
+    (np.random.default_rng(32).standard_normal((200, 200)), 10),   # flat: over budget
+    (repeated_top(120, 0.5), 3),   # within budget, but the missed-value check fails
+], ids=["gaussian", "repeated-top"])
+def test_bench_reference_falls_back_to_dense(A, r):
+    ref, name = solvers_module._bench_reference(MatrixOperator(A), r)
+    assert name == "dense" == bench(A, r, 0.1, solvers=("rsvd",)).reference
+    dense = dense_svd(A, r)
+    for a, b in ((ref.u, dense.u), (ref.lambdas, dense.lambdas), (ref.v, dense.v)):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("epsilon", [np.nan, -1.0])
 def test_bench_rejects_an_epsilon_no_trial_can_meet(epsilon):
     G = np.random.default_rng(30).standard_normal((10, 10))
@@ -894,11 +961,12 @@ def test_bench_rejects_a_solver_named_twice():
 ], ids=["m-zero", "m-negative", "m-fraction", "m-bool", "p-negative", "p-past-side", "power",
         "seed", "eps-nan", "unknown"])
 def test_bench_checks_the_plan_before_the_reference(plan, message, monkeypatch):
-    # a bad plan fails before the dense reference SVD and any trial: no
-    # work is spent on a run that cannot finish
+    # a bad plan fails before the reference SVD and any trial: no work is
+    # spent on a run that cannot finish
     def spy(*args, **kwargs):
-        raise AssertionError("dense_svd called for a bad plan")
+        raise AssertionError("reference computed for a bad plan")
 
+    monkeypatch.setattr(solvers_module, "_bench_reference", spy)
     monkeypatch.setattr(solvers_module, "dense_svd", spy)
     G = np.random.default_rng(30).standard_normal((10, 10))
     with pytest.raises(ValueError, match=message):
