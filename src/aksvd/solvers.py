@@ -18,9 +18,11 @@ and extends the singular vectors to all rows/columns through the sampled
 column and row blocks, touching only O(N*m + n*M) entries of the matrix.
 The symmetric Nystrom method is its special case on a symmetric submatrix.
 The asymmetric method extends through :func:`_nystrom_extend`, the
-symmetric ones through :func:`_sym_nystrom_extend`.  Every Nystrom method
-draws its sample through :func:`_sample_indices`, so a sample larger than
-the side it is drawn from is a ValueError, never capped.
+symmetric ones through :func:`_sym_nystrom_extend`; :func:`sym_nystrom_svd`
+forms only its sampled Grams B B'.  Every Nystrom method draws its sample
+through :func:`_sample_indices`, so a sample larger than the side it is
+drawn from is a ValueError, never capped.  Against a tsvd reference,
+:func:`bench`'s tsvd trial is the reference run.
 """
 
 from __future__ import annotations
@@ -253,9 +255,10 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     the best iterate is returned with ``converged=False``.  The residual
     test runs every max(1, r // 4) steps from step r, and at max_iter; its
     pass counts only if :func:`_missed_none` finds no value above lambda_r
-    missed, as one start vector can miss a copy of a repeated value.  A NaN
-    or negative ``tol``, which no residual can meet, and a ``max_iter`` below
-    1 are ValueErrors.
+    missed, as one start vector can miss a copy of a repeated value.  The
+    breakdown cutoff is relative to the largest alpha, so the steps do not
+    depend on scale.  A NaN or negative ``tol``, which no residual can
+    meet, and a ``max_iter`` below 1 are ValueErrors.
     """
     op = as_operator(G)
     N, M = op.shape
@@ -288,14 +291,14 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
         w = fwd(V[:, k : k + 1])[:, 0]
         if k > 0:
             w -= betas[k - 1] * U[:, k - 1]
-        alpha = alphas[k] = _append_orthonormal(U, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
+        alpha = alphas[k] = _append_orthonormal(U, k, w, _RANK_RTOL * norm_est, rng)
         norm_est = max(norm_est, alpha)
         k += 1
         if k == M:   # V[:, :M] spans the smaller side: G V = U B exactly
             converged = True
             break
         w = back(U[:, k - 1 : k])[:, 0] - alpha * V[:, k - 1]
-        beta = betas[k - 1] = _append_orthonormal(V, k, w, _RANK_RTOL * max(norm_est, 1.0), rng)
+        beta = betas[k - 1] = _append_orthonormal(V, k, w, _RANK_RTOL * norm_est, rng)
         if k >= r and ((k - r) % every == 0 or k == kmax):
             P, s, _, rr = ritz(k)
             converged = rr > 0 and bool(np.all(beta * np.abs(P[k - 1, :rr]) <= tol * s[0]))
@@ -401,18 +404,18 @@ def _unit_columns(*factors: np.ndarray) -> None:
         f /= nrm[None, :]
 
 
-def _sym_nystrom_extend(C: np.ndarray, idx: np.ndarray, r: int) -> tuple:
-    """The Nystrom step for the sampled columns C = K[:, idx] of a symmetric
-    PSD matrix K, whose eigenvectors serve as left and right singular
-    vectors alike: the extension u = C evecs / lambda of the top r
-    eigenvectors of K[idx][:, idx], unit-normalized and sign-fixed, and
-    lambda~ = (N/n) * lambda, as :func:`_nystrom_extend` scales it."""
-    evals, evecs = np.linalg.eigh(_finite(C[idx]))
+def _sym_nystrom_extend(K: np.ndarray, extend, r: int) -> tuple:
+    """The Nystrom step for the sampled n x n block K of a symmetric PSD
+    N x N matrix: ``extend(w)``, the N x r product of its sampled columns
+    with w = evecs / lambda of K's top r eigenpairs, unit-normalized and
+    sign-fixed, and lambda~ = (N/n) * lambda, as :func:`_nystrom_extend`
+    scales it.  A K that is not finite is a NumericalError."""
+    evals, evecs = np.linalg.eigh(_finite(K))
     lam = _nystrom_lambdas(evals[::-1], r)
-    u = C @ (evecs[:, ::-1][:, :r] / lam[None, :])
+    u = extend(evecs[:, ::-1][:, :r] / lam[None, :])
     _unit_columns(u)
     _sign_fix_pairs(u)
-    N, n = C.shape[0], idx.size
+    N, n = u.shape[0], K.shape[0]
     return u, np.sqrt((N * N) / (n * n)) * lam
 
 
@@ -430,7 +433,8 @@ def sym_nystrom_eig(K, n_sub: int, r: int, seed: int = 0, indices=None):
         raise ValueError("sym_nystrom_eig requires a square operator")
     _check_rank(r, op.shape)
     idx = _sample_indices(np.random.default_rng(seed), N, n_sub, indices)
-    return _sym_nystrom_extend(op.block(np.arange(N), idx), idx, r)
+    C = op.block(np.arange(N), idx)
+    return _sym_nystrom_extend(C[idx], lambda w: C @ w, r)
 
 
 def _sign_fix_pairs(U: np.ndarray, V: Optional[np.ndarray] = None):
@@ -482,10 +486,12 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     """SVD baseline from two symmetric Nystrom eigenproblems.
 
     Applies the extension of sym_nystrom_eig to G G' and G' G separately
-    (rows sampled with ``seed``, columns with ``seed + 1``; only the sampled
-    columns of each product are formed), pairs factors by eigenvalue order,
-    and sign-aligns each pair by u_s' G v_s >= 0 (the two eigenproblems
-    carry no joint sign information); an overflowing product is a NumericalError.
+    (rows sampled with ``seed``, columns with ``seed + 1``; with B the
+    sampled rows, only the n x n Gram B B' and the N x r extension G (B' w)
+    are formed, and likewise for the columns), pairs factors by eigenvalue
+    order, and sign-aligns each pair by u_s' G v_s >= 0 (the two
+    eigenproblems carry no joint sign information); an overflow is a
+    NumericalError.
     """
     op = MatrixOperator(as_operator(G).materialize())
     A = op.values
@@ -493,8 +499,14 @@ def sym_nystrom_svd(G, n_sub: int, r: int, seed: int = 0) -> SvdResult:
     _check_rank(r, A.shape)
     rows = _sample_indices(np.random.default_rng(seed), N, n_sub)
     cols = _sample_indices(np.random.default_rng(seed + 1), M, n_sub)
-    u, lam = _sym_nystrom_extend(op.matmat(A[rows].T), rows, r)
-    v, _ = _sym_nystrom_extend(op.rmatmat(A[:, cols]), cols, r)
+    sides = []
+    for side, idx in ((op, rows), (MatrixOperator(A.T), cols)):   # G G', then G' G
+        B = side.values[idx]
+        with np.errstate(over="ignore", invalid="ignore"):   # _finite raises instead
+            K = B @ B.T
+        sides.append(_sym_nystrom_extend(K, lambda w: side.matmat(B.T @ w), r))
+        del B, K   # hold one side's blocks at a time: a lower peak memory
+    (u, lam), (v, _) = sides
     v[:, np.sum(u * op.matmat(v), axis=0) < 0] *= -1.0
     return SvdResult(u, np.sqrt(lam), v)
 
@@ -571,10 +583,15 @@ class BenchReport:
 _BENCH_TSVD_TOL = 1e-12
 
 
+def _tsvd_budget(shape) -> int:
+    """The Krylov steps a tsvd reference may take: a fraction of a dense SVD's cost."""
+    return min(shape) // 8
+
+
 def _bench_reference(op, r: int) -> Tuple[SvdResult, str]:
     """bench's reference and its name: a truncated SVD that converges within
-    min(N, M) // 8 > r Krylov steps, a fraction of a dense SVD's cost, else dense."""
-    budget = min(op.shape) // 8
+    :func:`_tsvd_budget` > r Krylov steps, else dense."""
+    budget = _tsvd_budget(op.shape)
     if budget > r:
         res = truncated_svd(op, r, tol=_BENCH_TSVD_TOL, max_iter=budget)
         if res.converged:
@@ -625,12 +642,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     of a solver uses seed ``seed + 1000 * t``.  Each trial records
     wall-clock seconds and the literal eta against the rank-r reference SVD:
     the ``reference`` supplied, else :func:`_bench_reference`'s, whose name
-    the report records.  A schedule exhausted without reaching epsilon is
-    recorded as failure.  A bad plan is a ValueError raised before the
-    reference SVD: unregistered or repeated names (the summary keeps one
-    run per name), a NaN or negative ``epsilon``, an ``m_schedule`` count
-    that is not an integer >= 1, an oversample, ``power`` or ``seed`` that
-    is not an integer >= 0, r outside [1, min(N, M)], or r + p > min(N, M).
+    the report records; a tsvd reference that stopped before its budget is
+    also the tsvd trial, with its seconds.  A schedule exhausted without
+    reaching epsilon is recorded as failure.  A bad plan is a ValueError
+    raised before the reference SVD: unregistered or repeated names (the
+    summary keeps one run per name), a NaN or negative ``epsilon``, an
+    ``m_schedule`` count that is not an integer >= 1, an oversample,
+    ``power`` or ``seed`` that is not an integer >= 0, r outside
+    [1, min(N, M)], or r + p > min(N, M).
     """
     _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed)
     op = as_operator(G)
@@ -645,8 +664,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
         if r + p > k:
             raise ValueError(f"rank {r} + oversample {p} exceeds min(N, M) = {k}")
     report = BenchReport()
+    held = None   # the reference run's (result, seconds) when it is also the tsvd trial
     if reference is None:
+        t0 = time.perf_counter()
         ref, report.reference = _bench_reference(op, r)
+        # a run that stopped before its budget took only Ritz tests the
+        # unbudgeted trial takes too, from the same start: the same factors
+        if report.reference == "tsvd" and ref.iterations < _tsvd_budget(op.shape):
+            held = ref, time.perf_counter() - t0
         reference = ref.u, ref.lambdas, ref.v
     u_ref, lam_ref, v_ref = reference
     if lam_ref.shape[0] < r:
@@ -665,8 +690,11 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
                                  **dict(zip(knobs, setting)))
             t0 = time.perf_counter()
             try:
-                res = solve(op, r, choice)
-                seconds = time.perf_counter() - t0
+                if name == "tsvd" and held:
+                    res, seconds = held
+                else:
+                    res = solve(op, r, choice)
+                    seconds = time.perf_counter() - t0
                 eta = (float("inf") if res.achieved_rank < r
                        else eta_metric(u_ref, lam_ref, v_ref, res.u, res.v))
             except NumericalError:

@@ -261,6 +261,34 @@ def test_tsvd_runs_its_ritz_test_every_r_over_4_steps(monkeypatch):
     assert eta_vs_dense(A, res, 20) <= 1e-10
 
 
+def _decaying_100():
+    """U diag(0.8^k) V' (100 x 100) with Haar-random U and V."""
+    rng = np.random.default_rng(0)
+    U, V = (np.linalg.qr(rng.standard_normal((100, 100)))[0] for _ in range(2))
+    return (U * 0.8 ** np.arange(100)) @ V.T
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11])
+def test_tsvd_finds_the_top_values_of_a_matrix_of_small_norm(scale):
+    # the breakdown cutoff is relative to the running norm estimate: an
+    # absolute 1e-12 made every step a breakdown at 1e-13 (rank 0) and cut
+    # the Krylov space short at 1e-11 (lambda off by 5e-5, yet converged)
+    A = _decaying_100() * scale
+    res = truncated_svd(A, 5, tol=1e-12)
+    assert res.converged and res.achieved_rank == 5
+    assert np.allclose(res.lambdas, dense_svd(A, 5).lambdas, rtol=1e-12, atol=0.0)
+
+
+def test_tsvd_does_not_depend_on_scale():
+    # a power-of-two scale is exact in every product, norm and cutoff
+    A = _decaying_100()
+    want = truncated_svd(A, 5, tol=1e-12)
+    got = truncated_svd(A * 2.0 ** -43, 5, tol=1e-12)
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    assert np.array_equal(got.lambdas, want.lambdas * 2.0 ** -43)
+
+
 def test_sym_nystrom_svd_product_that_overflows_is_a_numerical_error():
     # sym_nystrom_svd forms A A' and A' A, whose 1e400 overflows
     with pytest.raises(NumericalError, match="non-finite"):
@@ -797,6 +825,43 @@ def test_eta_normalized_variant():
 
 # ---------------------------------------------------------------------------
 # sym-Nystrom-as-SVD baseline and the bench harness
+def test_sym_nystrom_svd_asks_products_at_most_r_columns_wide(monkeypatch):
+    # it forms the sampled Grams B B' itself and asks G only for the N x r
+    # extensions and the sign pairing, never for an N x n block of G G'
+    A = random_matrix(np.random.default_rng(33), 400, 300, decay=0.9)
+    widths = []
+    for method in ("matmat", "rmatmat"):
+        real = getattr(MatrixOperator, method)
+
+        def spy(self, W, real=real):
+            widths.append(W.shape[1])
+            return real(self, W)
+        monkeypatch.setattr(MatrixOperator, method, spy)
+    res = sym_nystrom_svd(A, n_sub=100, r=5, seed=0)
+    monkeypatch.undo()
+    assert widths and max(widths) <= 5
+    assert res.achieved_rank == 5
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sym_nystrom_eig_equals_its_formula_bit_for_bit(seed):
+    # eigh of the sampled block, extension C w from the sampled columns
+    # C = K[:, idx] as the operator serves them, unit columns, sign fix
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((60, 8))
+    K = X @ X.T
+    u, lam = sym_nystrom_eig(K, 20, 4, seed=seed)
+    idx = np.sort(np.random.default_rng(seed).choice(60, size=20, replace=False))
+    C = MatrixOperator(K).block(np.arange(60), idx)
+    evals, evecs = np.linalg.eigh(C[idx])
+    top = evals[::-1][:4]
+    want = C @ (evecs[:, ::-1][:, :4] / top[None, :])
+    want /= np.linalg.norm(want, axis=0)[None, :]
+    want *= np.where(want[np.argmax(np.abs(want), axis=0), np.arange(4)] < 0, -1.0, 1.0)
+    assert np.array_equal(u, want)
+    assert np.array_equal(lam, np.sqrt((60 * 60) / (20 * 20)) * top)
+
+
 # ---------------------------------------------------------------------------
 
 def test_sym_nystrom_svd_full_sampling():
@@ -915,10 +980,48 @@ def bench_spectrum(seed, n=600):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bench_reference_is_a_tsvd_on_a_decaying_spectrum(seed):
     # tsvd certifies itself within its Krylov budget, so no dense SVD runs;
-    # bench's tsvd trial repeats the reference's run, so its eta is round-off
+    # bench's tsvd trial is the reference run, so its eta is round-off
     rep = bench(bench_spectrum(seed), 20, 0.1, solvers=("tsvd",), seed=seed)
     assert rep.reference == "tsvd"
     assert rep.summary["tsvd"]["success"] and rep.trials[0].eta <= 1e-14
+
+
+def _recording_tsvd(monkeypatch):
+    """Record every truncated_svd call's result, bench's own included."""
+    calls, real = [], solvers_module.truncated_svd
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+    monkeypatch.setattr(solvers_module, "truncated_svd", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_tsvd_trial_is_the_reference_run(seed, monkeypatch):
+    # a reference that stopped before its budget took only the Ritz tests
+    # an unbudgeted run takes: bench records it as the tsvd trial, no rerun
+    A = bench_spectrum(seed)
+    calls = _recording_tsvd(monkeypatch)
+    rep = bench(A, 20, 0.1, solvers=("tsvd", "rsvd"), seed=seed)
+    monkeypatch.undo()
+    assert rep.reference == "tsvd" and len(calls) == 1
+    held, alone = calls[0], truncated_svd(A, 20, tol=solvers_module._BENCH_TSVD_TOL)
+    for a, b in ((held.u, alone.u), (held.lambdas, alone.lambdas), (held.v, alone.v)):
+        assert np.array_equal(a, b)
+    trial = rep.trials[0]
+    assert trial.solver == "tsvd" and trial.success and trial.seconds > 0
+    assert trial.eta == eta_metric(alone.u, alone.lambdas, alone.v, alone.u, alone.v)
+
+
+def test_bench_tsvd_trial_runs_its_own_tsvd_against_a_dense_reference(monkeypatch):
+    # the budgeted tsvd missed a copy of the repeated top value, so the
+    # reference is dense and the trial is a tsvd of its own, which fails
+    calls = _recording_tsvd(monkeypatch)
+    rep = bench(repeated_top(120, 0.5), 3, 0.1, solvers=("tsvd",))
+    monkeypatch.undo()
+    assert rep.reference == "dense" and len(calls) == 2
+    assert [t.success for t in rep.trials] == [False]
 
 
 @pytest.mark.parametrize("A, r", [
