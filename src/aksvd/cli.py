@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -55,7 +56,7 @@ def _add_common(p):
     p.add_argument("--kernel", choices=FAMILIES, default="linear")
     p.add_argument("--gamma", type=_gamma, default="auto",
                    help="rbf/sne kernel bandwidth: a positive real number, or 'auto' "
-                        "(k*sqrt(M*var) heuristic); ignored by the linear and poly kernels")
+                        "(sqrt(M*var(X)) heuristic); ignored by the linear and poly kernels")
     p.add_argument("--degree", type=int, default=2, help="poly kernel degree")
     p.add_argument("--offset", type=float, default=1.0, help="poly kernel offset")
     p.add_argument("--rank", type=int, default=2)
@@ -338,6 +339,11 @@ def _bench_plan(cfg):
     return names, schedule
 
 
+def _json_eta(row: dict) -> dict:
+    """A bench row with a failed trial's infinite eta as None: JSON has no infinity."""
+    return {**row, "eta": row["eta"] if math.isfinite(row["eta"]) else None}
+
+
 def cmd_bench(cfg) -> int:
     names, schedule = _bench_plan(cfg)
     A = as_matrix(_load_matrix(cfg), "A")
@@ -354,9 +360,10 @@ def cmd_bench(cfg) -> int:
     print(json.dumps(cfg, sort_keys=True))
     report = solvers.bench(G, cfg["rank"], cfg["eps"], solvers=names,
                            m_schedule=schedule, seed=cfg["seed"], power=cfg["power"])
-    aio.save_report(cfg["out"] + ".bench.ldjson", [asdict(t) for t in report.trials])
+    aio.save_report(cfg["out"] + ".bench.ldjson", [_json_eta(asdict(t)) for t in report.trials])
+    summary = {name: _json_eta(s) for name, s in report.summary.items()}
     aio.save_report(cfg["out"] + ".bench_summary.json",
-                    [{"summary": report.summary, "reference": report.reference,
+                    [{"summary": summary, "reference": report.reference,
                       "config_hash": _config_hash(cfg)}])
     return 0
 

@@ -238,8 +238,14 @@ def save_embeddings(path, *blocks: List[str]) -> None:
 
 
 def save_report(path, rows: List[dict]) -> None:
-    """Write a report as line-delimited JSON, one object per line."""
-    _write_lines(path, (json.dumps(row, sort_keys=True) for row in rows))
+    """Write a report as line-delimited strict JSON, one object per line.
+    A value JSON cannot hold, such as an infinity, is a :class:`DataError`
+    raised before the file is opened."""
+    try:
+        lines = [json.dumps(row, sort_keys=True, allow_nan=False) for row in rows]
+    except ValueError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    _write_lines(path, lines)
 
 
 def load_report(path) -> List[dict]:

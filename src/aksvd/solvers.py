@@ -21,8 +21,9 @@ The asymmetric method extends through :func:`_nystrom_extend`, the
 symmetric ones through :func:`_sym_nystrom_extend`; :func:`sym_nystrom_svd`
 forms only its sampled Grams B B'.  Every Nystrom method draws its sample
 through :func:`_sample_indices`, so a sample larger than the side it is
-drawn from is a ValueError, never capped.  Against a tsvd reference,
-:func:`bench`'s tsvd trial is the reference run.
+drawn from is a ValueError, never capped.  A step cap only cuts
+:func:`truncated_svd` short, so against a tsvd reference :func:`bench`'s
+tsvd trial is the reference run.
 """
 
 from __future__ import annotations
@@ -179,8 +180,11 @@ def make_choice(name: str, **settings) -> SolverChoice:
 
 
 def _check_rank(r: int, shape) -> None:
-    """The rank rule of every solver: 1 <= r <= min(N, M)."""
+    """The rank rule of every solver: an integer (not a bool) with
+    1 <= r <= min(N, M)."""
     N, M = shape
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"rank must be an integer, got {r!r}")
     if not 1 <= r <= min(N, M):
         raise ValueError(f"rank {r} out of range for a {N}x{M} matrix")
 
@@ -201,8 +205,6 @@ def _positive_rank(s: np.ndarray) -> int:
     :class:`NumericalError`, never a rank of 0."""
     if not np.isfinite(s).all():
         raise NumericalError("singular values are not finite")
-    if s[0] <= 0.0:
-        return 0
     return int(np.sum(s > _RANK_RTOL * s[0]))
 
 
@@ -253,7 +255,8 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
     ||G' u_s - lambda_s v_s|| <= tol*lambda_1; the space spans the smaller
     side, where the factors are exact; or max_iter steps were taken, where
     the best iterate is returned with ``converged=False``.  The residual
-    test runs every max(1, r // 4) steps from step r, and at max_iter; its
+    test runs every max(1, r // 4) steps from step r, whatever max_iter, so
+    a run capped at b steps is the first b steps of the uncapped run; its
     pass counts only if :func:`_missed_none` finds no value above lambda_r
     missed, as one start vector can miss a copy of a repeated value.  The
     breakdown cutoff is relative to the largest alpha, so the steps do not
@@ -299,7 +302,7 @@ def truncated_svd(G, r: int, tol: float = 1e-10, max_iter: Optional[int] = None)
             break
         w = back(U[:, k - 1 : k])[:, 0] - alpha * V[:, k - 1]
         beta = betas[k - 1] = _append_orthonormal(V, k, w, _RANK_RTOL * norm_est, rng)
-        if k >= r and ((k - r) % every == 0 or k == kmax):
+        if k >= r and (k - r) % every == 0:
             P, s, _, rr = ritz(k)
             converged = rr > 0 and bool(np.all(beta * np.abs(P[k - 1, :rr]) <= tol * s[0]))
 
@@ -583,15 +586,12 @@ class BenchReport:
 _BENCH_TSVD_TOL = 1e-12
 
 
-def _tsvd_budget(shape) -> int:
-    """The Krylov steps a tsvd reference may take: a fraction of a dense SVD's cost."""
-    return min(shape) // 8
-
-
 def _bench_reference(op, r: int) -> Tuple[SvdResult, str]:
     """bench's reference and its name: a truncated SVD that converges within
-    :func:`_tsvd_budget` > r Krylov steps, else dense."""
-    budget = _tsvd_budget(op.shape)
+    a budget of min(N, M) // 8 > r Krylov steps, a fraction of a dense SVD's
+    cost, else dense.  A capped run is a prefix of the uncapped one, so a
+    tsvd reference is also the run bench's tsvd trial would take."""
+    budget = min(op.shape) // 8
     if budget > r:
         res = truncated_svd(op, r, tol=_BENCH_TSVD_TOL, max_iter=budget)
         if res.converged:
@@ -642,14 +642,14 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
     of a solver uses seed ``seed + 1000 * t``.  Each trial records
     wall-clock seconds and the literal eta against the rank-r reference SVD:
     the ``reference`` supplied, else :func:`_bench_reference`'s, whose name
-    the report records; a tsvd reference that stopped before its budget is
-    also the tsvd trial, with its seconds.  A schedule exhausted without
-    reaching epsilon is recorded as failure.  A bad plan is a ValueError
-    raised before the reference SVD: unregistered or repeated names (the
-    summary keeps one run per name), a NaN or negative ``epsilon``, an
-    ``m_schedule`` count that is not an integer >= 1, an oversample,
-    ``power`` or ``seed`` that is not an integer >= 0, r outside
-    [1, min(N, M)], or r + p > min(N, M).
+    the report records; a tsvd reference is also the tsvd trial, with its
+    seconds.  A schedule exhausted without reaching epsilon is recorded as
+    failure.  A bad plan is a ValueError raised before the reference SVD:
+    unregistered or repeated names (the summary keeps one run per name), a
+    NaN or negative ``epsilon``, an ``m_schedule`` count that is not an
+    integer >= 1, an oversample, ``power`` or ``seed`` that is not an
+    integer >= 0, an r that is not an integer in [1, min(N, M)], or
+    r + p > min(N, M).
     """
     _check_plan(solvers, epsilon, m_schedule, oversample_schedule, power, seed)
     op = as_operator(G)
@@ -664,14 +664,10 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
         if r + p > k:
             raise ValueError(f"rank {r} + oversample {p} exceeds min(N, M) = {k}")
     report = BenchReport()
-    held = None   # the reference run's (result, seconds) when it is also the tsvd trial
     if reference is None:
         t0 = time.perf_counter()
         ref, report.reference = _bench_reference(op, r)
-        # a run that stopped before its budget took only Ritz tests the
-        # unbudgeted trial takes too, from the same start: the same factors
-        if report.reference == "tsvd" and ref.iterations < _tsvd_budget(op.shape):
-            held = ref, time.perf_counter() - t0
+        ref_seconds = time.perf_counter() - t0
         reference = ref.u, ref.lambdas, ref.v
     u_ref, lam_ref, v_ref = reference
     if lam_ref.shape[0] < r:
@@ -690,8 +686,8 @@ def bench(G, r: int, epsilon: float, solvers: Sequence[str] = DEFAULT_BENCH_SOLV
                                  **dict(zip(knobs, setting)))
             t0 = time.perf_counter()
             try:
-                if name == "tsvd" and held:
-                    res, seconds = held
+                if name == "tsvd" and report.reference == "tsvd":
+                    res, seconds = ref, ref_seconds
                 else:
                     res = solve(op, r, choice)
                     seconds = time.perf_counter() - t0

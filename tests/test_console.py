@@ -114,6 +114,7 @@ INPUTS = {
     "eye2.csv": _text("1,0\n0,1\n"),
     "r20.csv": _normal(0, (20, 20)),
     "r24x12.csv": _normal(1, (24, 12)),
+    "b.csv": _normal(2, (40, 25)),
     "r1.csv": lambda path: save_matrix_csv(path, np.outer([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])),
     "a.csv": lambda path: save_matrix_csv(path, np.random.default_rng(0).standard_normal((8, 8))),
 }
@@ -152,7 +153,15 @@ def _no_warning_line(_, err):
 def _tsvd_solved_symnys_overflowed(d, err):
     _no_warning_line(d, err)
     summary = json.loads((d / "bo.bench_summary.json").read_text())["summary"]
-    assert summary["tsvd"]["success"] and summary["symnys"]["eta"] == float("inf")
+    assert summary["tsvd"]["success"] and summary["symnys"]["eta"] is None
+
+
+def _every_trial_failed_with_null_eta(d, _):
+    # a sample smaller than --rank is a numerical failure: eta has no value
+    trials = [json.loads(line) for line in (d / "inf.bench.ldjson").read_text().splitlines()]
+    summary = json.loads((d / "inf.bench_summary.json").read_text())["summary"]
+    assert len(trials) == 4 and set(summary) == {"asymnys", "symnys"}
+    assert all(row["eta"] is None and not row["success"] for row in [*trials, *summary.values()])
 
 
 def _dense_reference_and_tsvd_failed(d, _):
@@ -228,6 +237,11 @@ def _cases():
     yield Case("bench-linear-overflow",
                ["bench", "--input", "big.csv", "--kernel", "linear", "--rank", "1",
                 "--out", "bo"], 0, inputs=("big.csv",), check=_tsvd_solved_symnys_overflowed)
+    # failed trials write their eta as null, so the bench files stay strict JSON
+    yield Case("bench-failed-trials",
+               ["bench", "--input", "b.csv", "--rank", "3", "--m-schedule", "1,2",
+                "--solvers", "asymnys,symnys", "--out", "inf"], 0, inputs=("b.csv",),
+               check=_every_trial_failed_with_null_eta)
     # a tsvd that missed a copy of the repeated top value is no reference:
     # bench falls back to dense, and the tsvd trial fails against it
     yield Case("bench-repeated-top",
@@ -324,8 +338,9 @@ def test_console(console, tmp_path, case):
     for line in proc.stdout.splitlines():   # an echoed configuration is strict JSON
         if line.startswith("{"):
             json.loads(line, parse_constant=_not_json)
-    # so is every report line written (bench files write a failed trial's eta as Infinity)
-    for path in [*tmp_path.glob("*.fit.json"), *tmp_path.glob("*.metrics.json")]:
+    # so is every report line written, a failed bench trial's included
+    for path in [*tmp_path.glob("*.fit.json"), *tmp_path.glob("*.metrics.json"),
+                 *tmp_path.glob("*.bench.ldjson"), *tmp_path.glob("*.bench_summary.json")]:
         for line in path.read_text(encoding="utf-8").splitlines():
             json.loads(line, parse_constant=_not_json)
     err = proc.stderr.splitlines()

@@ -458,6 +458,15 @@ def test_report_round_trip_bit_exact(tmp_path):
     assert load_report(p) == rows
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_report_value_json_cannot_hold_is_a_data_error_and_writes_no_file(tmp_path, value):
+    # every row is serialized before the file is opened: no partial report
+    p = tmp_path / "r.ldjson"
+    rows = [{"eta": 0.5}, {"eta": value}]
+    assert _error_text(lambda path: save_report(path, rows), p).startswith(f"cannot write {p}: ")
+    assert not p.exists()
+
+
 def _error_text(load, path):
     with pytest.raises(DataError) as info:
         load(path)

@@ -17,6 +17,7 @@ import aksvd.solvers as solvers_module
 from aksvd.cli import main
 from aksvd.errors import NumericalError
 from aksvd.kernels import KernelOperator, KernelSpec
+from aksvd.ksvd import fit
 from aksvd.solvers import (
     DEFAULT_BENCH_SOLVERS,
     SOLVERS,
@@ -37,11 +38,11 @@ from aksvd.solvers import (
 def random_matrix(rng, n, m, decay=None):
     if decay is None:
         return rng.standard_normal((n, m))
-    # controlled spectrum: singular values decay geometrically
+    # controlled spectrum: singular values decay geometrically, or s_k = decay(k)
     r = min(n, m)
     u, _ = np.linalg.qr(rng.standard_normal((n, r)))
     v, _ = np.linalg.qr(rng.standard_normal((m, r)))
-    s = decay ** np.arange(r)
+    s = decay(np.arange(r)) if callable(decay) else decay ** np.arange(r)
     return (u * s) @ v.T
 
 
@@ -244,8 +245,8 @@ def test_tsvd_does_not_certify_a_missed_copy_of_a_repeated_value(n, decay):
 
 
 def test_tsvd_runs_its_ritz_test_every_r_over_4_steps(monkeypatch):
-    # each Ritz test is one SVD of the k x k bidiagonal; the last iterate
-    # and a test at max_iter may add one each
+    # each Ritz test is one SVD of the k x k bidiagonal: one at step r, one
+    # every 5 steps after it, and one more for the iterate returned
     A = random_matrix(np.random.default_rng(31), 200, 200, decay=0.9)
     real_svd, shapes = np.linalg.svd, []
 
@@ -259,6 +260,33 @@ def test_tsvd_runs_its_ritz_test_every_r_over_4_steps(monkeypatch):
     assert res.converged and res.iterations > 20
     assert len(shapes) <= math.ceil((res.iterations - 20) / 5) + 2
     assert eta_vs_dense(A, res, 20) <= 1e-10
+
+
+def harmonic(k):
+    return 1.0 / (1.0 + k)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+@pytest.mark.parametrize("seed, decay, N, M, r", [
+    (0, 0.9, 120, 80, 9), (1, 0.97, 60, 140, 13), (2, harmonic, 100, 100, 8),
+    (3, 0.9, 40, 160, 11), (4, 0.97, 150, 90, 22), (5, harmonic, 70, 130, 17),
+    (6, 0.9, 160, 160, 24), (7, 0.97, 90, 50, 10),
+])
+def test_tsvd_capped_run_is_a_prefix_of_the_uncapped_run(seed, decay, N, M, r, tol):
+    # a cap only cuts the run short: a cap at or past the uncapped run's
+    # stop gives that run bit for bit, and a cap before it, on the Ritz
+    # schedule or off it, stops there unconverged
+    A = random_matrix(np.random.default_rng(seed), N, M, decay)
+    full = truncated_svd(A, r, tol=tol)
+    assert full.converged and full.iterations < min(N, M)
+    for cap in range(r, full.iterations + 2):
+        res = truncated_svd(A, r, tol=tol, max_iter=cap)
+        if cap < full.iterations:
+            assert (res.converged, res.iterations) == (False, cap), cap
+        else:
+            assert (res.converged, res.iterations) == (True, full.iterations), cap
+            for a, b in ((res.u, full.u), (res.lambdas, full.lambdas), (res.v, full.v)):
+                assert np.array_equal(a, b), cap
 
 
 def _decaying_100():
@@ -290,7 +318,7 @@ def test_tsvd_does_not_depend_on_scale():
 
 
 def test_sym_nystrom_svd_product_that_overflows_is_a_numerical_error():
-    # sym_nystrom_svd forms A A' and A' A, whose 1e400 overflows
+    # sym_nystrom_svd forms the sampled Grams B B', whose 1e400 overflows
     with pytest.raises(NumericalError, match="non-finite"):
         sym_nystrom_svd(np.array([[1e200, 0.0], [0.0, 1.0]]), 2, 1)
 
@@ -623,6 +651,25 @@ def test_every_solver_rejects_rank_out_of_range(solver, bad_rank):
         call(np.random.default_rng(30).standard_normal((10, 8)), r)
 
 
+@pytest.mark.parametrize("rank", [True, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("call", [
+    *(call for call, _ in _RANK_CHECKED.values()),
+    lambda A, r: fit(A, A, KernelSpec.linear(), r),
+    lambda A, r: bench(A, r, 0.1),
+], ids=[*_RANK_CHECKED, "fit", "bench"])
+def test_every_solver_fit_and_bench_reject_a_rank_that_is_not_an_integer(call, rank):
+    # a bool rank once fitted rank 1, and a float one failed in numpy's slicing
+    A = np.random.default_rng(30).standard_normal((10, 8))
+    with pytest.raises(ValueError, match=re.escape(f"rank must be an integer, got {rank!r}")):
+        call(A, rank)
+
+
+def test_a_numpy_integer_rank_is_a_rank():
+    A = np.random.default_rng(30).standard_normal((10, 8))
+    assert dense_svd(A, np.int64(2)).achieved_rank == 2
+    assert truncated_svd(A, np.int32(2)).achieved_rank == 2
+
+
 @pytest.mark.parametrize("knobs", [{"oversample": -1}, {"power": -3}])
 def test_rsvd_rejects_negative_knobs(knobs):
     A = np.random.default_rng(31).standard_normal((10, 10))
@@ -693,6 +740,23 @@ def test_one_infinite_entry_is_a_numerical_error(solve):
 def test_positive_rank_rejects_non_finite_singular_values(s):
     with pytest.raises(NumericalError, match="singular values are not finite"):
         solvers_module._positive_rank(np.array(s))
+
+
+@pytest.mark.parametrize("s, rank", [
+    ([0.0, 0.0], 0),
+    ([-0.0, -0.0], 0),
+    ([0.0, -0.0, -1.0], 0),
+    ([-1e-300, -1.0], 0),
+    ([5e-324], 1),
+    ([5e-324, 5e-324, 0.0], 2),   # 1e-12 * 5e-324 rounds to 0
+    ([1e-200, 1e-205, 1e-213], 2),
+    ([1e200, 1e189, 1e187, 0.0, -1e200], 2),
+    ([1.0, 1e-11, 1e-13, -0.0, -1.0], 2),
+], ids=["zero", "minus-zero", "zero-then-negative", "negative", "subnormal",
+        "subnormal-pair", "tiny-scale", "huge-scale", "mixed"])
+def test_positive_rank_counts_values_above_round_off(s, rank):
+    # a top value that is zero or negative leaves nothing above 1e-12 of it
+    assert solvers_module._positive_rank(np.array(s)) == rank
 
 
 def test_asym_rank_error_suggests_more_subsamples():
@@ -999,8 +1063,8 @@ def _recording_tsvd(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bench_tsvd_trial_is_the_reference_run(seed, monkeypatch):
-    # a reference that stopped before its budget took only the Ritz tests
-    # an unbudgeted run takes: bench records it as the tsvd trial, no rerun
+    # a capped run is a prefix of the uncapped one, so a tsvd reference is
+    # the run the tsvd trial would take: bench records it, with no rerun
     A = bench_spectrum(seed)
     calls = _recording_tsvd(monkeypatch)
     rep = bench(A, 20, 0.1, solvers=("tsvd", "rsvd"), seed=seed)
